@@ -227,32 +227,41 @@ def validate_bialgebra(b, struct_tol=STRUCT_TOL, psd_tol=PSD_TOL):
 
     Structural identities use ``struct_tol``; spectral positivity (the Choi
     matrix of the represented coproduct, hyperbialgebra case) uses
-    ``psd_tol``.
+    ``psd_tol``.  The structural checks are reshaped matrix products of
+    cost O(d^5) at most, coproduct-multiplicativity costs O(d^6), and the
+    representation and complete-positivity checks go block by block (see
+    :func:`_representation_residual` and :func:`_coproduct_choi_min_eig`).
     """
     d = b.dim
     res = []
     eye = np.eye(d)
+    mult, cop = b.mult, b.coproduct
+    mult_ij_k = mult.reshape(d * d, d)      # (e_i e_j) -> coords
 
     unit_l = np.einsum("i,ijk->jk", b.unit, b.mult)
     unit_r = np.einsum("j,ijk->ik", b.unit, b.mult)
     t = np.stack([unit_l - eye, unit_r - eye])
     res.append(AxiomResult("unit", maxabs(t), struct_tol, _argmax_idx(t)[1:]))
 
-    lhs = np.einsum("ijm,mkl->ijkl", b.mult, b.mult)
-    rhs = np.einsum("jkm,iml->ijkl", b.mult, b.mult)
+    # (e_i e_j) e_k  versus  e_i (e_j e_k), both indexed [i, j, k, l]
+    lhs = (mult_ij_k @ mult.reshape(d, d * d)).reshape(d, d, d, d)
+    rhs = np.matmul(mult_ij_k, mult).reshape(d, d, d, d)
     res.append(AxiomResult("associativity", maxabs(lhs - rhs), struct_tol,
                            _argmax_idx(lhs - rhs)[:3]))
 
     s = b.star_matrix
     res.append(AxiomResult("star-involution", maxabs(s @ np.conjugate(s) - eye), struct_tol))
 
-    # star(e_i e_j) = star(e_j) star(e_i)
-    lhs = np.einsum("ak,ijk->ija", s, np.conjugate(b.mult))
-    rhs = np.einsum("pj,qi,pqa->ija", s, s, b.mult)
+    # star(e_i e_j) = star(e_j) star(e_i), both indexed [i, j, a]
+    lhs = (np.conjugate(mult_ij_k) @ s.T).reshape(d, d, d)
+    rhs = (s.T @ np.matmul(s.T, mult).reshape(d, d * d)).reshape(d, d, d)
+    rhs = rhs.transpose(1, 0, 2)
     res.append(AxiomResult("star-antimultiplicative", maxabs(lhs - rhs), struct_tol))
 
-    lhs = np.einsum("kij,iab->kabj", b.coproduct, b.coproduct)
-    rhs = np.einsum("kij,jab->kiab", b.coproduct, b.coproduct)
+    # (Delta (x) id) Delta  versus  (id (x) Delta) Delta, indexed [k, a, b, c]
+    lhs = np.matmul(cop.transpose(0, 2, 1), cop.reshape(d, d * d))
+    lhs = lhs.reshape(d, d, d, d).transpose(0, 2, 3, 1)
+    rhs = (cop.reshape(d * d, d) @ cop.reshape(d, d * d)).reshape(d, d, d, d)
     res.append(AxiomResult("OSC1-coassociativity", maxabs(lhs - rhs), struct_tol,
                            (_argmax_idx(lhs - rhs)[0],)))
 
@@ -271,12 +280,13 @@ def validate_bialgebra(b, struct_tol=STRUCT_TOL, psd_tol=PSD_TOL):
     res.append(AxiomResult("coproduct-unital", maxabs(delta_unit), struct_tol))
 
     if b.kind == "bialgebra":
-        lhs = np.einsum("ijm,mab->ijab", b.mult, b.coproduct)
-        rhs = np.einsum("ipq,jrs,pra,qsb->ijab", b.coproduct, b.coproduct, b.mult, b.mult)
+        lhs = (mult_ij_k @ cop.reshape(d, d * d)).reshape(d, d, d, d)
+        rhs = _coproduct_of_products(b)
         res.append(AxiomResult("coproduct-multiplicative", maxabs(lhs - rhs), struct_tol,
                                _argmax_idx(lhs - rhs)[:2]))
-        lhs = np.einsum("mk,mab->kab", s, b.coproduct)
-        rhs = np.einsum("kij,ai,bj->kab", np.conjugate(b.coproduct), s, s)
+        # Delta(e_k*) versus (star (x) star) Delta(e_k), indexed [k, a, b]
+        lhs = (s.T @ cop.reshape(d, d * d)).reshape(d, d, d)
+        rhs = s @ np.conjugate(cop) @ s.T
         res.append(AxiomResult("coproduct-star-preserving", maxabs(lhs - rhs), struct_tol))
     elif b.kind == "hyperbialgebra":
         defect = max(0.0, -_coproduct_choi_min_eig(b))
@@ -290,6 +300,22 @@ def validate_bialgebra(b, struct_tol=STRUCT_TOL, psd_tol=PSD_TOL):
     return res
 
 
+def _coproduct_of_products(b):
+    """Delta(e_i) Delta(e_j) in the tensor basis, indexed [i, j, a, b].
+
+    The product sum_{pqrs} Delta_ipq Delta_jrs m_pra m_qsb contracted in the
+    order X_iqra = sum_p Delta_ipq m_pra, Y_jqrb = sum_s Delta_jrs m_qsb (both
+    O(d^5)), then one matrix product over (q, r): O(d^6) in all.
+    """
+    d = b.dim
+    cop, mult = b.coproduct, b.mult
+    x = np.matmul(cop.transpose(0, 2, 1), mult.reshape(d, d * d))    # [i, q, (r, a)]
+    y = np.matmul(cop.reshape(d * d, d), mult)                       # [q, (j, r), b]
+    x = x.reshape(d, d * d, d).transpose(0, 2, 1).reshape(d * d, d * d)   # (i, a) x (q, r)
+    y = y.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)  # (q, r) x (j, b)
+    return (x @ y).reshape(d, d, d, d).transpose(0, 2, 1, 3)
+
+
 def assert_valid(b, struct_tol=STRUCT_TOL, psd_tol=PSD_TOL):
     """Raise :class:`AxiomViolation` naming the first failing axiom."""
     for r in validate_bialgebra(b, struct_tol, psd_tol):
@@ -298,16 +324,39 @@ def assert_valid(b, struct_tol=STRUCT_TOL, psd_tol=PSD_TOL):
     return b
 
 
+def _diagonal_blocks(b):
+    """The diagonal blocks of the representation images, each (d, n, n)."""
+    out, ofs = [], 0
+    for n in b.rep_blocks:
+        out.append(b.rep_images[:, ofs:ofs + n, ofs:ofs + n])
+        ofs += n
+    return out
+
+
 def _representation_residual(b):
+    """Unital, multiplicative and *-preserving defects of the representation,
+    plus the mass of the images outside the diagonal blocks; also returns
+    the rank of the images.
+
+    Products are taken block by block, O(d^2 sum_b n_b^3 + d^3 sum_b n_b^2);
+    that and the blockwise Choi test are exact only for block-diagonal
+    images, which the off-block term checks.
+    """
+    d, n = b.dim, b.rep_dim
     imgs = b.rep_images
-    eyeN = np.eye(b.rep_dim)
-    unital = maxabs(np.einsum("k,kab->ab", b.unit, imgs) - eyeN)
-    mult = maxabs(np.einsum("iab,jbc->ijac", imgs, imgs)
-                  - np.einsum("ijk,kac->ijac", b.mult, imgs))
+    unital = maxabs(np.einsum("k,kab->ab", b.unit, imgs) - np.eye(n))
+    blocks = _diagonal_blocks(b)
+    sizes = [x.shape[1] ** 2 for x in blocks]
+    image_of_prod = b.mult.reshape(d * d, d) @ np.concatenate(
+        [x.reshape(d, m) for x, m in zip(blocks, sizes)], axis=1)
+    prod = np.concatenate([np.einsum("iab,jbc->ijac", x, x).reshape(d * d, m)
+                           for x, m in zip(blocks, sizes)], axis=1)
+    mult = maxabs(prod - image_of_prod)
     starp = maxabs(np.einsum("mk,mab->kab", b.star_matrix, imgs) - dagger(imgs))
-    flat = imgs.reshape(b.dim, -1)
-    rank = numerical_rank(flat, rtol=1e-10)
-    return max(unital, mult, starp), rank
+    ids = np.repeat(np.arange(len(b.rep_blocks)), b.rep_blocks)
+    off_block = maxabs(imgs[:, ids[:, None] != ids[None, :]])
+    rank = numerical_rank(imgs.reshape(d, -1), rtol=1e-10)
+    return max(unital, mult, starp, off_block), rank
 
 
 def _coproduct_choi_min_eig(b):
@@ -317,35 +366,45 @@ def _coproduct_choi_min_eig(b):
     precomposing with the block-diagonal conditional expectation onto the
     image of the representation (finite-dimensional C*-algebras are
     multi-matrix algebras, so this is a faithful extension for CP purposes).
+    With block-diagonal images the N^3 x N^3 Choi matrix is block-diagonal:
+    one block for each input block b0 and output pair (b1, b2), of size
+    n0 n1 n2, with entries
+
+        C[(u, a, c), (v, e, f)] = sum_kij P_k[u, v] Delta_kij rho_i[a, e] rho_j[c, f]
+
+    where P_k[u, v] are the coordinates of the matrix unit E_uv of block b0.
+    The blocks of one size triple are built by one batched contraction and
+    diagonalised by one batched ``eigvalsh``; the full Choi matrix is never
+    formed.  Cost O(sum over block triples of (n0 n1 n2)^3) for the
+    eigenvalues, plus O(D d^3 + D^3 d) for the contractions, where D is the
+    sum of n_b^2 (D = d for irreducible blocks, so O(d^4)).
     """
-    N = b.rep_dim
-    flat = b.rep_images.reshape(b.dim, -1)           # coords -> vec(rho(x))
-    pinv = np.linalg.pinv(flat, rcond=1e-12)          # vec(matrix) -> coords
-    # images of Delta(e_k) in the doubled representation
-    dimg = np.einsum("kij,iab,jcd->kacbd", b.coproduct, b.rep_images,
-                     b.rep_images).reshape(b.dim, N * N, N * N)
-    choi = np.zeros((N * N * N, N * N * N), dtype=complex)
-    for u in range(N):
-        for v in range(N):
-            euv = np.zeros((N, N), dtype=complex)
-            # conditional expectation: keep only the block-diagonal part
-            if _same_block(b.rep_blocks, u, v):
-                euv[u, v] = 1.0
-            coords = pinv.T @ euv.reshape(-1)
-            theta = np.einsum("k,kab->ab", coords, dimg)
-            base = np.zeros((N, N), dtype=complex)
-            base[u, v] = 1.0
-            choi += np.kron(base, theta)
-    return min_eig_herm(choi)
-
-
-def _same_block(sizes, u, v):
-    ofs = 0
-    for k in sizes:
-        if ofs <= u < ofs + k:
-            return ofs <= v < ofs + k
-        ofs += k
-    return False
+    d = b.dim
+    blocks = [x for x in _diagonal_blocks(b) if x.shape[1]]
+    if not blocks:
+        return 0.0
+    flat = np.concatenate([r.reshape(d, -1) for r in blocks], axis=1)
+    pinv = np.linalg.pinv(flat, rcond=1e-12)      # block entries -> coords
+    units, images, ofs = {}, {}, 0                # stacked per block size
+    for r in blocks:
+        n = r.shape[1]
+        units.setdefault(n, []).append(pinv[ofs:ofs + n * n].reshape(n, n, d))
+        images.setdefault(n, []).append(r)
+        ofs += n * n
+    units = {n: np.array(v) for n, v in units.items()}      # [B, u, v, k]
+    images = {n: np.array(v) for n, v in images.items()}    # [B, i, a, e]
+    lowest = np.inf
+    for n0, p in units.items():
+        q = np.tensordot(p, b.coproduct, axes=(3, 0))        # [B0, u, v, i, j]
+        for n1, r1 in images.items():
+            t = np.tensordot(q, r1, axes=(3, 1))             # [B0, u, v, j, B1, a, e]
+            for n2, r2 in images.items():
+                c = np.tensordot(t, r2, axes=(3, 1))         # [B0,u,v,B1,a,e,B2,c,f]
+                size = n0 * n1 * n2
+                c = c.transpose(0, 3, 6, 1, 4, 7, 2, 5, 8).reshape(-1, size, size)
+                eigs = np.linalg.eigvalsh(0.5 * (c + dagger(c)))
+                lowest = min(lowest, float(eigs[:, 0].min()))
+    return lowest
 
 
 # -- builders ---------------------------------------------------------------

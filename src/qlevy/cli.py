@@ -89,6 +89,32 @@ def parse_steps(spec_text, d_noise=None):
     return StepFunction(np.array(bps), arr)
 
 
+def t_grid_arg(text):
+    """argparse type for 'start:stop:count', an evenly spaced time grid."""
+    try:
+        a, b, n = text.split(":")
+        start, stop, count = float(a), float(b), int(n)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected start:stop:count, got {text!r}") from None
+    if not (np.isfinite(start) and np.isfinite(stop)) or count < 0:
+        raise argparse.ArgumentTypeError(
+            f"need finite start and stop and count >= 0, got {text!r}")
+    return np.linspace(start, stop, count)
+
+
+def real_vector_arg(text):
+    """argparse type for a JSON list of real numbers."""
+    try:
+        vec = np.array(json.loads(text), dtype=float)
+    except (json.JSONDecodeError, TypeError, ValueError):
+        raise argparse.ArgumentTypeError(
+            f"expected a JSON list of numbers, got {text!r}") from None
+    if vec.ndim != 1:
+        raise argparse.ArgumentTypeError(f"expected a flat JSON list, got {text!r}")
+    return vec
+
+
 def _functional_from_spec(b, text):
     if text == "counit":
         return functional(b, b.counit)
@@ -117,8 +143,7 @@ def cmd_semigroup(args):
     b = _load_algebra(args.bialgebra)
     gamma = load_operator_map(args.generator, b)
     sg = ConvolutionSemigroup(gamma)
-    a, bb, n = args.t_grid.split(":")
-    grid = np.linspace(float(a), float(bb), int(n))
+    grid = args.t_grid
     rows = []
     for t in grid:
         lam = sg.at(float(t)).as_vector()
@@ -275,7 +300,7 @@ def cmd_montecarlo(args):
     from .algebra import build_function_algebra
     if b is None:
         b = build_function_algebra(table)
-    mu = np.array(json.loads(args.mu), dtype=float)
+    mu = args.mu
     mc = simulate_compound_poisson(table, args.rate, mu, args.t,
                                    args.samples, args.seed)
     law = compound_poisson_law(b, args.rate, mu, args.t)
@@ -320,7 +345,8 @@ def build_parser():
                        help="evolve a convolution semigroup on a t-grid")
     p.add_argument("bialgebra")
     p.add_argument("generator")
-    p.add_argument("--t-grid", default="0:1:11")
+    p.add_argument("--t-grid", type=t_grid_arg, default="0:1:11",
+                   help="start:stop:count")
     p.set_defaults(func=cmd_semigroup)
 
     p = sub.add_parser("cocycle-eval", parents=[common],
@@ -376,7 +402,8 @@ def build_parser():
                        help="compound Poisson versus semigroup law")
     p.add_argument("--order", type=int, default=2, help="cyclic group order")
     p.add_argument("--rate", type=float, default=1.0)
-    p.add_argument("--mu", type=str, required=True, help="JSON probability vector")
+    p.add_argument("--mu", type=real_vector_arg, required=True,
+                   help="JSON probability vector")
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--samples", type=int, default=100000)
     p.set_defaults(func=cmd_montecarlo)

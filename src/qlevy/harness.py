@@ -157,9 +157,11 @@ def solve_coboundary(data, tol=1e-8):
 # -- compound Poisson Monte Carlo -------------------------------------------------
 
 def _poisson_counts(rng, rate_t, size):
-    """Poisson sampling: CDF inversion for rate_t <= 30, rounded-normal
-    approximation above (reproducibility contract: both paths draw exactly
-    one uniform/normal block)."""
+    """Poisson sampling by inversion of the exact CDF, tabulated by a pmf
+    recursion for rate_t <= 30 and by ``scipy.special.pdtr`` above; the
+    latter gives the values of ``scipy.stats.poisson.ppf`` without its
+    import and per-draw root finding (reproducibility contract: both paths
+    draw exactly one uniform block)."""
     if rate_t < 0:
         raise ValueError("rate * t must be nonnegative")
     if rate_t <= 30.0:
@@ -171,8 +173,11 @@ def _poisson_counts(rng, rate_t, size):
         cdf = np.cumsum(pmf)
         u = rng.random(size)
         return np.searchsorted(cdf, u)
-    draws = rng.normal(loc=rate_t, scale=np.sqrt(rate_t), size=size)
-    return np.maximum(np.rint(draws), 0).astype(np.int64)
+    from scipy.special import pdtr
+    # the CDF on a +-40 sigma window; below it the mass is under 1e-300
+    lo = max(0, int(rate_t - 40.0 * np.sqrt(rate_t)))
+    k = np.arange(lo, int(rate_t + 40.0 * np.sqrt(rate_t)) + 40)
+    return lo + np.searchsorted(pdtr(k, rate_t), rng.random(size))
 
 
 @dataclass

@@ -8,20 +8,11 @@ def dagger(m):
     return np.conjugate(np.swapaxes(m, -1, -2))
 
 
-def herm_defect(m):
-    """Max-abs deviation of a matrix from self-adjointness."""
-    return float(np.max(np.abs(m - dagger(m)))) if m.size else 0.0
-
-
 def min_eig_herm(m):
     """Smallest eigenvalue of a (numerically) Hermitian matrix."""
     if m.size == 0:
         return 0.0
     return float(np.linalg.eigvalsh(0.5 * (m + dagger(m)))[0])
-
-
-def is_psd(m, tol=1e-10):
-    return min_eig_herm(m) >= -tol
 
 
 def opnorm(m):
@@ -56,13 +47,6 @@ def split_blocks(m, sizes):
     for k in sizes:
         out.append(m[ofs:ofs + k, ofs:ofs + k].copy())
         ofs += k
-    return out
-
-
-def kron_all(mats):
-    out = np.array([[1.0 + 0j]])
-    for m in mats:
-        out = np.kron(out, m)
     return out
 
 

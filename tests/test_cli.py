@@ -49,6 +49,30 @@ def test_usage_error_exit_code():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("grid", ["0:1", "0:1:5:7", "a:1:5", "0:1:x", "0:1:2.5",
+                                  "0:1:-3", "nan:1:4", "0:inf:4"])
+def test_malformed_t_grid_is_usage_error(z3_file, grid, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["semigroup", z3_file, "unused.json", "--t-grid", grid])
+    assert err.value.code == 2
+    assert "--t-grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mu", ["[0.5,", "{\"a\": 1}", "[[0.5], [0.5]]", "0.5",
+                                "[\"x\", 1]"])
+def test_malformed_mu_is_usage_error(mu, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["montecarlo", "--order", "2", "--mu", mu, "--samples", "10"])
+    assert err.value.code == 2
+    assert "--mu" in capsys.readouterr().err
+
+
+def test_mu_not_a_probability_vector_is_check_failure(capsys):
+    # well-formed but not a probability law: a failed check, not a usage error
+    assert main(["montecarlo", "--order", "2", "--mu", "[0.7, 0.7]",
+                 "--samples", "10"]) == 1
+
+
 def test_semigroup_csv(z3_file, tmp_path):
     b = bundled_fixtures()["C(Z3)"]
     gamma = functional(b, 0.5 * (np.eye(3)[1] - np.eye(3)[0]))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -202,8 +204,23 @@ def test_poisson_counts_moments():
     counts = _poisson_counts(rng, rt, 200000)
     assert abs(counts.mean() - rt) < 0.05
     assert abs(counts.var() - rt) < 0.1
-    big = _poisson_counts(rng, 45.0, 100000)  # normal-approximation branch
+    big = _poisson_counts(rng, 45.0, 100000)  # tabulated pdtr branch
     assert abs(big.mean() - 45.0) < 0.3
+
+
+@pytest.mark.parametrize("rate_t", [31.0, 45.0])
+def test_poisson_counts_large_rate_exact_law(rate_t):
+    # the exact pmf in log space, independent of scipy
+    k = np.arange(int(rate_t + 20 * np.sqrt(rate_t)))
+    pmf = np.exp(k * np.log(rate_t) - rate_t - np.array([math.lgamma(x + 1) for x in k]))
+    n = 400000
+    counts = _poisson_counts(np.random.Generator(np.random.Philox(key=31)), rate_t, n)
+    # one uniform block, inverted through the exact CDF
+    u = np.random.Generator(np.random.Philox(key=31)).random(n)
+    assert np.array_equal(counts, np.searchsorted(np.cumsum(pmf), u))
+    # rounded normals were 0.023 (rate_t = 31) off in total variation
+    freq = np.bincount(counts, minlength=k.size)[:k.size] / n
+    assert 0.5 * np.abs(freq - pmf).sum() < 0.01
 
 
 def test_mc_reproducible():
