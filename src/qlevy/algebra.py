@@ -217,9 +217,11 @@ class AxiomResult:
         return self.residual <= self.tol
 
 
-def _argmax_idx(t):
-    t = np.abs(np.asarray(t))
-    return tuple(int(i) for i in np.unravel_index(np.argmax(t), t.shape))
+def _worst(t):
+    """Largest absolute entry of t and its index."""
+    a = np.abs(t)
+    flat = int(np.argmax(a))
+    return float(a.flat[flat]), tuple(int(i) for i in np.unravel_index(flat, a.shape))
 
 
 def validate_bialgebra(b, struct_tol=STRUCT_TOL, psd_tol=PSD_TOL):
@@ -240,14 +242,14 @@ def validate_bialgebra(b, struct_tol=STRUCT_TOL, psd_tol=PSD_TOL):
 
     unit_l = np.einsum("i,ijk->jk", b.unit, b.mult)
     unit_r = np.einsum("j,ijk->ik", b.unit, b.mult)
-    t = np.stack([unit_l - eye, unit_r - eye])
-    res.append(AxiomResult("unit", maxabs(t), struct_tol, _argmax_idx(t)[1:]))
+    worst, where = _worst(np.stack([unit_l - eye, unit_r - eye]))
+    res.append(AxiomResult("unit", worst, struct_tol, where[1:]))
 
     # (e_i e_j) e_k  versus  e_i (e_j e_k), both indexed [i, j, k, l]
     lhs = (mult_ij_k @ mult.reshape(d, d * d)).reshape(d, d, d, d)
     rhs = np.matmul(mult_ij_k, mult).reshape(d, d, d, d)
-    res.append(AxiomResult("associativity", maxabs(lhs - rhs), struct_tol,
-                           _argmax_idx(lhs - rhs)[:3]))
+    worst, where = _worst(lhs - rhs)
+    res.append(AxiomResult("associativity", worst, struct_tol, where[:3]))
 
     s = b.star_matrix
     res.append(AxiomResult("star-involution", maxabs(s @ np.conjugate(s) - eye), struct_tol))
@@ -262,8 +264,8 @@ def validate_bialgebra(b, struct_tol=STRUCT_TOL, psd_tol=PSD_TOL):
     lhs = np.matmul(cop.transpose(0, 2, 1), cop.reshape(d, d * d))
     lhs = lhs.reshape(d, d, d, d).transpose(0, 2, 3, 1)
     rhs = (cop.reshape(d * d, d) @ cop.reshape(d, d * d)).reshape(d, d, d, d)
-    res.append(AxiomResult("OSC1-coassociativity", maxabs(lhs - rhs), struct_tol,
-                           (_argmax_idx(lhs - rhs)[0],)))
+    worst, where = _worst(lhs - rhs)
+    res.append(AxiomResult("OSC1-coassociativity", worst, struct_tol, where[:1]))
 
     left = np.einsum("kij,i->kj", b.coproduct, b.counit) - eye
     right = np.einsum("kij,j->ki", b.coproduct, b.counit) - eye
@@ -282,8 +284,8 @@ def validate_bialgebra(b, struct_tol=STRUCT_TOL, psd_tol=PSD_TOL):
     if b.kind == "bialgebra":
         lhs = (mult_ij_k @ cop.reshape(d, d * d)).reshape(d, d, d, d)
         rhs = _coproduct_of_products(b)
-        res.append(AxiomResult("coproduct-multiplicative", maxabs(lhs - rhs), struct_tol,
-                               _argmax_idx(lhs - rhs)[:2]))
+        worst, where = _worst(lhs - rhs)
+        res.append(AxiomResult("coproduct-multiplicative", worst, struct_tol, where[:2]))
         # Delta(e_k*) versus (star (x) star) Delta(e_k), indexed [k, a, b]
         lhs = (s.T @ cop.reshape(d, d * d)).reshape(d, d, d)
         rhs = s @ np.conjugate(cop) @ s.T

@@ -75,7 +75,7 @@ def _parse_vector(token):
     return np.array([complex(p[0], p[1]) for p in data])
 
 
-def parse_steps(spec_text, d_noise=None):
+def parse_steps(spec_text):
     """Step function from 't1:c1,t2:c2,...'; each c is inline JSON or base64."""
     bps = [0.0]
     vals = []
@@ -85,8 +85,34 @@ def parse_steps(spec_text, d_noise=None):
         t_str, c_str = piece.split(":", 1)
         bps.append(float(t_str))
         vals.append(_parse_vector(c_str))
-    arr = np.stack(vals) if vals else np.zeros((0, d_noise or 1))
+    arr = np.stack(vals) if vals else np.zeros((0, 1))
     return StepFunction(np.array(bps), arr)
+
+
+def steps_arg(text):
+    """argparse type for a step function 't1:c1,t2:c2,...'; empty means the
+    zero function."""
+    if not text:
+        return None
+    try:
+        return parse_steps(text)
+    except (ValueError, TypeError, IndexError, KeyError) as exc:
+        raise argparse.ArgumentTypeError(
+            f"expected t1:c1,t2:c2,... with each c a JSON list of [re, im] "
+            f"pairs or its base64, got {text!r} ({exc})") from None
+
+
+def element_arg(text):
+    """argparse type for --x: a basis label, or JSON coordinates [[re, im], ...]
+    returned as a complex vector."""
+    if not text.startswith("["):
+        return text
+    try:
+        return _parse_vector(text)
+    except (ValueError, TypeError, IndexError, KeyError) as exc:
+        raise argparse.ArgumentTypeError(
+            f"expected a basis label or a JSON list of [re, im] pairs, "
+            f"got {text!r} ({exc})") from None
 
 
 def t_grid_arg(text):
@@ -166,13 +192,13 @@ def cmd_semigroup(args):
 def cmd_cocycle_eval(args):
     b = _load_algebra(args.bialgebra)
     phi = Generator(b, load_operator_map(args.generator, b).values)
-    if args.x.startswith("["):
-        x = b.element(_parse_vector(args.x))
-    else:
+    if isinstance(args.x, str):
         x = b.basis_element(b.label_index(args.x))
+    else:
+        x = b.element(args.x)
     dn = phi.d_noise
-    f = parse_steps(args.f, dn) if args.f else StepFunction.zero(dn, args.t)
-    fp = parse_steps(args.fp, dn) if args.fp else StepFunction.zero(dn, args.t)
+    f = args.f or StepFunction.zero(dn, args.t)
+    fp = args.fp or StepFunction.zero(dn, args.t)
     value = matrix_element(phi, x, f, fp, args.t)
     checks = {}
     s = 0.5 * args.t
@@ -353,9 +379,11 @@ def build_parser():
                        help="matrix element between exponential vectors")
     p.add_argument("bialgebra")
     p.add_argument("generator")
-    p.add_argument("--x", required=True, help="basis label or JSON coords")
-    p.add_argument("--f", default=None, help="step function t1:c1,...")
-    p.add_argument("--fp", default=None)
+    p.add_argument("--x", type=element_arg, required=True,
+                   help="basis label or JSON coords")
+    p.add_argument("--f", type=steps_arg, default=None,
+                   help="step function t1:c1,...")
+    p.add_argument("--fp", type=steps_arg, default=None)
     p.add_argument("--t", type=float, required=True)
     p.set_defaults(func=cmd_cocycle_eval)
 

@@ -105,18 +105,49 @@ class StepFunction:
         return float(self.breakpoints[-1])
 
     def value_at(self, s):
-        if s < 0 or s >= self.horizon:
-            raise HorizonMismatch(f"time {s} outside [0, {self.horizon})")
-        i = int(np.searchsorted(self.breakpoints, s, side="right")) - 1
-        return self.values[min(i, self.values.shape[0] - 1)]
+        return self._values_at(np.array([s], dtype=float))[0]
+
+    def _values_at(self, s):
+        """Values at nondecreasing times s, one row per time."""
+        if s.size and not (s[0] >= 0 and s[-1] < self.horizon):
+            bad = s[~((s >= 0) & (s < self.horizon))][0]
+            raise HorizonMismatch(f"time {bad} outside [0, {self.horizon})")
+        return self.values[self.breakpoints.searchsorted(s, side="right") - 1]
 
     def shifted_restriction(self, a, b):
         """The step function u -> f(a + u) on [0, b - a)."""
         if a < -1e-12 or b > self.horizon + 1e-9 or b <= a:
             raise HorizonMismatch(f"[{a}, {b}) not inside [0, {self.horizon})")
-        pts = [a] + [float(p) for p in self.breakpoints if a < p < b - 1e-15] + [b]
-        vals = [self.value_at(min(p, self.horizon - 1e-15)) for p in pts[:-1]]
-        return StepFunction(np.array(pts) - a, np.array(vals))
+        bp = self.breakpoints
+        pts = np.concatenate(([a], bp[(bp > a) & (bp < b - 1e-15)], [b]))
+        vals = self._values_at(np.minimum(pts[:-1], self.horizon - 1e-15))
+        return StepFunction(pts - a, vals)
+
+
+def _refine(f, f_prime, t):
+    """Common refinement of f, f' over [0, t] as arrays: the points (n + 1,)
+    bounding the n pieces, their durations (n,), and the values (n, d_noise)
+    of f and of f' on each piece.  A point within 1e-12 of the last one kept
+    is merged into it.
+    """
+    if f.d_noise != f_prime.d_noise:
+        raise ValueError("step functions live in different noise spaces")
+    if f.horizon < t - 1e-9 or f_prime.horizon < t - 1e-9:
+        raise HorizonMismatch(f"step functions must cover [0, {t}]")
+    pts = np.concatenate([[0.0, t], f.breakpoints, f_prime.breakpoints])
+    pts = np.unique(pts[(pts > -1e-15) & (pts < t + 1e-15)])
+    dts = pts[1:] - pts[:-1]
+    if dts.min() <= 1e-12:
+        merged = [pts[0]]
+        for p in pts[1:]:
+            if p - merged[-1] > 1e-12:
+                merged.append(p)
+        if abs(merged[-1] - t) > 1e-12:
+            merged.append(t)
+        pts = np.array(merged)
+        dts = pts[1:] - pts[:-1]
+    mids = 0.5 * (pts[:-1] + pts[1:])
+    return pts, dts, f._values_at(mids), f_prime._values_at(mids)
 
 
 def refine_pair(f, f_prime, t):
@@ -125,30 +156,21 @@ def refine_pair(f, f_prime, t):
     Returns a list of (duration, c, c') triples; near-coincident breakpoints
     (within 1e-12) are merged.
     """
-    if f.d_noise != f_prime.d_noise:
-        raise ValueError("step functions live in different noise spaces")
-    if f.horizon < t - 1e-9 or f_prime.horizon < t - 1e-9:
-        raise HorizonMismatch(f"step functions must cover [0, {t}]")
-    pts = np.concatenate([[0.0, t], f.breakpoints, f_prime.breakpoints])
-    pts = np.unique(pts[(pts > -1e-15) & (pts < t + 1e-15)])
-    merged = [pts[0]]
-    for p in pts[1:]:
-        if p - merged[-1] > 1e-12:
-            merged.append(p)
-    if abs(merged[-1] - t) > 1e-12:
-        merged.append(t)
-    out = []
-    for a, b in zip(merged[:-1], merged[1:]):
-        mid = 0.5 * (a + b)
-        out.append((b - a, f.value_at(mid), f_prime.value_at(mid)))
-    return out
+    _, dts, c, cp = _refine(f, f_prime, t)
+    return list(zip(dts, c, cp))
+
+
+def _inner_products(c, c_prime):
+    """<c'_i, c_i> for every piece, one ``np.vdot`` each."""
+    return np.array([np.vdot(b, a) for a, b in zip(c, c_prime)], dtype=complex)
 
 
 def exp_inner_product(f, g, t):
     """< eps(f), eps(g) > = exp of the integral of <f(s), g(s)> over [0, t]."""
+    _, dts, cf, cg = _refine(f, g, t)
     total = 0.0 + 0.0j
-    for dt, cf, cg in refine_pair(f, g, t):
-        total += dt * np.vdot(cf, cg)
+    for term in dts * _inner_products(cg, cf):
+        total += term
     return complex(np.exp(total))
 
 
@@ -174,17 +196,6 @@ class Generator(OperatorMap):
         """Corner functional x -> phi(x)_{00}."""
         return functional(self.source, self.values[:, 0, 0])
 
-    def delta_block(self):
-        """Column block, a map into k-columns: values (d, d_noise, 1)."""
-        return OperatorMap(self.source, self.values[:, 1:, 0:1])
-
-    def delta_dag_block(self):
-        """Row block: values (d, 1, d_noise)."""
-        return OperatorMap(self.source, self.values[:, 0:1, 1:])
-
-    def nu_block(self):
-        return OperatorMap(self.source, self.values[:, 1:, 1:])
-
     def reality_defect(self):
         """Max deviation of phi(x*) from phi(x)^dagger over the basis."""
         return maxabs(self.conjugate_map().values - self.values)
@@ -201,12 +212,43 @@ def as_generator(phi):
 
 # -- matrix elements via semigroup factorization -----------------------------
 
-def _interval_data(phi, f, f_prime, t):
+class NonFiniteCocycle(ValueError):
+    """A cocycle evaluation overflowed; the message names the first piece
+    whose semigroup factor, running product or prefactor is not finite."""
+
+
+def _pieces(phi, f, f_prime, t):
+    """The common refinement of f, f' over [0, t] (see :func:`_refine`) and
+    per piece the generator x -> <(1,c'), phi(x) (1,c)> in coordinates (n, d)
+    and its lifted d x d matrix (n, d, d)."""
     for g in (f, f_prime):
         if g.d_noise != phi.d_noise:
             raise ValueError(f"noise dimension mismatch: generator {phi.d_noise}, "
                              f"step function {g.d_noise}")
-    return refine_pair(f, f_prime, t)
+    pts, dts, c, cp = _refine(f, f_prime, t)
+    chat = np.empty((dts.size, phi.p), dtype=complex)
+    chat_p = np.empty_like(chat)
+    chat[:, 0] = chat_p[:, 0] = 1.0
+    chat[:, 1:] = c
+    chat_p[:, 1:] = cp
+    gammas = np.einsum("na,kab,nb->nk", np.conjugate(chat_p), phi.values, chat)
+    lifted = np.einsum("kij,nj->nik", phi.source.coproduct, gammas)
+    return pts, dts, c, cp, gammas, lifted
+
+
+def _expm_stack(a):
+    """expm of every slice of a C-contiguous (n, d, d) stack.  A stack of
+    diagonal matrices (every group algebra) is exponentiated entrywise,
+    which is the branch ``scipy.linalg.expm`` takes for each diagonal slice."""
+    n, d, _ = a.shape
+    # row i of this view holds the d entries that follow a[:, i, i] in memory;
+    # together the rows hold every off-diagonal entry
+    if a.reshape(n, d * d)[:, :-1].reshape(n, d - 1, d + 1)[:, :, 1:].any():
+        return expm(a)
+    out = np.zeros_like(a)
+    idx = np.arange(d)
+    out[:, idx, idx] = np.exp(a[:, idx, idx])
+    return out
 
 
 def cocycle_functional(phi, f, f_prime, t, reverse=False):
@@ -214,7 +256,10 @@ def cocycle_functional(phi, f, f_prime, t, reverse=False):
 
     The inner-product prefactor over [0, t] is included.  ``reverse=True``
     composes the per-interval semigroup factors in reverse interval order,
-    which is the opposite cocycle.
+    which is the opposite cocycle.  All pieces are refined, lifted and
+    exponentiated in a few array calls; the factors are then multiplied left
+    to right, one d x d product per piece.  Raises :class:`NonFiniteCocycle`
+    when the result overflows.
     """
     phi = as_generator(phi)
     src = phi.source
@@ -222,16 +267,38 @@ def cocycle_functional(phi, f, f_prime, t, reverse=False):
         raise ValueError("time must be nonnegative")
     if t == 0:
         return src.counit.astype(complex).copy()
-    pieces = _interval_data(phi, f, f_prime, t)
-    if reverse:
-        pieces = pieces[::-1]
+    pts, dts, c, cp, _, lifted = _pieces(phi, f, f_prime, t)
+    factors = _expm_stack(dts[:, None, None] * lifted)
+    scalars = np.exp(dts * _inner_products(c, cp))
+    order = range(dts.size - 1, -1, -1) if reverse else range(dts.size)
     lift = np.eye(src.dim, dtype=complex)
     pref = 1.0 + 0.0j
-    for dt, c, cp in pieces:
-        gamma = semigroup_generator(phi, cp, c)
-        lift = lift @ expm(dt * lifted_matrix(gamma))
-        pref *= np.exp(dt * np.vdot(cp, c))
-    return pref * (src.counit @ lift)
+    for i in order:
+        lift = lift @ factors[i]
+        pref *= scalars[i]
+    coords = pref * (src.counit @ lift)
+    if not np.isfinite(coords).all() or not np.isfinite(pref):
+        _raise_non_finite(src, pts, factors, scalars, order)
+    return coords
+
+
+def _raise_non_finite(src, pts, factors, scalars, order):
+    """Walk the pieces again in product order and name the first one whose
+    factor, running product or running prefactor is not finite."""
+    lift = np.eye(src.dim, dtype=complex)
+    pref = 1.0 + 0.0j
+    for i in order:
+        lift = lift @ factors[i]
+        pref *= scalars[i]
+        for what, value in (("semigroup factor", factors[i]),
+                            ("prefactor", scalars[i]),
+                            ("product of factors", lift),
+                            ("running prefactor", pref)):
+            if not np.all(np.isfinite(value)):
+                raise NonFiniteCocycle(
+                    f"{what} not finite at piece {i} on "
+                    f"[{float(pts[i])!r}, {float(pts[i + 1])!r})")
+    raise NonFiniteCocycle("cocycle coordinates not finite")
 
 
 def matrix_element(phi, x, f, f_prime, t):
@@ -323,9 +390,8 @@ def simplex_series_oracle(phi, x, f, f_prime, t, n_max, apply_order_reversal=Tru
     phi = as_generator(phi)
     src = phi.source
     d = src.dim
-    pieces = _interval_data(phi, f, f_prime, t)
-    gammas = [semigroup_generator(phi, cp, c).as_vector() for _, c, cp in pieces]
-    taus = [lifted_matrix(functional(src, g)) for g in gammas]
+    _, dts, c, cp, gammas, taus = _pieces(phi, f, f_prime, t)
+    pref = np.exp(sum(dts * _inner_products(c, cp)))
 
     def conv(a, b):
         return np.einsum("kij,i,j->k", src.coproduct, a, b)
@@ -337,11 +403,11 @@ def simplex_series_oracle(phi, x, f, f_prime, t, n_max, apply_order_reversal=Tru
     total = eps.copy()
     # per level: values of H_k at the GL nodes of every piece, plus the
     # running value at each piece boundary
-    prev_nodes = [np.tile(eps, (_GL_NODES, 1)) for _ in pieces]
+    prev_nodes = [np.tile(eps, (_GL_NODES, 1)) for _ in dts]
     for _level in range(1, n_max + 1):
         cur_nodes = []
         boundary = np.zeros(d, dtype=complex)
-        for idx, (dt, _, _) in enumerate(pieces):
+        for idx, dt in enumerate(dts):
             g = gammas[idx]
             integrand = np.stack([attach(h, g) for h in prev_nodes[idx]])
             half = dt / 2.0
@@ -350,15 +416,11 @@ def simplex_series_oracle(phi, x, f, f_prime, t, n_max, apply_order_reversal=Tru
             cur_nodes.append(node_vals)
         total = total + boundary
         prev_nodes = cur_nodes
-    value = complex(_pref(pieces) * (total @ x.coords))
+    value = complex(pref * (total @ x.coords))
     m = max((opnorm(tau) for tau in taus), default=0.0)
     tail = _series_tail(m * t, n_max) * float(np.linalg.norm(src.counit)) \
-        * float(np.linalg.norm(x.coords)) * abs(_pref(pieces))
+        * float(np.linalg.norm(x.coords)) * abs(pref)
     return value, tail
-
-
-def _pref(pieces):
-    return np.exp(sum(dt * np.vdot(cp, c) for dt, c, cp in pieces))
 
 
 def _series_tail(z, n):

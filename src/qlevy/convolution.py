@@ -118,13 +118,6 @@ def convolve(phi1, phi2):
                        out.reshape(d, phi1.p * phi2.p, phi1.q * phi2.q))
 
 
-def convolve_all(maps):
-    out = maps[0]
-    for m in maps[1:]:
-        out = convolve(out, m)
-    return out
-
-
 def star_power(phi, n):
     """n-fold convolution power; the 0-th power is the counit."""
     if n == 0:
@@ -241,9 +234,12 @@ def _exp_tail(z, n):
 class ConvolutionSemigroup:
     """lambda_t = exp_*(t gamma), with the lifted generator cached.
 
-    The per-t evaluation cache assumes single-writer use; disable by
-    constructing with ``cache=False`` when sharing across workers.
+    The per-t evaluation cache holds the ``CACHE_SIZE`` times most recently
+    computed and assumes single-writer use; disable by constructing with
+    ``cache=False`` when sharing across workers.
     """
+
+    CACHE_SIZE = 256
 
     def __init__(self, gamma, cache=True):
         if not gamma.is_functional:
@@ -260,6 +256,8 @@ class ConvolutionSemigroup:
         coords = self.source.counit @ expm(t * self.lifted_generator)
         lam = functional(self.source, coords)
         if self._cache is not None:
+            if len(self._cache) >= self.CACHE_SIZE:
+                del self._cache[next(iter(self._cache))]
             self._cache[t] = lam
         return lam
 

@@ -131,10 +131,6 @@ def check_structure_map(phi):
     }
 
 
-def is_structure_map(phi, tol=1e-10):
-    return max(check_structure_map(phi).values()) <= tol
-
-
 # -- completely positive generator forms ----------------------------------------
 
 @dataclass

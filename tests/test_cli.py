@@ -114,6 +114,42 @@ def test_cocycle_eval(z3_file, tmp_path, capsys):
     assert abs(got) > 0
 
 
+@pytest.mark.parametrize("flag", ["--f", "--fp"])
+@pytest.mark.parametrize("spec", ["garbage", "0.5", "0.5:[[0.3,", "x:[[0.3,0.1]]",
+                                  "0.5:[[0.3,0.1]],0.2:[[0.1,0.0]]",
+                                  "0.5:[[1,0]],0.9:[[1,0],[2,0]]", "0.5:%%%",
+                                  "0.5:[0.3]", "0.5:[{\"re\": 1}]"])
+def test_malformed_steps_are_usage_errors(z3_file, flag, spec, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["cocycle-eval", z3_file, "unused.json", "--x", "d1",
+              flag, spec, "--t", "0.9"])
+    assert err.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("x", ["[[0.5,", "[1, 2]", "[{\"re\": 1}]", "[[1]]"])
+def test_malformed_x_is_usage_error(z3_file, x, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["cocycle-eval", z3_file, "unused.json", "--x", x, "--t", "0.9"])
+    assert err.value.code == 2
+    assert "argument --x:" in capsys.readouterr().err
+
+
+def test_cocycle_eval_json_x_and_zero_fp(z3_file, tmp_path, capsys):
+    b = bundled_fixtures()["C(Z3)"]
+    phi = Generator(b, 0.3 * np.ones((3, 2, 2)))
+    gpath = tmp_path / "phi.json"
+    phi.save(gpath)
+    assert main(["cocycle-eval", z3_file, str(gpath),
+                 "--x", "[[1,0],[0,0],[0,0]]", "--f", "0.9:[[0.3,0.1]]",
+                 "--fp", "", "--t", "0.9"]) == 0
+    by_label = main(["cocycle-eval", z3_file, str(gpath), "--x", b.basis_labels[0],
+                     "--f", "0.9:[[0.3,0.1]]", "--t", "0.9"])
+    assert by_label == 0
+    first, second = capsys.readouterr().out.split("\n}\n")[:2]
+    assert json.loads(first + "}")["value"] == json.loads(second + "}")["value"]
+
+
 def test_gns_cli(z3_file, tmp_path, capsys):
     b = bundled_fixtures()["C(Z3)"]
     gamma = functional(b, 0.8 * (np.array([0.0, 1.0, 0.0]) - b.counit))

@@ -165,6 +165,22 @@ def test_semigroup_law(all_fixtures):
             assert maxabs(lhs - rhs) < 1e-10
 
 
+def test_semigroup_cache_is_bounded(all_fixtures):
+    b = all_fixtures["C(S3)"]
+    gamma = random_operator_map(np.random.default_rng(13), b, 1, scale=0.5)
+    sg = ConvolutionSemigroup(gamma)
+    uncached = ConvolutionSemigroup(gamma, cache=False)
+    first = sg.at(0.5)
+    for k in range(2 * sg.CACHE_SIZE):
+        sg.at(1.0 + k / sg.CACHE_SIZE)
+        assert len(sg._cache) <= sg.CACHE_SIZE
+    # the oldest entry was evicted and is recomputed to the same values
+    again = sg.at(0.5)
+    assert again is not first
+    assert np.array_equal(again.as_vector(), uncached.at(0.5).as_vector())
+    assert sg.at(0.5) is again
+
+
 def test_semigroup_generator_slices(all_fixtures):
     b = all_fixtures["Alg(Z4)"]
     rng = np.random.default_rng(12)
