@@ -232,7 +232,7 @@ def validate_bialgebra(b, struct_tol=STRUCT_TOL, psd_tol=PSD_TOL):
     ``psd_tol``.  The structural checks are reshaped matrix products of
     cost O(d^5) at most, coproduct-multiplicativity costs O(d^6), and the
     representation and complete-positivity checks go block by block (see
-    :func:`_representation_residual` and :func:`_coproduct_choi_min_eig`).
+    :func:`representation_defect` and :func:`_coproduct_choi_min_eig`).
     """
     d = b.dim
     res = []
@@ -296,8 +296,9 @@ def validate_bialgebra(b, struct_tol=STRUCT_TOL, psd_tol=PSD_TOL):
     else:
         res.append(AxiomResult("kind", 1.0, 0.0))
 
-    rep_res, rank = _representation_residual(b)
-    res.append(AxiomResult("representation", rep_res, struct_tol))
+    res.append(AxiomResult("representation",
+                           representation_defect(b, b.rep_images, b.rep_blocks), struct_tol))
+    rank = numerical_rank(b.rep_images.reshape(d, -1), rtol=1e-10)
     res.append(AxiomResult("representation-faithful", float(b.dim - rank), 0.5))
     return res
 
@@ -326,39 +327,29 @@ def assert_valid(b, struct_tol=STRUCT_TOL, psd_tol=PSD_TOL):
     return b
 
 
-def _diagonal_blocks(b):
-    """The diagonal blocks of the representation images, each (d, n, n)."""
-    out, ofs = [], 0
-    for n in b.rep_blocks:
-        out.append(b.rep_images[:, ofs:ofs + n, ofs:ofs + n])
-        ofs += n
-    return out
-
-
-def _representation_residual(b):
-    """Unital, multiplicative and *-preserving defects of the representation,
-    plus the mass of the images outside the diagonal blocks; also returns
-    the rank of the images.
+def representation_defect(src, images, blocks):
+    """Unital, multiplicative and *-preserving defects of a representation
+    of ``src`` by block-diagonal images (d, N, N) with the given block
+    sizes, plus the mass of the images outside the diagonal blocks.
 
     Products are taken block by block, O(d^2 sum_b n_b^3 + d^3 sum_b n_b^2);
     that and the blockwise Choi test are exact only for block-diagonal
-    images, which the off-block term checks.
+    images, which the off-block term checks.  A single block of size N
+    gives the plain defect of an arbitrary representation.
     """
-    d, n = b.dim, b.rep_dim
-    imgs = b.rep_images
-    unital = maxabs(np.einsum("k,kab->ab", b.unit, imgs) - np.eye(n))
-    blocks = _diagonal_blocks(b)
-    sizes = [x.shape[1] ** 2 for x in blocks]
-    image_of_prod = b.mult.reshape(d * d, d) @ np.concatenate(
-        [x.reshape(d, m) for x, m in zip(blocks, sizes)], axis=1)
+    d, n = src.dim, images.shape[1]
+    unital = maxabs(np.einsum("k,kab->ab", src.unit, images) - np.eye(n))
+    parts = split_blocks(images, blocks)
+    sizes = [x.shape[1] ** 2 for x in parts]
+    image_of_prod = src.mult.reshape(d * d, d) @ np.concatenate(
+        [x.reshape(d, m) for x, m in zip(parts, sizes)], axis=1)
     prod = np.concatenate([np.einsum("iab,jbc->ijac", x, x).reshape(d * d, m)
-                           for x, m in zip(blocks, sizes)], axis=1)
+                           for x, m in zip(parts, sizes)], axis=1)
     mult = maxabs(prod - image_of_prod)
-    starp = maxabs(np.einsum("mk,mab->kab", b.star_matrix, imgs) - dagger(imgs))
-    ids = np.repeat(np.arange(len(b.rep_blocks)), b.rep_blocks)
-    off_block = maxabs(imgs[:, ids[:, None] != ids[None, :]])
-    rank = numerical_rank(imgs.reshape(d, -1), rtol=1e-10)
-    return max(unital, mult, starp, off_block), rank
+    starp = maxabs(np.einsum("mk,mab->kab", src.star_matrix, images) - dagger(images))
+    ids = np.repeat(np.arange(len(blocks)), blocks)
+    off_block = maxabs(images[:, ids[:, None] != ids[None, :]])
+    return max(unital, mult, starp, off_block)
 
 
 def _coproduct_choi_min_eig(b):
@@ -382,7 +373,7 @@ def _coproduct_choi_min_eig(b):
     sum of n_b^2 (D = d for irreducible blocks, so O(d^4)).
     """
     d = b.dim
-    blocks = [x for x in _diagonal_blocks(b) if x.shape[1]]
+    blocks = [x for x in split_blocks(b.rep_images, b.rep_blocks) if x.shape[1]]
     if not blocks:
         return 0.0
     flat = np.concatenate([r.reshape(d, -1) for r in blocks], axis=1)
@@ -654,6 +645,15 @@ def bialgebra_from_dict(data):
                      rep_blocks=blocks, rep_images=images, kind=kind)
 
 
+def _read_json(path):
+    """The JSON data in a file; invalid JSON raises :class:`ParseError`."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON in {path}: {exc}") from exc
+
+
 def load_bialgebra(path, struct_tol=STRUCT_TOL, psd_tol=PSD_TOL):
     """Parse and fully validate a bialgebra file.
 
@@ -663,11 +663,7 @@ def load_bialgebra(path, struct_tol=STRUCT_TOL, psd_tol=PSD_TOL):
     spectral checks are repeated in it, which samples representation
     independence of the CP verdict.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {path}: {exc}") from exc
+    data = _read_json(path)
     b = bialgebra_from_dict(data)
     assert_valid(b, struct_tol, psd_tol)
     if "rep2" in data:

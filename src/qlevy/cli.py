@@ -12,8 +12,9 @@ import sys
 import numpy as np
 
 from . import fixtures
-from .algebra import (AxiomViolation, ParseError, load_bialgebra,
-                      validate_bialgebra, bialgebra_from_dict)
+from .algebra import (AxiomViolation, ParseError, _c2j, _j2c, _j2mat, _mat2j,
+                      _read_json, bialgebra_from_dict, load_bialgebra,
+                      validate_bialgebra)
 from .cocycle import (Generator, StepFunction, matrix_element,
                       check_cocycle_identity, simplex_series_oracle)
 from .convolution import (ConvolutionSemigroup, OperatorMap, functional,
@@ -28,12 +29,15 @@ from .harness import (GroupCocycleData, RunConfig, build_group_generator,
                       solve_coboundary)
 
 
-def _c2j(z):
-    return [float(np.real(z)), float(np.imag(z))]
+class UsageError(Exception):
+    """A well-formed argument that does not fit the other inputs (exit 2)."""
 
 
 def _emit(args, payload):
-    text = json.dumps(payload, indent=1, sort_keys=True)
+    _write(args, json.dumps(payload, indent=1, sort_keys=True))
+
+
+def _write(args, text):
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -72,7 +76,7 @@ def _parse_vector(token):
         import base64
         token = base64.b64decode(token).decode()
     data = json.loads(token)
-    return np.array([complex(p[0], p[1]) for p in data])
+    return np.array([_j2c(p) for p in data])
 
 
 def parse_steps(spec_text):
@@ -141,6 +145,24 @@ def real_vector_arg(text):
     return vec
 
 
+def _parse_file(path, what, parse):
+    """parse(data) for the JSON data in a file; data that parse cannot read
+    raises :class:`ParseError` naming ``what``."""
+    data = _read_json(path)
+    try:
+        return parse(data)
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
+        raise ParseError(f"malformed {what} file {path}: {exc!r}") from exc
+
+
+def _load_group_data(path):
+    return _parse_file(path, "group cocycle", lambda raw: GroupCocycleData(
+        np.array(raw["table"], dtype=int),
+        np.array([_j2mat(m) for m in raw["U"]]),
+        _j2mat(raw["xi"]),
+        np.array(raw["lambda"], dtype=float)))
+
+
 def _functional_from_spec(b, text):
     if text == "counit":
         return functional(b, b.counit)
@@ -151,9 +173,8 @@ def _functional_from_spec(b, text):
 
 def cmd_validate(args):
     try:
-        with open(args.file, encoding="utf-8") as fh:
-            b = bialgebra_from_dict(json.load(fh))
-    except (ParseError, json.JSONDecodeError) as exc:
+        b = bialgebra_from_dict(_read_json(args.file))
+    except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
     results = validate_bialgebra(b, struct_tol=args.tol or 1e-12)
@@ -180,12 +201,7 @@ def cmd_semigroup(args):
     else:
         header = "t," + ",".join(f"{lbl}_re,{lbl}_im" for lbl in b.basis_labels)
         lines = [header] + [",".join(repr(v) for v in row) for row in rows]
-        text = "\n".join(lines)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        _write(args, "\n".join(lines))
     return 0
 
 
@@ -197,6 +213,14 @@ def cmd_cocycle_eval(args):
     else:
         x = b.element(args.x)
     dn = phi.d_noise
+    for flag, g in (("--f", args.f), ("--fp", args.fp)):
+        if g is not None and g.d_noise != dn:
+            raise UsageError(f"argument {flag}: step values have dimension "
+                             f"{g.d_noise}, the generator's noise dimension is {dn}")
+        # the same slack as the cocycle engine's horizon check
+        if g is not None and g.horizon < args.t - 1e-9:
+            raise UsageError(f"argument {flag}: step function ends at "
+                             f"{g.horizon}, before --t {args.t}")
     f = args.f or StepFunction.zero(dn, args.t)
     fp = args.fp or StepFunction.zero(dn, args.t)
     value = matrix_element(phi, x, f, fp, args.t)
@@ -221,10 +245,10 @@ def cmd_gns(args):
     triple, phi = gns_construct(gamma, tol=args.tol)
     payload = {
         "rank": triple.n,
-        "pi": [[[_c2j(z) for z in row] for row in m] for m in triple.pi.values],
-        "delta": [[_c2j(z) for z in col[:, 0]] for col in triple.delta.values],
+        "pi": [_mat2j(m) for m in triple.pi.values],
+        "delta": _mat2j(triple.delta.values[:, :, 0]),
         "lambda": [_c2j(z) for z in triple.lam.as_vector()],
-        "phi": [[[_c2j(z) for z in row] for row in m] for m in phi.values],
+        "phi": [_mat2j(m) for m in phi.values],
         "residuals": triple.residuals(),
     }
     _emit(args, payload)
@@ -261,15 +285,11 @@ def cmd_classify(args):
 
 def cmd_derivation_solve(args):
     b = _load_algebra(args.bialgebra)
-    with open(args.problem, encoding="utf-8") as fh:
-        data = json.load(fh)
-    def _map(key):
-        vals = np.array([[ [complex(p[0], p[1]) for p in row] for row in m]
-                         for m in data[key]])
-        return OperatorMap(b, vals)
-    problem = DerivationProblem(_map("pi_prime"), _map("pi"), _map("delta"))
-    t, residual = solve_inner(problem)
-    _emit(args, {"T": [[_c2j(z) for z in row] for row in t],
+    maps = _parse_file(args.problem, "derivation problem", lambda data: [
+        OperatorMap(b, np.array([_j2mat(m) for m in data[key]]))
+        for key in ("pi_prime", "pi", "delta")])
+    t, residual = solve_inner(DerivationProblem(*maps))
+    _emit(args, {"T": _mat2j(t),
                  "residual": residual})
     return 0 if residual <= (args.tol or 1e-9) else 1
 
@@ -280,7 +300,7 @@ def cmd_chi_structure(args):
     chi = _functional_from_spec(b, args.chi)
     relation = check_chi_structure(phi, chi)
     pi, xi, lam, residuals = implement_chi_structure(phi, chi)
-    _emit(args, {"pi": [[[_c2j(z) for z in row] for row in m] for m in pi.values],
+    _emit(args, {"pi": [_mat2j(m) for m in pi.values],
                  "xi": [_c2j(z) for z in xi],
                  "lambda": [_c2j(z) for z in lam.as_vector()],
                  "residuals": residuals})
@@ -288,14 +308,7 @@ def cmd_chi_structure(args):
 
 
 def cmd_group_gen(args):
-    with open(args.data, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    data = GroupCocycleData(
-        np.array(raw["table"], dtype=int),
-        np.array([[ [complex(p[0], p[1]) for p in row] for row in m]
-                  for m in raw["U"]]),
-        np.array([[complex(p[0], p[1]) for p in row] for row in raw["xi"]]),
-        np.array(raw["lambda"], dtype=float))
+    data = _load_group_data(args.data)
     gen = build_group_generator(data)
     res = group_relation_residuals(psi_blocks(data), data.table)
     _emit(args, {"generator": gen.to_dict(), "residuals": res})
@@ -303,14 +316,7 @@ def cmd_group_gen(args):
 
 
 def cmd_coboundary(args):
-    with open(args.data, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    data = GroupCocycleData(
-        np.array(raw["table"], dtype=int),
-        np.array([[ [complex(p[0], p[1]) for p in row] for row in m]
-                  for m in raw["U"]]),
-        np.array([[complex(p[0], p[1]) for p in row] for row in raw["xi"]]),
-        np.array(raw["lambda"], dtype=float)).validate()
+    data = _load_group_data(args.data).validate()
     eta, residuals = solve_coboundary(data)
     if eta is None:
         _emit(args, {"eta": None, "residuals": residuals})
@@ -450,6 +456,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        parser.error(str(exc))
     except (ParseError, AxiomViolation, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -19,9 +19,9 @@ import numpy as np
 from numpy.polynomial import legendre
 from scipy.linalg import expm
 
-from .convolution import (ConvolutionSemigroup, OperatorMap, convolve,
-                          functional, lifted_matrix, semigroup_generator,
-                          star_power)
+from .convolution import (ConvolutionSemigroup, OperatorMap, _exp_tail,
+                          conv_exp, convolve, functional, lifted_matrix,
+                          semigroup_generator)
 from .linalg import maxabs, opnorm
 
 
@@ -58,12 +58,6 @@ class NoiseSpace:
         p = np.eye(self.dim, dtype=complex)
         p[0, 0] = 0.0
         return p
-
-    def hat(self, c):
-        c = np.asarray(c, dtype=complex).reshape(-1)
-        if c.size != self.d_noise:
-            raise ValueError(f"vector of size {c.size} in noise space of dim {self.d_noise}")
-        return np.concatenate(([1.0], c))
 
 
 @dataclass(frozen=True)
@@ -392,13 +386,8 @@ def simplex_series_oracle(phi, x, f, f_prime, t, n_max, apply_order_reversal=Tru
     d = src.dim
     _, dts, c, cp, gammas, taus = _pieces(phi, f, f_prime, t)
     pref = np.exp(sum(dts * _inner_products(c, cp)))
-
-    def conv(a, b):
-        return np.einsum("kij,i,j->k", src.coproduct, a, b)
-
-    def attach(h, g):
-        return conv(h, g) if apply_order_reversal else conv(g, h)
-
+    # H_{k-1} attached in the earlier (flipped) or the later convolution slot
+    spec = "kij,ni,j->nk" if apply_order_reversal else "kij,nj,i->nk"
     eps = src.counit.astype(complex)
     total = eps.copy()
     # per level: values of H_k at the GL nodes of every piece, plus the
@@ -408,8 +397,7 @@ def simplex_series_oracle(phi, x, f, f_prime, t, n_max, apply_order_reversal=Tru
         cur_nodes = []
         boundary = np.zeros(d, dtype=complex)
         for idx, dt in enumerate(dts):
-            g = gammas[idx]
-            integrand = np.stack([attach(h, g) for h in prev_nodes[idx]])
+            integrand = np.einsum(spec, src.coproduct, prev_nodes[idx], gammas[idx])
             half = dt / 2.0
             node_vals = boundary[None, :] + half * (_GLS @ integrand)
             boundary = boundary + half * (_GLW @ integrand)
@@ -418,37 +406,16 @@ def simplex_series_oracle(phi, x, f, f_prime, t, n_max, apply_order_reversal=Tru
         prev_nodes = cur_nodes
     value = complex(pref * (total @ x.coords))
     m = max((opnorm(tau) for tau in taus), default=0.0)
-    tail = _series_tail(m * t, n_max) * float(np.linalg.norm(src.counit)) \
+    tail = _exp_tail(m * t, n_max) * float(np.linalg.norm(src.counit)) \
         * float(np.linalg.norm(x.coords)) * abs(pref)
     return value, tail
-
-
-def _series_tail(z, n):
-    """Sum_{k > n} z^k / k!, summed forward to avoid cancellation."""
-    k = n + 1
-    term = 1.0
-    for j in range(1, k + 1):
-        term *= z / j
-    total = 0.0
-    for _ in range(400):
-        total += term
-        k += 1
-        term *= z / k
-        if term < 1e-18 * max(total, 1.0):
-            break
-    return total + term
 
 
 def constant_collapse(phi, x, c, c_prime, t, n_max):
     """Sum_{n<=n_max} t^n/n! (omega_{c',c} o phi)^{*n}(x): the collapsed form
     of the simplex series for constant step data."""
-    phi = as_generator(phi)
-    gamma = semigroup_generator(phi, c_prime, c)
-    total = 0.0 + 0.0j
-    coef = 1.0
-    for n in range(n_max + 1):
-        total += coef * star_power(gamma, n)(x)
-        coef *= t / (n + 1)
+    gamma = semigroup_generator(as_generator(phi), c_prime, c)
+    total = conv_exp(gamma, t, method="series", n_max=n_max)(x)
     return complex(np.exp(t * np.vdot(np.asarray(c_prime), np.asarray(c))) * total)
 
 

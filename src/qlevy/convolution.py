@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .algebra import Bialgebra, ParseError, _j2mat, _mat2j
+from .algebra import Bialgebra, ParseError, _j2mat, _mat2j, _read_json
 from .linalg import dagger, maxabs, opnorm
 
 
@@ -89,11 +89,7 @@ def zero_map(source, p, q=None):
 
 
 def load_operator_map(path, source):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON in {path}: {exc}") from exc
+    data = _read_json(path)
     try:
         vals = np.array([_j2mat(m) for m in data["values"]])
     except (KeyError, TypeError) as exc:
@@ -194,19 +190,18 @@ def lifted_matrix(gamma):
 def conv_exp(gamma, t, method="expm", n_max=None):
     """The convolution exponential exp_* (t gamma) as a functional.
 
-    Default route: eps o expm(t R_* gamma) on the lifted d x d generator.
-    ``method="series"`` retains the truncated *-power series as an oracle;
-    terms are added until the tail bound sum_{n>N} |t|^n ||tau||^n / n!
-    falls below 1e-14 (or n_max is reached).  Negative t is accepted and
-    evaluates the same formulas (a formal reverse-time value).
+    Default route: :meth:`ConvolutionSemigroup.at`, eps o expm(t R_* gamma)
+    on the lifted d x d generator.  ``method="series"`` retains the
+    truncated *-power series as an oracle; terms are added until the tail
+    bound sum_{n>N} |t|^n ||tau||^n / n! falls below 1e-14 (or n_max is
+    reached).  Negative t is accepted and evaluates the same formulas (a
+    formal reverse-time value).
     """
-    src = gamma.source
     if method == "expm":
-        m = lifted_matrix(gamma)
-        coords = src.counit @ expm(t * m)
-        return functional(src, coords)
+        return ConvolutionSemigroup(gamma).at(t)
     if method != "series":
         raise ValueError(f"unknown method {method!r}")
+    src = gamma.source
     tau_norm = opnorm(lifted_matrix(gamma))
     coords = src.counit.astype(complex).copy()
     power = functional(src, src.counit)
@@ -224,41 +219,48 @@ def conv_exp(gamma, t, method="expm", n_max=None):
 
 
 def _exp_tail(z, n):
-    """Upper bound on sum_{k>n} z^k / k!."""
+    """Sum_{k > n} z^k / k! for z >= 0, summed forward to avoid cancellation;
+    inf when 400 terms do not reach it."""
+    k = n + 1
     term = 1.0
-    for k in range(1, n + 2):
+    for j in range(1, k + 1):
+        term *= z / j
+    total = 0.0
+    for _ in range(400):
+        total += term
+        k += 1
         term *= z / k
-    return term / max(1e-300, (1.0 - z / (n + 2))) if z < n + 2 else float("inf")
+        if term < 1e-18 * max(total, 1.0):
+            return total + term
+    return float("inf")
 
 
 class ConvolutionSemigroup:
     """lambda_t = exp_*(t gamma), with the lifted generator cached.
 
     The per-t evaluation cache holds the ``CACHE_SIZE`` times most recently
-    computed and assumes single-writer use; disable by constructing with
-    ``cache=False`` when sharing across workers.
+    computed and assumes single-writer use.
     """
 
     CACHE_SIZE = 256
 
-    def __init__(self, gamma, cache=True):
+    def __init__(self, gamma):
         if not gamma.is_functional:
             raise ValueError("semigroup generator must be a functional")
         self.generator = gamma
         self.source = gamma.source
         self.lifted_generator = lifted_matrix(gamma)
-        self._cache = {} if cache else None
+        self._cache = {}
 
     def at(self, t):
         t = float(t)
-        if self._cache is not None and t in self._cache:
+        if t in self._cache:
             return self._cache[t]
         coords = self.source.counit @ expm(t * self.lifted_generator)
         lam = functional(self.source, coords)
-        if self._cache is not None:
-            if len(self._cache) >= self.CACHE_SIZE:
-                del self._cache[next(iter(self._cache))]
-            self._cache[t] = lam
+        if len(self._cache) >= self.CACHE_SIZE:
+            del self._cache[next(iter(self._cache))]
+        self._cache[t] = lam
         return lam
 
     def __call__(self, t, x=None):

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convolution import OperatorMap
-from .generators import is_character, representation_defect, validate_representation
-from .linalg import dagger, lstsq_minnorm, maxabs, numerical_rank
+from .generators import (check_chi_structure, implemented_chi_structure,
+                         representation_defect, validate_representation)
+from .linalg import lstsq_minnorm, maxabs, numerical_rank
 
 
 @dataclass
@@ -122,40 +123,6 @@ def two_character_derivation_space(src, chi_prime, chi, rtol=1e-10):
 
 
 # -- chi-structure maps ---------------------------------------------------------
-
-def check_chi_structure(phi, chi):
-    """Residual of phi(a*b) = phi(a)^dag chi(b) + conj(chi(a)) phi(b)
-    + phi(a)^dag Delta phi(b), Delta = diag(0, I)."""
-    if not is_character(chi):
-        raise ValueError("chi must be a character")
-    src = phi.source
-    star = src.star_matrix
-    cv = chi.as_vector()
-    n = phi.p - 1
-    delta_qs = np.eye(phi.p, dtype=complex)
-    delta_qs[0, 0] = 0.0
-    lhs = np.einsum("mi,mjk,kab->ijab", star, src.mult, phi.values)
-    phidag = dagger(phi.values)
-    rhs = np.einsum("iab,j->ijab", phidag, cv) \
-        + np.einsum("i,jab->ijab", np.conjugate(cv), phi.values) \
-        + np.einsum("iab,jbc->ijac", phidag @ delta_qs, phi.values)
-    return maxabs(lhs - rhs)
-
-
-def implemented_chi_structure(pi, chi, xi):
-    """phi(a) = [<xi|; I] (pi(a) - chi(a) I) [|xi>, I]."""
-    src = pi.source
-    n = pi.p
-    xi = np.asarray(xi, dtype=complex).reshape(-1)
-    b = pi.values - chi.as_vector()[:, None, None] * np.eye(n)[None, :, :]
-    d = src.dim
-    vals = np.zeros((d, 1 + n, 1 + n), dtype=complex)
-    vals[:, 0, 0] = np.einsum("a,kab,b->k", np.conjugate(xi), b, xi)
-    vals[:, 0, 1:] = np.einsum("a,kab->kb", np.conjugate(xi), b)
-    vals[:, 1:, 0] = np.einsum("kab,b->ka", b, xi)
-    vals[:, 1:, 1:] = b
-    return OperatorMap(src, vals)
-
 
 class NotImplementable(RuntimeError):
     """No implementing vector within tolerance: for a genuine chi-structure

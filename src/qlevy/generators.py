@@ -2,8 +2,8 @@
 
 Three routes are implemented:
 
-* counit-structure maps implemented by a pair (representation, vector),
-  which generate the *-homomorphic cocycles;
+* chi-structure maps implemented by a representation, a character chi and
+  a vector; the counit case chi = eps generates the *-homomorphic cocycles;
 * completely positive generator forms built from a quadruple
   (representation, contraction D, vector xi, value at 1), which generate
   the completely positive contractive cocycles;
@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import Generator, as_generator
-from .convolution import OperatorMap, functional
+from . import algebra
+from .cocycle import Generator, NoiseSpace, as_generator
+from .convolution import OperatorMap, counit_map
 from .linalg import (dagger, lstsq_minnorm, maxabs, min_eig_herm,
                      numerical_rank, opnorm)
 
@@ -28,13 +29,7 @@ from .linalg import (dagger, lstsq_minnorm, maxabs, min_eig_herm,
 
 def representation_defect(pi):
     """Max residual of unitality, multiplicativity and star-preservation."""
-    src = pi.source
-    eye = np.eye(pi.p)
-    unital = maxabs(np.einsum("k,kab->ab", src.unit, pi.values) - eye)
-    mult = maxabs(np.einsum("iab,jbc->ijac", pi.values, pi.values)
-                  - np.einsum("ijk,kac->ijac", src.mult, pi.values))
-    starp = maxabs(pi.conjugate_map().values - pi.values)
-    return max(unital, mult, starp)
+    return algebra.representation_defect(pi.source, pi.values, (pi.p,))
 
 
 def validate_representation(pi, tol=1e-10):
@@ -82,7 +77,23 @@ class SchurmannTriple:
         return max(self.residuals().values())
 
 
-# -- counit-structure maps ------------------------------------------------------
+# -- chi-structure maps ---------------------------------------------------------
+
+def implemented_chi_structure(pi, chi, xi):
+    """phi(x) = [<xi|; I] (pi(x) - chi(x) I) [|xi>, I] for a representation
+    pi, a character chi and a vector xi; with chi = eps this is the counit
+    structure map of :func:`make_structure_map`."""
+    src = pi.source
+    n = pi.p
+    xi = np.asarray(xi, dtype=complex).reshape(-1)
+    b = pi.values - chi.as_vector()[:, None, None] * np.eye(n)[None, :, :]
+    vals = np.zeros((src.dim, 1 + n, 1 + n), dtype=complex)
+    vals[:, 0, 0] = np.einsum("a,kab,b->k", np.conjugate(xi), b, xi)
+    vals[:, 0, 1:] = np.einsum("a,kab->kb", np.conjugate(xi), b)
+    vals[:, 1:, 0] = np.einsum("kab,b->ka", b, xi)
+    vals[:, 1:, 1:] = b
+    return Generator(src, vals)
+
 
 def make_structure_map(pi, c):
     """phi(x) = [<c|; I] (pi(x) - eps(x) I) [|c>, I], the implemented
@@ -92,43 +103,48 @@ def make_structure_map(pi, c):
     phi(1) = 0 and the multiplicative structure relation exactly.
     """
     validate_representation(pi)
-    src = pi.source
-    n = pi.p
     c = np.asarray(c, dtype=complex).reshape(-1)
-    if c.size != n:
-        raise ValueError(f"vector size {c.size} does not match representation dim {n}")
-    b = pi.values - src.counit[:, None, None] * np.eye(n)[None, :, :]
-    d = src.dim
-    vals = np.zeros((d, 1 + n, 1 + n), dtype=complex)
-    vals[:, 0, 0] = np.einsum("a,kab,b->k", np.conjugate(c), b, c)
-    vals[:, 0, 1:] = np.einsum("a,kab->kb", np.conjugate(c), b)
-    vals[:, 1:, 0] = np.einsum("kab,b->ka", b, c)
-    vals[:, 1:, 1:] = b
-    return Generator(src, vals)
+    if c.size != pi.p:
+        raise ValueError(f"vector size {c.size} does not match representation dim {pi.p}")
+    return implemented_chi_structure(pi, counit_map(pi.source), c)
+
+
+def _relation_residual(phi, chi):
+    """The residual of :func:`check_chi_structure` for chi given by its
+    coordinate vector."""
+    src = phi.source
+    lhs = np.einsum("mi,mjk,kab->ijab", src.star_matrix, src.mult, phi.values)
+    phidag = dagger(phi.values)
+    pdq = phidag @ NoiseSpace(phi.p - 1).delta_qs
+    rhs = np.einsum("iab,j->ijab", phidag, chi) \
+        + np.einsum("i,jab->ijab", np.conjugate(chi), phi.values) \
+        + np.einsum("iab,jbc->ijac", pdq, phi.values)
+    return maxabs(lhs - rhs)
 
 
 def check_structure_map(phi):
-    """Residual report for the structure relation
-
-        phi(x*y) = phi(x)^dag eps(y) + conj(eps(x)) phi(y)
-                   + phi(x)^dag Delta_QS phi(y)
-
-    over all basis pairs, plus reality and phi(1) residuals."""
+    """Residual report for the structure relation (the chi-structure
+    relation of :func:`check_chi_structure` with chi = eps) over all basis
+    pairs, plus reality and phi(1) residuals."""
     phi = as_generator(phi)
     src = phi.source
-    star = src.star_matrix
-    lhs = np.einsum("mi,mjk,kab->ijab", star, src.mult, phi.values)
-    phidag = dagger(phi.values)
-    eps = src.counit
-    pdq = phidag @ phi.noise.delta_qs
-    rhs = np.einsum("iab,j->ijab", phidag, eps) \
-        + np.einsum("i,jab->ijab", np.conjugate(eps), phi.values) \
-        + np.einsum("iab,jbc->ijac", pdq, phi.values)
     return {
-        "relation": maxabs(lhs - rhs),
+        "relation": _relation_residual(phi, src.counit),
         "reality": phi.reality_defect(),
         "unitality": maxabs(np.einsum("k,kab->ab", src.unit, phi.values)),
     }
+
+
+def check_chi_structure(phi, chi):
+    """Max residual over basis pairs of the chi-structure relation
+
+        phi(x*y) = phi(x)^dag chi(y) + conj(chi(x)) phi(y)
+                   + phi(x)^dag Delta_QS phi(y)
+
+    for a character chi."""
+    if not is_character(chi):
+        raise ValueError("chi must be a character")
+    return _relation_residual(phi, chi.as_vector())
 
 
 # -- completely positive generator forms ----------------------------------------

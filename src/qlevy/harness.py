@@ -23,7 +23,7 @@ import numpy as np
 
 from . import fixtures
 from .algebra import build_group_algebra
-from .cocycle import Generator, StepFunction, check_cocycle_identity
+from .cocycle import Generator, NoiseSpace, StepFunction, check_cocycle_identity
 from .convolution import ConvolutionSemigroup, OperatorMap, functional
 from .derivations import DerivationProblem, inner_derivation, solve_inner
 from .generators import check_structure_map, gns_construct, make_structure_map
@@ -108,9 +108,7 @@ def group_relation_residuals(psi, table):
     """Residuals of psi_{gh} = psi_g + psi_h + psi_g Delta_QS psi_h,
     psi_g^dag = psi_{g^{-1}}, psi_e = 0."""
     n = len(table)
-    k = psi.shape[1] - 1
-    dqs = np.eye(1 + k, dtype=complex)
-    dqs[0, 0] = 0.0
+    dqs = NoiseSpace(psi.shape[1] - 1).delta_qs
     inv = np.argmax(np.asarray(table) == 0, axis=1)
     mult = max(maxabs(psi[table[g][h]] - psi[g] - psi[h] - psi[g] @ dqs @ psi[h])
                for g in range(n) for h in range(n))
@@ -261,10 +259,22 @@ def _battery_axioms(config):
     return cases
 
 
-def _random_generator(rng, src, d_noise, scale=0.4):
+def random_generator(rng, src, d_noise, scale=0.4):
+    """A generator with iid complex Gaussian entries of the given scale."""
     shape = (src.dim, 1 + d_noise, 1 + d_noise)
     vals = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     return Generator(src, vals)
+
+
+def random_step(rng, d_noise, horizon, max_pieces=3, scale=0.7):
+    """A step function on [0, horizon) with 1..max_pieces pieces and complex
+    Gaussian values of the given scale."""
+    m = int(rng.integers(1, max_pieces + 1))
+    cuts = np.sort(rng.uniform(0.05 * horizon, 0.95 * horizon, size=m - 1))
+    bp = np.concatenate([[0.0], cuts, [horizon]])
+    vals = scale * (rng.standard_normal((m, d_noise))
+                    + 1j * rng.standard_normal((m, d_noise)))
+    return StepFunction(bp, vals)
 
 
 def _battery_cocycle(config):
@@ -273,22 +283,13 @@ def _battery_cocycle(config):
     for name, b in fixtures.bundled_fixtures().items():
         for rep in range(10):
             dn = int(rng.integers(1, 3))
-            phi = _random_generator(rng, b, dn)
+            phi = random_generator(rng, b, dn)
             s, t = float(rng.uniform(0.05, 0.8)), float(rng.uniform(0.05, 0.8))
-            f = _random_step(rng, dn, s + t)
-            fp = _random_step(rng, dn, s + t)
+            f = random_step(rng, dn, s + t)
+            fp = random_step(rng, dn, s + t)
             res = check_cocycle_identity(phi, s, t, f, fp)
             cases.append(_case(f"{name}:qscc[{rep}]", res, config.tol))
     return cases
-
-
-def _random_step(rng, d_noise, horizon, max_pieces=3):
-    m = int(rng.integers(1, max_pieces + 1))
-    cuts = np.sort(rng.uniform(0.05 * horizon, 0.95 * horizon, size=m - 1))
-    bp = np.concatenate([[0.0], cuts, [horizon]])
-    vals = 0.7 * (rng.standard_normal((m, d_noise))
-                  + 1j * rng.standard_normal((m, d_noise)))
-    return StepFunction(bp, vals)
 
 
 def _battery_gns(config):

@@ -41,11 +41,12 @@ def block_diag(blocks):
 
 
 def split_blocks(m, sizes):
-    """Inverse of :func:`block_diag`: cut the diagonal blocks back out."""
+    """Inverse of :func:`block_diag`: cut the diagonal blocks of the last
+    two axes back out."""
     out = []
     ofs = 0
     for k in sizes:
-        out.append(m[ofs:ofs + k, ofs:ofs + k].copy())
+        out.append(m[..., ofs:ofs + k, ofs:ofs + k].copy())
         ofs += k
     return out
 

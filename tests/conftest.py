@@ -1,9 +1,8 @@
-import numpy as np
 import pytest
 
-from qlevy.cocycle import Generator, StepFunction
 from qlevy.convolution import OperatorMap
 from qlevy.fixtures import bundled_fixtures
+from qlevy.harness import random_generator, random_step  # noqa: F401  (re-exported)
 
 
 @pytest.fixture(scope="session")
@@ -20,21 +19,6 @@ def random_operator_map(rng, b, p, q=None, scale=1.0):
     shape = (b.dim, p, q or p)
     return OperatorMap(b, scale * (rng.standard_normal(shape)
                                    + 1j * rng.standard_normal(shape)))
-
-
-def random_generator(rng, b, d_noise, scale=0.4):
-    shape = (b.dim, 1 + d_noise, 1 + d_noise)
-    return Generator(b, scale * (rng.standard_normal(shape)
-                                 + 1j * rng.standard_normal(shape)))
-
-
-def random_step(rng, d_noise, horizon, max_pieces=3, scale=0.7):
-    m = int(rng.integers(1, max_pieces + 1))
-    cuts = np.sort(rng.uniform(0.05 * horizon, 0.95 * horizon, size=m - 1))
-    bp = np.concatenate([[0.0], cuts, [horizon]])
-    vals = scale * (rng.standard_normal((m, d_noise))
-                    + 1j * rng.standard_normal((m, d_noise)))
-    return StepFunction(bp, vals)
 
 
 def random_element(rng, b, scale=1.0):

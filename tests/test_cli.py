@@ -261,3 +261,69 @@ def test_report_byte_identical_across_processes(tmp_path):
             capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def _group_data_raw():
+    b = bundled_fixtures()["Alg(S3)"]
+    u = np.array([b.rep_images[g][2:, 2:] for g in range(6)])
+    data = coboundary_data(s3_table(), u, np.array([0.3, -0.2]))
+    return {"table": s3_table().tolist(),
+            "U": [[[[z.real, z.imag] for z in row] for row in m] for m in data.unitaries],
+            "xi": [[[z.real, z.imag] for z in row] for row in data.xi],
+            "lambda": data.lam.tolist()}
+
+
+@pytest.mark.parametrize("verb", ["group-gen", "coboundary"])
+@pytest.mark.parametrize("damage", ["drop U", "drop lambda", "bad pair", "ragged U",
+                                    "not JSON"])
+def test_malformed_group_data_is_one_error_line(tmp_path, verb, damage, capsys):
+    raw = _group_data_raw()
+    if damage == "drop U":
+        del raw["U"]
+    elif damage == "drop lambda":
+        del raw["lambda"]
+    elif damage == "bad pair":
+        raw["xi"][1][0] = [0.1, 0.2, 0.3]
+    elif damage == "ragged U":
+        raw["U"][2] = raw["U"][2][:1]
+    path = tmp_path / "data.json"
+    path.write_text("{" if damage == "not JSON" else json.dumps(raw))
+    assert main([verb, str(path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert ("malformed group cocycle file" in err[0]
+            or "invalid JSON" in err[0]), err
+
+
+@pytest.mark.parametrize("key", ["pi_prime", "pi", "delta"])
+def test_malformed_derivation_problem_is_one_error_line(tmp_path, key, capsys):
+    b = bundled_fixtures()["Alg(Z3)"]
+    bpath = tmp_path / "alg.json"
+    b.save(bpath)
+    vals = [[[[z.real, z.imag] for z in row] for row in m] for m in b.rep_images]
+    problem = {"pi_prime": vals, "pi": vals, "delta": vals}
+    del problem[key]
+    ppath = tmp_path / "problem.json"
+    ppath.write_text(json.dumps(problem))
+    assert main(["derivation", "solve", str(bpath), str(ppath)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith("error: malformed derivation problem file") and key in err[0]
+
+
+@pytest.mark.parametrize("flag", ["--f", "--fp"])
+@pytest.mark.parametrize("spec, why", [
+    ("0.9:[[0.3,0.1],[0.2,0]]", "dimension"),   # the generator has d_noise 1
+    ("0.5:[[0.3,0.1]]", "ends at"),             # does not cover [0, --t]
+])
+def test_step_function_not_fitting_is_usage_error(z3_file, tmp_path, flag, spec, why,
+                                                  capsys):
+    b = bundled_fixtures()["C(Z3)"]
+    gpath = tmp_path / "phi.json"
+    Generator(b, 0.3 * np.ones((3, 2, 2))).save(gpath)
+    with pytest.raises(SystemExit) as err:
+        main(["cocycle-eval", z3_file, str(gpath), "--x", "d1", flag, spec,
+              "--t", "0.9"])
+    assert err.value.code == 2
+    msg = capsys.readouterr().err
+    assert f"argument {flag}:" in msg and why in msg

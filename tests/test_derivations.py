@@ -7,8 +7,7 @@ from qlevy.derivations import (DerivationProblem, check_chi_structure,
                                implement_chi_structure,
                                implemented_chi_structure, inner_derivation,
                                solve_inner, two_character_derivation_space)
-from qlevy.generators import (check_structure_map, gns_construct,
-                              make_structure_map)
+from qlevy.generators import gns_construct, make_structure_map
 from qlevy.linalg import maxabs
 
 from conftest import random_generator
@@ -164,16 +163,6 @@ def test_chi_structure_with_noncounit_character(all_fixtures):
     assert check_chi_structure(phi, chi) <= 1e-12
     _, _, _, res = implement_chi_structure(phi, chi)
     assert res["reassembly"] <= 1e-10
-
-
-def test_chi_equals_counit_matches_structure_map(all_fixtures):
-    rng = np.random.default_rng(8)
-    b = all_fixtures["Alg(Z3)"]
-    c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    phi = make_structure_map(rep_of(b), c)
-    chi = functional(b, b.counit)
-    assert abs(check_chi_structure(phi, chi)
-               - check_structure_map(phi)["relation"]) < 1e-12
 
 
 def test_zero_map_is_chi_structure(all_fixtures):

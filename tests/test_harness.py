@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,6 +248,24 @@ def test_report_determinism(tmp_path):
         run_report(RunConfig(seed=42, n_samples=4000, out=str(p)),
                    suite="montecarlo")
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_report_matches_pinned():
+    # pinned from the seed-42 report of the whole suite; names, tolerances
+    # and verdicts must match exactly, residuals up to 1e-3 of their
+    # tolerance, which leaves room for another BLAS
+    pinned = json.loads((Path(__file__).parent / "data" / "report_all_seed42.json")
+                        .read_text())
+    report = run_report(RunConfig(seed=42), "all")
+    assert {k: v for k, v in report.items() if k != "batteries"} \
+        == {k: v for k, v in pinned.items() if k != "batteries"}
+    assert sorted(report["batteries"]) == sorted(pinned["batteries"])
+    for battery, cases in pinned["batteries"].items():
+        got = report["batteries"][battery]
+        assert [(c["name"], c["tol"], c["pass"]) for c in got] \
+            == [(c["name"], c["tol"], c["pass"]) for c in cases], battery
+        for new, old in zip(got, cases):
+            assert abs(new["residual"] - old["residual"]) <= 1e-3 * old["tol"], new["name"]
 
 
 def test_cocycle_battery_passes():

@@ -5,6 +5,11 @@ complete positivity block by block.  The oracles below are the direct
 formulas: bare four-operand ``einsum`` contractions and the dense
 N^3 x N^3 Choi matrix.  They cost O(d^8) and O(N^9), so they only run on
 small algebras; the larger groups are checked to validate at all.
+
+The structure relation and the representation defect, each shared by the
+eps and the chi (or the single-block and the block-diagonal) case, are
+checked the same way: against a pair-by-pair evaluation of the relation
+and against the full ``einsum`` defect of an arbitrary representation.
 """
 
 import dataclasses
@@ -12,13 +17,23 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlevy.algebra import (_coproduct_choi_min_eig, assert_valid,
                            build_function_algebra, build_group_algebra,
-                           class_hypergroup_algebra, validate_bialgebra)
+                           class_hypergroup_algebra, representation_defect,
+                           validate_bialgebra)
+from qlevy.convolution import OperatorMap, counit_map, functional
 from qlevy.fixtures import (bundled_fixtures, cyclic_table, d4_table,
                             two_point_hypergroup)
+from qlevy.generators import (CPQuadruple, canonical_phi1, check_chi_structure,
+                              check_structure_map, gns_construct,
+                              implemented_chi_structure, make_structure_map)
+from qlevy.generators import representation_defect as single_block_defect
 from qlevy.linalg import dagger, maxabs, min_eig_herm
+
+from conftest import random_generator
 
 
 # -- oracles ------------------------------------------------------------------
@@ -64,12 +79,35 @@ def einsum_residuals(b):
     out["coproduct-star-preserving"] = maxabs(
         np.einsum("mk,mab->kab", s, cop)
         - np.einsum("kij,ai,bj->kab", np.conjugate(cop), s, s))
-    out["representation"] = max(
-        maxabs(np.einsum("k,kab->ab", b.unit, imgs) - np.eye(b.rep_dim)),
-        maxabs(np.einsum("iab,jbc->ijac", imgs, imgs)
-               - np.einsum("ijk,kac->ijac", m, imgs)),
-        maxabs(np.einsum("mk,mab->kab", s, imgs) - dagger(imgs)))
+    out["representation"] = einsum_representation_defect(b, imgs)
     return out
+
+
+def einsum_representation_defect(src, images):
+    """Unital, multiplicative and *-preserving defects of an arbitrary
+    representation (d, n, n), each by one full ``einsum``."""
+    return max(
+        maxabs(np.einsum("k,kab->ab", src.unit, images) - np.eye(images.shape[1])),
+        maxabs(np.einsum("iab,jbc->ijac", images, images)
+               - np.einsum("ijk,kac->ijac", src.mult, images)),
+        maxabs(OperatorMap(src, images).conjugate_map().values - images))
+
+
+def elementwise_chi_relation(phi, chi):
+    """Max over basis pairs (x, y) of the chi-structure relation
+    phi(x*y) = phi(x)^dag chi(y) + conj(chi(x)) phi(y) + phi(x)^dag D phi(y),
+    D = diag(0, 1, ..., 1), built pair by pair from element arithmetic."""
+    src = phi.source
+    dqs = np.diag([0.0] + [1.0] * (phi.p - 1))
+    worst = 0.0
+    for i in range(src.dim):
+        x = src.basis_element(i)
+        for j in range(src.dim):
+            y = src.basis_element(j)
+            px, py = phi(x), phi(y)
+            rhs = dagger(px) * chi(y) + np.conjugate(chi(x)) * py + dagger(px) @ dqs @ py
+            worst = max(worst, maxabs(phi(x.star() * y) - rhs))
+    return worst
 
 
 def scale(b):
@@ -193,3 +231,76 @@ def test_s4_algebras_validate():
 
 def test_z32_group_algebra_validates():
     assert build_group_algebra(cyclic_table(32)).rep_blocks == (1,) * 32
+
+
+# -- the merged structure relation and representation defect ------------------
+
+FIXTURES = bundled_fixtures()
+# characters other than the counit: evaluation at a group element of C(S3),
+# and the complex-valued one-dimensional irrep g -> exp(2 pi i g / 3) of
+# Alg(Z3), which is one block of its representation
+OTHER_CHARACTERS = {"C(S3)": np.eye(6)[2], "Alg(Z3)": FIXTURES["Alg(Z3)"].rep_images[:, 1, 1]}
+CHARACTER_CASES = [(name, "counit") for name in sorted(FIXTURES)] \
+    + [(name, "other") for name in sorted(OTHER_CHARACTERS)]
+VECTORS = st.lists(st.complex_numbers(max_magnitude=2.0, allow_nan=False,
+                                      allow_infinity=False), min_size=8, max_size=8)
+SWEEP = settings(derandomize=True, deadline=None, max_examples=8)
+
+
+@pytest.mark.parametrize("name, character", CHARACTER_CASES)
+@SWEEP
+@given(seed=st.integers(0, 2 ** 32 - 1), vec=VECTORS)
+def test_structure_relation_matches_elementwise(name, character, seed, vec):
+    b = FIXTURES[name]
+    pi = OperatorMap(b, b.rep_images)
+    chi = counit_map(b) if character == "counit" else functional(b, OTHER_CHARACTERS[name])
+    xi = np.array(vec[:pi.p])
+    built = implemented_chi_structure(pi, chi, xi)
+    # a generator far from the relation, so that the comparison is not 0 vs 0
+    off = random_generator(np.random.default_rng(seed), b, pi.p, scale=1.0)
+    for phi in (built, off):
+        tol = 1e-12 * max(1.0, maxabs(phi.values)) ** 2
+        want = elementwise_chi_relation(phi, chi)
+        assert abs(check_chi_structure(phi, chi) - want) <= tol
+        if character == "counit":
+            assert abs(check_structure_map(phi)["relation"] - want) <= tol
+    assert elementwise_chi_relation(built, chi) <= 1e-12 * max(1.0, maxabs(built.values)) ** 2
+    assert elementwise_chi_relation(off, chi) > 1e-3
+    if character == "counit":
+        assert np.array_equal(make_structure_map(pi, xi).values, built.values)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+@SWEEP
+@given(seed=st.integers(0, 2 ** 32 - 1), vec=VECTORS)
+def test_representation_defect_matches_einsum(name, seed, vec):
+    b = FIXTURES[name]
+    rng = np.random.default_rng(seed)
+    pi = OperatorMap(b, b.rep_images)
+    xi = np.array(vec[:pi.p])
+    # in-block noise keeps the block-diagonal form and moves the defect far from 0
+    noisy = perturbed(b, rng, 1e-2).rep_images
+    assert einsum_representation_defect(b, noisy) > 1e-3
+
+    def tol(imgs):
+        return 1e-12 * max(1.0, maxabs(imgs)) ** 2
+
+    for imgs in (b.rep_images, noisy):
+        want = einsum_representation_defect(b, imgs)
+        assert abs(representation_defect(b, imgs, b.rep_blocks) - want) <= tol(imgs)
+        assert abs(single_block_defect(OperatorMap(b, imgs)) - want) <= tol(imgs)
+    if b.kind == "bialgebra":
+        # no check_tol: a near-degenerate Gram matrix gives a triple that
+        # gns_construct rejects, and its representation defect is compared too
+        triple, _ = gns_construct(make_structure_map(pi, xi).lam_block(),
+                                  check_tol=np.inf)
+        want = einsum_representation_defect(b, triple.pi.values)
+        assert abs(triple.residuals()["representation"] - want) <= tol(triple.pi.values)
+    # a CP quadruple whose representation is rotated off the block form
+    u = np.linalg.qr(rng.standard_normal((pi.p, pi.p))
+                     + 1j * rng.standard_normal((pi.p, pi.p)))[0]
+    rho = OperatorMap(b, u[None] @ b.rep_images @ dagger(u)[None])
+    big_d = 0.5 * np.eye(pi.p, 2)
+    q = CPQuadruple(rho, big_d, xi, canonical_phi1(big_d))
+    want = einsum_representation_defect(b, rho.values)
+    assert abs(q.residuals()["representation"] - want) <= tol(rho.values)
