@@ -85,10 +85,6 @@ class Bialgebra:
     def counit_value(self, x):
         return complex(self.counit @ x)
 
-    def coproduct_coords(self, x):
-        """Coordinates of Delta(x) as a (d, d) array over e_i (x) e_j."""
-        return np.einsum("k,kij->ij", x, self.coproduct)
-
     def represent_coords(self, x):
         return np.einsum("k,kab->ab", x, self.rep_images)
 
@@ -121,10 +117,10 @@ class Bialgebra:
             "dim": self.dim,
             "basis": list(self.basis_labels),
             "unit": [_c2j(z) for z in self.unit],
-            "mult": _tensor_entries_ijk(self.mult),
+            "mult": _entries(self.mult, "ijk"),
             "star_matrix": _mat2j(self.star_matrix),
             "counit": [_c2j(z) for z in self.counit],
-            "coproduct": _coproduct_entries(self.coproduct),
+            "coproduct": _entries(self.coproduct, "kij"),
             "rep": {
                 "blocks": list(self.rep_blocks),
                 "images": [[_mat2j(b) for b in split_blocks(img, self.rep_blocks)]
@@ -409,16 +405,31 @@ def _check_table(table, need_group):
         raise ValueError("multiplication table must be square over 0..d-1")
     if not (np.array_equal(table[0], np.arange(d)) and np.array_equal(table[:, 0], np.arange(d))):
         raise ValueError("index 0 is not an identity for the table")
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                if table[table[i, j], k] != table[i, table[j, k]]:
-                    raise ValueError(f"table is not associative at ({i},{j},{k})")
-    if need_group:
-        for i in range(d):
-            if not np.any(table[i] == 0):
-                raise ValueError(f"element {i} has no inverse; table is not a group")
+    # (ij)k versus i(jk) at [i, j, k]; argwhere lists them in row-major order
+    bad = np.argwhere(table[table] != table[:, table])
+    if len(bad):
+        i, j, k = bad[0]
+        raise ValueError(f"table is not associative at ({i},{j},{k})")
+    has_inverse = np.any(table == 0, axis=1)
+    if need_group and not has_inverse.all():
+        raise ValueError(f"element {np.argmin(has_inverse)} has no inverse; table is not a group")
     return table
+
+
+def pointwise_algebra(coproduct, labels, kind):
+    """Functions on the finite set ``labels`` with the pointwise product, the
+    given coproduct and the counit that evaluates at index 0; the diagonal
+    matrices are the faithful representation.  Not validated."""
+    d = len(labels)
+    diag = np.zeros((d, d, d), dtype=complex)
+    diag[np.arange(d), np.arange(d), np.arange(d)] = 1.0
+    counit = np.zeros(d, dtype=complex)
+    counit[0] = 1.0
+    return Bialgebra(dim=d, basis_labels=tuple(labels),
+                     unit=np.ones(d, dtype=complex), mult=diag,
+                     star_matrix=np.eye(d, dtype=complex), counit=counit,
+                     coproduct=coproduct, rep_blocks=(1,) * d,
+                     rep_images=diag.copy(), kind=kind)
 
 
 def build_function_algebra(cayley_table, labels=None):
@@ -429,26 +440,12 @@ def build_function_algebra(cayley_table, labels=None):
     """
     table = _check_table(cayley_table, need_group=False)
     d = table.shape[0]
+    a, c = np.indices((d, d))
+    coproduct = np.zeros((d, d, d), dtype=complex)
+    coproduct[table, a, c] = 1.0
     if labels is None:
         labels = tuple(f"d{h}" for h in range(d))
-    mult = np.zeros((d, d, d), dtype=complex)
-    for i in range(d):
-        mult[i, i, i] = 1.0
-    coproduct = np.zeros((d, d, d), dtype=complex)
-    for a in range(d):
-        for c in range(d):
-            coproduct[table[a, c], a, c] = 1.0
-    counit = np.zeros(d, dtype=complex)
-    counit[0] = 1.0
-    images = np.zeros((d, d, d), dtype=complex)
-    for i in range(d):
-        images[i, i, i] = 1.0
-    b = Bialgebra(dim=d, basis_labels=tuple(labels),
-                  unit=np.ones(d, dtype=complex), mult=mult,
-                  star_matrix=np.eye(d, dtype=complex), counit=counit,
-                  coproduct=coproduct, rep_blocks=(1,) * d, rep_images=images,
-                  kind="bialgebra")
-    return assert_valid(b)
+    return assert_valid(pointwise_algebra(coproduct, labels, "bialgebra"))
 
 
 def build_group_algebra(cayley_table, labels=None):
@@ -462,24 +459,20 @@ def build_group_algebra(cayley_table, labels=None):
     d = table.shape[0]
     if labels is None:
         labels = tuple(f"L{g}" for g in range(d))
+    g = np.arange(d)
     mult = np.zeros((d, d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            mult[i, j, table[i, j]] = 1.0
-    inv = np.argmax(table == 0, axis=1)
+    mult[g[:, None], g[None, :], table] = 1.0
     star_m = np.zeros((d, d), dtype=complex)
-    for g in range(d):
-        star_m[inv[g], g] = 1.0
+    star_m[np.argmax(table == 0, axis=1), g] = 1.0
     coproduct = np.zeros((d, d, d), dtype=complex)
-    for g in range(d):
-        coproduct[g, g, g] = 1.0
+    coproduct[g, g, g] = 1.0
     unit = np.zeros(d, dtype=complex)
     unit[0] = 1.0
     blocks, images = _group_irreps(table)
     b = Bialgebra(dim=d, basis_labels=tuple(labels), unit=unit, mult=mult,
                   star_matrix=star_m, counit=np.ones(d, dtype=complex),
                   coproduct=coproduct, rep_blocks=tuple(blocks),
-                  rep_images=np.array(images), kind="bialgebra")
+                  rep_images=images, kind="bialgebra")
     return assert_valid(b)
 
 
@@ -492,9 +485,7 @@ def _group_irreps(table, seeds=(12345, 54321, 777)):
     """
     d = table.shape[0]
     regs = np.zeros((d, d, d), dtype=complex)
-    for g in range(d):
-        for h in range(d):
-            regs[g, table[g, h], h] = 1.0
+    regs[np.arange(d)[:, None], table, np.arange(d)] = 1.0    # [g, gh, h]
     last_err = None
     for seed in seeds:
         rng = np.random.default_rng(seed)
@@ -511,8 +502,7 @@ def _group_irreps(table, seeds=(12345, 54321, 777)):
         for sl in groups:
             v = vecs[:, sl]
             pi = np.array([dagger(v) @ regs[g] @ v for g in range(d)])
-            char = tuple(np.round(np.trace(pi[g]), 8) for g in range(d))
-            reps.setdefault(char, pi)
+            reps.setdefault(tuple(np.round(np.trace(pi, axis1=1, axis2=2), 8)), pi)
         chosen = sorted(reps.items(),
                         key=lambda kv: (kv[1].shape[1],
                                         [(-z.real, -z.imag) for z in kv[0]]))
@@ -520,9 +510,8 @@ def _group_irreps(table, seeds=(12345, 54321, 777)):
         if sum(n * n for n in blocks) != d:
             last_err = f"block sizes {blocks} inconsistent with |G|={d}"
             continue
-        images = [block_diag([pi[g] for _, pi in chosen]) for g in range(d)]
-        resid = maxabs(np.array([images[table[g, h]] - images[g] @ images[h]
-                                 for g in range(d) for h in range(d)]))
+        images = block_diag([pi for _, pi in chosen])
+        resid = maxabs(images[table] - images[:, None] @ images[None])
         if resid < 1e-10:
             return blocks, images
         last_err = f"representation residual {resid:.2e}"
@@ -538,39 +527,23 @@ def class_hypergroup_algebra(cayley_table, labels=None):
     """
     table = _check_table(cayley_table, need_group=True)
     d = table.shape[0]
-    inv = np.argmax(table == 0, axis=1)
-    cls = [-1] * d
+    conj = table[table.T, np.argmax(table == 0, axis=1)]    # [g, h] = h g h^-1
+    cls = np.full(d, -1)
     classes = []
     for g in range(d):
-        if cls[g] >= 0:
-            continue
-        orbit = sorted({table[table[h, g], inv[h]] for h in range(d)})
-        for x in orbit:
-            cls[x] = len(classes)
-        classes.append(orbit)
+        if cls[g] < 0:
+            cls[conj[g]] = len(classes)
+            classes.append(np.unique(conj[g]))
     m = len(classes)
     if labels is None:
-        labels = tuple("C" + "_".join(str(x) for x in c) for c in classes)
+        labels = tuple("C" + "_".join(map(str, c)) for c in classes)
+    # each pair (a, b) of the table adds 1 / (|C_a| |C_b|) to the
+    # coefficient of C_a (x) C_b in Delta(C_ab)
+    size = np.bincount(cls)[cls]
     coproduct = np.zeros((m, m, m), dtype=complex)
-    for i, ci in enumerate(classes):
-        for j, cj in enumerate(classes):
-            w = 1.0 / (len(ci) * len(cj))
-            for a in ci:
-                for bb in cj:
-                    coproduct[cls[table[a, bb]], i, j] += w
-    mult = np.zeros((m, m, m), dtype=complex)
-    for i in range(m):
-        mult[i, i, i] = 1.0
-    counit = np.zeros(m, dtype=complex)
-    counit[0] = 1.0
-    images = np.zeros((m, m, m), dtype=complex)
-    for i in range(m):
-        images[i, i, i] = 1.0
-    b = Bialgebra(dim=m, basis_labels=labels, unit=np.ones(m, dtype=complex),
-                  mult=mult, star_matrix=np.eye(m, dtype=complex),
-                  counit=counit, coproduct=coproduct, rep_blocks=(1,) * m,
-                  rep_images=images, kind="hyperbialgebra")
-    return assert_valid(b)
+    np.add.at(coproduct, (cls[table], cls[:, None], cls[None, :]),
+              1.0 / (size[:, None] * size[None, :]))
+    return assert_valid(pointwise_algebra(coproduct, labels, "hyperbialgebra"))
 
 
 # -- JSON format -------------------------------------------------------------
@@ -594,23 +567,15 @@ def _j2mat(rows):
     return np.array([[_j2c(z) for z in row] for row in rows], dtype=complex)
 
 
-def _tensor_entries_ijk(t):
+def _entries(t, axes):
+    """The nonzero entries of a (d, d, d) tensor as {i, j, k, re, im} records;
+    ``axes`` names the tensor's axes: "ijk" for ``mult[i, j, k]``, "kij" for
+    ``coproduct[k, i, j]`` (the coefficient of e_i (x) e_j in Delta(e_k))."""
     out = []
-    for (i, j, k), v in np.ndenumerate(t):
-        if v != 0:
-            out.append({"i": int(i), "j": int(j), "k": int(k),
-                        "re": v.real, "im": v.imag})
-    return out
-
-
-def _coproduct_entries(t):
-    # coproduct[k, i, j]: entry keys follow the tensor-basis convention
-    # {i, j, k} = coefficient of e_i (x) e_j in Delta(e_k)
-    out = []
-    for (k, i, j), v in np.ndenumerate(t):
-        if v != 0:
-            out.append({"i": int(i), "j": int(j), "k": int(k),
-                        "re": v.real, "im": v.imag})
+    for idx in np.argwhere(t).tolist():
+        at = dict(zip(axes, idx))
+        v = t[tuple(idx)]
+        out.append({"i": at["i"], "j": at["j"], "k": at["k"], "re": v.real, "im": v.imag})
     return out
 
 

@@ -25,8 +25,7 @@ from .generators import (check_phi1, check_structure_map, gns_construct,
                          check_conditionally_positive)
 from .harness import (GroupCocycleData, RunConfig, build_group_generator,
                       compound_poisson_law, group_relation_residuals,
-                      psi_blocks, run_report, simulate_compound_poisson,
-                      solve_coboundary)
+                      run_report, simulate_compound_poisson, solve_coboundary)
 
 
 class UsageError(Exception):
@@ -131,6 +130,26 @@ def t_grid_arg(text):
         raise argparse.ArgumentTypeError(
             f"need finite start and stop and count >= 0, got {text!r}")
     return np.linspace(start, stop, count)
+
+
+def _number_arg(kind, holds, what):
+    """argparse type for one finite number of the given kind for which
+    ``holds`` is true; ``what`` describes such numbers."""
+    def parse(text):
+        try:
+            value = kind(text)
+            ok = np.isfinite(value) and holds(value)
+        except (ValueError, TypeError):    # TypeError: an int beyond int64
+            ok = False
+        if not ok:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+    return parse
+
+
+positive_int_arg = _number_arg(int, lambda v: v > 0, "an integer >= 1")
+positive_float_arg = _number_arg(float, lambda v: v > 0, "a finite number > 0")
+nonnegative_float_arg = _number_arg(float, lambda v: v >= 0, "a finite number >= 0")
 
 
 def real_vector_arg(text):
@@ -310,7 +329,7 @@ def cmd_chi_structure(args):
 def cmd_group_gen(args):
     data = _load_group_data(args.data)
     gen = build_group_generator(data)
-    res = group_relation_residuals(psi_blocks(data), data.table)
+    res = group_relation_residuals(gen.values, data.table)
     _emit(args, {"generator": gen.to_dict(), "residuals": res})
     return 0 if max(res.values()) <= 1e-10 else 1
 
@@ -390,7 +409,7 @@ def build_parser():
     p.add_argument("--f", type=steps_arg, default=None,
                    help="step function t1:c1,...")
     p.add_argument("--fp", type=steps_arg, default=None)
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=positive_float_arg, required=True)
     p.set_defaults(func=cmd_cocycle_eval)
 
     p = sub.add_parser("gns", parents=[common],
@@ -434,19 +453,20 @@ def build_parser():
 
     p = sub.add_parser("montecarlo", parents=[common],
                        help="compound Poisson versus semigroup law")
-    p.add_argument("--order", type=int, default=2, help="cyclic group order")
-    p.add_argument("--rate", type=float, default=1.0)
+    p.add_argument("--order", type=positive_int_arg, default=2,
+                   help="cyclic group order")
+    p.add_argument("--rate", type=nonnegative_float_arg, default=1.0)
     p.add_argument("--mu", type=real_vector_arg, required=True,
                    help="JSON probability vector")
-    p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--samples", type=int, default=100000)
+    p.add_argument("--t", type=nonnegative_float_arg, default=1.0)
+    p.add_argument("--samples", type=positive_int_arg, default=100000)
     p.set_defaults(func=cmd_montecarlo)
 
     p = sub.add_parser("report", parents=[common],
                        help="run a named battery and emit a report")
     p.add_argument("--battery", default="axioms",
                    help="axioms|cocycle|gns|derivations|montecarlo|all")
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--samples", type=positive_int_arg, default=10000)
     p.set_defaults(func=cmd_report)
     return parser
 

@@ -344,24 +344,13 @@ def _legendre_integration(nodes):
     antiderivatives are closed-form; this keeps the matrix well conditioned.
     """
     n = nodes.size
-    _, gl_w = np.polynomial.legendre.leggauss(n)
-    # c[l, m]: Legendre coefficient m of the l-th Lagrange polynomial
-    pvals = np.stack([legendre.legval(nodes, [0] * m + [1]) for m in range(n)])
-    c = (gl_w[None, :] * pvals).T * ((2 * np.arange(n) + 1) / 2.0)[None, :]
-    s = np.zeros((n, n))
-    for j, xj in enumerate(nodes):
-        anti = np.zeros(n)
-        anti[0] = xj + 1.0
-        for m in range(1, n):
-            pm1 = legendre.legval(xj, [0] * (m + 1) + [1])
-            pm_1 = legendre.legval(xj, [0] * (m - 1) + [1])
-            lo = legendre.legval(-1.0, [0] * (m + 1) + [1]) - legendre.legval(-1.0, [0] * (m - 1) + [1])
-            anti[m] = (pm1 - pm_1 - lo) / (2 * m + 1)
-        s[j] = c @ anti
-    return s, gl_w
+    _, gl_w = legendre.leggauss(n)
+    # column l: the Legendre coefficients of the l-th Lagrange polynomial
+    lagrange = (gl_w[:, None] * legendre.legvander(nodes, n - 1) * (np.arange(n) + 0.5)).T
+    return legendre.legvander(nodes, n) @ legendre.legint(lagrange, lbnd=-1), gl_w
 
 
-_GLX, _ = np.polynomial.legendre.leggauss(_GL_NODES)
+_GLX, _ = legendre.leggauss(_GL_NODES)
 _GLS, _GLW = _legendre_integration(_GLX)
 
 
@@ -449,7 +438,6 @@ def toy_fock_evolve(phi, x, t, steps, mode="slice", memory_cap_bytes=2 ** 28):
         raise ValueError("need at least one step")
     src = phi.source
     h = t / steps
-    step = toy_fock_step_map(phi, h)
     if mode == "slice":
         m = np.eye(src.dim, dtype=complex) + h * lifted_matrix(phi.lam_block())
         coords = src.counit @ np.linalg.matrix_power(m, steps)
@@ -461,7 +449,7 @@ def toy_fock_evolve(phi, x, t, steps, mode="slice", memory_cap_bytes=2 ** 28):
     if need > memory_cap_bytes:
         raise MemoryCapExceeded(f"full toy-Fock map needs {need} bytes "
                                 f"(cap {memory_cap_bytes})")
-    walk = step
+    walk = step = toy_fock_step_map(phi, h)
     for _ in range(steps - 1):
         walk = convolve(walk, step)
     full = np.einsum("k,kab->ab", x.coords, walk.values)
@@ -478,7 +466,6 @@ def weak_qlp_moments(phi, intervals, elements):
     The weak axioms give no recipe for overlapping intervals, so those are
     rejected rather than guessed at.
     """
-    phi = as_generator(phi)
     if len(intervals) != len(elements):
         raise ValueError("need one element per interval")
     ivs = [(float(s), float(t)) for s, t in intervals]
@@ -490,7 +477,7 @@ def weak_qlp_moments(phi, intervals, elements):
             if max(s1, s2) < min(t1, t2) - 1e-15:
                 raise OverlappingIntervals(
                     f"intervals [{s1},{t1}) and [{s2},{t2}) overlap")
-    sg = ConvolutionSemigroup(phi.lam_block())
+    sg = vacuum_semigroup(phi)
     out = 1.0 + 0.0j
     for (s, t), x in zip(ivs, elements):
         out *= sg(t - s, x)

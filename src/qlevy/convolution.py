@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .algebra import Bialgebra, ParseError, _j2mat, _mat2j, _read_json
-from .linalg import dagger, maxabs, opnorm
+from .linalg import maxabs, opnorm
 
 
 @dataclass(frozen=True)
@@ -82,10 +82,6 @@ def functional(source, vector):
 
 def counit_map(source):
     return functional(source, source.counit)
-
-
-def zero_map(source, p, q=None):
-    return OperatorMap(source, np.zeros((source.dim, p, q or p), dtype=complex))
 
 
 def load_operator_map(path, source):

@@ -2,12 +2,12 @@
 
 import numpy as np
 
-from .algebra import (Bialgebra, build_function_algebra, build_group_algebra,
-                      class_hypergroup_algebra)
+from .algebra import (build_function_algebra, build_group_algebra,
+                      class_hypergroup_algebra, pointwise_algebra)
 
 
 def cyclic_table(n):
-    return np.array([[(i + j) % n for j in range(n)] for i in range(n)])
+    return (np.arange(n)[:, None] + np.arange(n)) % n
 
 
 def s3_table():
@@ -41,22 +41,12 @@ def two_point_hypergroup(theta):
     theta; completely positive (a valid hyperbialgebra) only for 0 < theta <= 1,
     so theta > 1 exercises the Choi-matrix rejection path.  theta = 1 is C(Z2).
     """
-    d = 2
-    mult = np.zeros((d, d, d), dtype=complex)
-    mult[0, 0, 0] = mult[1, 1, 1] = 1.0
-    coproduct = np.zeros((d, d, d), dtype=complex)
+    coproduct = np.zeros((2, 2, 2), dtype=complex)
     coproduct[0, 0, 0] = 1.0
     coproduct[0, 1, 1] = theta
     coproduct[1, 0, 1] = coproduct[1, 1, 0] = 1.0
     coproduct[1, 1, 1] = 1.0 - theta
-    counit = np.array([1.0, 0.0], dtype=complex)
-    images = np.zeros((d, d, d), dtype=complex)
-    images[0, 0, 0] = images[1, 1, 1] = 1.0
-    return Bialgebra(dim=d, basis_labels=("de", "dg"),
-                     unit=np.ones(d, dtype=complex), mult=mult,
-                     star_matrix=np.eye(d, dtype=complex), counit=counit,
-                     coproduct=coproduct, rep_blocks=(1, 1), rep_images=images,
-                     kind="hyperbialgebra")
+    return pointwise_algebra(coproduct, ("de", "dg"), "hyperbialgebra")
 
 
 _CACHE = {}

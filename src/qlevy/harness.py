@@ -56,21 +56,16 @@ class GroupCocycleData:
         return self.unitaries.shape[1]
 
     def residuals(self):
-        n = self.order
-        u, xi, lam = self.unitaries, self.xi, self.lam
+        t, u, xi, lam = self.table, self.unitaries, self.xi, self.lam
         eye = np.eye(self.d_noise)
-        out = {"unitary": maxabs(u @ dagger(u) - eye[None, :, :])}
-        rep = max(maxabs(u[self.table[g, h]] - u[g] @ u[h])
-                  for g in range(n) for h in range(n))
-        out["representation"] = rep
-        coc = max(maxabs(xi[self.table[g, h]] - xi[g] - u[g] @ xi[h])
-                  for g in range(n) for h in range(n))
-        out["xi_cocycle"] = coc
-        phase = max(abs(lam[self.table[g, h]] - lam[g] - lam[h]
-                        + np.vdot(xi[g], u[g] @ xi[h]).imag)
-                    for g in range(n) for h in range(n))
-        out["lambda_relation"] = phase
-        return out
+        u_xi = u[:, None] @ xi[None, :, :, None]           # U_g xi_h at [g, h]
+        return {
+            "unitary": maxabs(u @ dagger(u) - eye[None, :, :]),
+            "representation": maxabs(u[t] - u[:, None] @ u[None]),
+            "xi_cocycle": maxabs(xi[t] - xi[:, None] - u_xi[..., 0]),
+            "lambda_relation": maxabs(lam[t] - lam[:, None] - lam[None]
+                                      + (xi.conj()[:, None, None] @ u_xi)[..., 0, 0].imag),
+        }
 
     def validate(self, tol=1e-10):
         res = self.residuals()
@@ -92,28 +87,26 @@ def coboundary_data(table, unitaries, eta):
 
 def psi_blocks(data):
     """The block matrices psi_g of the corresponding generator."""
-    n = data.order
+    xi, u = data.xi, data.unitaries
     k = data.d_noise
-    out = np.zeros((n, 1 + k, 1 + k), dtype=complex)
-    for g in range(n):
-        xg, ug = data.xi[g], data.unitaries[g]
-        out[g, 0, 0] = 1j * data.lam[g] - 0.5 * np.vdot(xg, xg).real
-        out[g, 0, 1:] = -np.conjugate(xg) @ ug
-        out[g, 1:, 0] = xg
-        out[g, 1:, 1:] = ug - np.eye(k)
+    out = np.zeros((data.order, 1 + k, 1 + k), dtype=complex)
+    row = xi.conj()[:, None, :]
+    out[:, 0, 0] = 1j * data.lam - 0.5 * (row @ xi[:, :, None])[:, 0, 0].real
+    out[:, 0, 1:] = (-row @ u)[:, 0]
+    out[:, 1:, 0] = xi
+    out[:, 1:, 1:] = u - np.eye(k)
     return out
 
 
 def group_relation_residuals(psi, table):
     """Residuals of psi_{gh} = psi_g + psi_h + psi_g Delta_QS psi_h,
     psi_g^dag = psi_{g^{-1}}, psi_e = 0."""
-    n = len(table)
     dqs = NoiseSpace(psi.shape[1] - 1).delta_qs
-    inv = np.argmax(np.asarray(table) == 0, axis=1)
-    mult = max(maxabs(psi[table[g][h]] - psi[g] - psi[h] - psi[g] @ dqs @ psi[h])
-               for g in range(n) for h in range(n))
-    adj = max(maxabs(dagger(psi[g]) - psi[inv[g]]) for g in range(n))
-    return {"multiplicative": mult, "adjoint": adj, "at_identity": maxabs(psi[0])}
+    table = np.asarray(table)
+    inv = np.argmax(table == 0, axis=1)
+    mult = psi[table] - psi[:, None] - psi[None] - psi[:, None] @ dqs @ psi[None]
+    return {"multiplicative": maxabs(mult), "adjoint": maxabs(dagger(psi) - psi[inv]),
+            "at_identity": maxabs(psi[0])}
 
 
 def build_group_generator(data, algebra=None):

@@ -28,14 +28,15 @@ def maxabs(a):
 
 
 def block_diag(blocks):
-    """Assemble a block-diagonal complex matrix from square blocks."""
-    sizes = [b.shape[0] for b in blocks]
-    n = sum(sizes)
-    out = np.zeros((n, n), dtype=complex)
+    """Assemble a block-diagonal complex matrix from square blocks; blocks
+    stacked along leading axes give the stack of block-diagonal matrices."""
+    n = sum(b.shape[-1] for b in blocks)
+    out = np.zeros(np.broadcast_shapes(*(b.shape[:-2] for b in blocks)) + (n, n),
+                   dtype=complex)
     ofs = 0
     for b in blocks:
-        k = b.shape[0]
-        out[ofs:ofs + k, ofs:ofs + k] = b
+        k = b.shape[-1]
+        out[..., ofs:ofs + k, ofs:ofs + k] = b
         ofs += k
     return out
 

@@ -327,3 +327,31 @@ def test_step_function_not_fitting_is_usage_error(z3_file, tmp_path, flag, spec,
     assert err.value.code == 2
     msg = capsys.readouterr().err
     assert f"argument {flag}:" in msg and why in msg
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["cocycle-eval", "{z3}", "unused.json", "--x", "d1", "--t", "-1"], "--t"),
+    (["cocycle-eval", "{z3}", "unused.json", "--x", "d1", "--t", "0"], "--t"),
+    (["cocycle-eval", "{z3}", "unused.json", "--x", "d1", "--t", "inf"], "--t"),
+    (["montecarlo", "--mu", "[0.5,0.5]", "--t", "-1"], "--t"),
+    (["montecarlo", "--mu", "[0.5,0.5]", "--t", "nan"], "--t"),
+    (["montecarlo", "--mu", "[0.5,0.5]", "--rate", "-1"], "--rate"),
+    (["montecarlo", "--mu", "[0.5,0.5]", "--samples", "0"], "--samples"),
+    (["montecarlo", "--mu", "[0.5,0.5]", "--samples", "2.5"], "--samples"),
+    (["montecarlo", "--mu", "[1.0]", "--order", "0"], "--order"),
+    (["montecarlo", "--mu", "[1.0]", "--order", "-2"], "--order"),
+    (["report", "--samples", "0"], "--samples"),
+    (["report", "--samples", "-5"], "--samples"),
+])
+def test_out_of_range_number_is_usage_error(z3_file, argv, flag, capsys):
+    with pytest.raises(SystemExit) as err:
+        main([a.format(z3=z3_file) for a in argv])
+    assert err.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [["--t", "0"], ["--rate", "0"]])
+def test_montecarlo_accepts_zero_time_and_rate(extra, capsys):
+    # no jumps: every sample stays at the identity, as the exact law says
+    assert main(["montecarlo", "--mu", "[0.5,0.5]", "--samples", "50"] + extra) == 0
+    assert json.loads(capsys.readouterr().out)["frequencies"] == [1.0, 0.0]

@@ -10,6 +10,10 @@ The structure relation and the representation defect, each shared by the
 eps and the chi (or the single-block and the block-diagonal) case, are
 checked the same way: against a pair-by-pair evaluation of the relation
 and against the full ``einsum`` defect of an arbitrary representation.
+
+The routines that read a Cayley table (the builders, the table check and
+the group-cocycle residuals) index it with arrays; they are checked against
+loops that walk the table one entry at a time.
 """
 
 import dataclasses
@@ -20,17 +24,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlevy.algebra import (_coproduct_choi_min_eig, assert_valid,
+from qlevy.algebra import (_check_table, _coproduct_choi_min_eig, assert_valid,
                            build_function_algebra, build_group_algebra,
                            class_hypergroup_algebra, representation_defect,
                            validate_bialgebra)
 from qlevy.convolution import OperatorMap, counit_map, functional
-from qlevy.fixtures import (bundled_fixtures, cyclic_table, d4_table,
+from qlevy.fixtures import (bundled_fixtures, cyclic_table, d4_table, s3_table,
                             two_point_hypergroup)
 from qlevy.generators import (CPQuadruple, canonical_phi1, check_chi_structure,
                               check_structure_map, gns_construct,
                               implemented_chi_structure, make_structure_map)
 from qlevy.generators import representation_defect as single_block_defect
+from qlevy.harness import (GroupCocycleData, coboundary_data,
+                           group_relation_residuals, psi_blocks)
 from qlevy.linalg import dagger, maxabs, min_eig_herm
 
 from conftest import random_generator
@@ -304,3 +310,320 @@ def test_representation_defect_matches_einsum(name, seed, vec):
     q = CPQuadruple(rho, big_d, xi, canonical_phi1(big_d))
     want = einsum_representation_defect(b, rho.values)
     assert abs(q.residuals()["representation"] - want) <= tol(rho.values)
+
+
+# -- Cayley-table routines against their entry-by-entry loops -----------------
+# The builders and the group-cocycle residuals index the table with arrays;
+# the oracles below walk it one entry at a time, as the code once did.
+
+def loop_check_table(table, need_group):
+    """The table checks, entry by entry: the error message, or None."""
+    table = np.asarray(table, dtype=int)
+    d = table.shape[0]
+    if table.shape != (d, d) or np.any(table < 0) or np.any(table >= d):
+        return "multiplication table must be square over 0..d-1"
+    if not (np.array_equal(table[0], np.arange(d)) and np.array_equal(table[:, 0], np.arange(d))):
+        return "index 0 is not an identity for the table"
+    for i, j, k in itertools.product(range(d), repeat=3):
+        if table[table[i, j], k] != table[i, table[j, k]]:
+            return f"table is not associative at ({i},{j},{k})"
+    if need_group:
+        for i in range(d):
+            if not np.any(table[i] == 0):
+                return f"element {i} has no inverse; table is not a group"
+    return None
+
+
+def loop_pointwise(coproduct, labels, kind):
+    """Functions on len(labels) points with the pointwise product."""
+    d = len(labels)
+    mult = np.zeros((d, d, d), dtype=complex)
+    images = np.zeros((d, d, d), dtype=complex)
+    for i in range(d):
+        mult[i, i, i] = images[i, i, i] = 1.0
+    counit = np.zeros(d, dtype=complex)
+    counit[0] = 1.0
+    return dict(basis_labels=tuple(labels), unit=np.ones(d, dtype=complex), mult=mult,
+                star_matrix=np.eye(d, dtype=complex), counit=counit, coproduct=coproduct,
+                rep_blocks=(1,) * d, rep_images=images, kind=kind)
+
+
+def loop_function_algebra(table):
+    d = len(table)
+    coproduct = np.zeros((d, d, d), dtype=complex)
+    for a in range(d):
+        for c in range(d):
+            coproduct[table[a, c], a, c] = 1.0
+    return loop_pointwise(coproduct, tuple(f"d{h}" for h in range(d)), "bialgebra")
+
+
+def loop_class_hypergroup(table):
+    d = len(table)
+    inv = np.argmax(table == 0, axis=1)
+    cls, classes = [-1] * d, []
+    for g in range(d):
+        if cls[g] < 0:
+            orbit = sorted({table[table[h, g], inv[h]] for h in range(d)})
+            for x in orbit:
+                cls[x] = len(classes)
+            classes.append(orbit)
+    m = len(classes)
+    coproduct = np.zeros((m, m, m), dtype=complex)
+    for i, ci in enumerate(classes):
+        for j, cj in enumerate(classes):
+            for a in ci:
+                for b in cj:
+                    coproduct[cls[table[a, b]], i, j] += 1.0 / (len(ci) * len(cj))
+    labels = tuple("C" + "_".join(str(x) for x in c) for c in classes)
+    return loop_pointwise(coproduct, labels, "hyperbialgebra")
+
+
+def loop_two_point(theta):
+    coproduct = np.zeros((2, 2, 2), dtype=complex)
+    coproduct[0, 0, 0] = 1.0
+    coproduct[0, 1, 1] = theta
+    coproduct[1, 0, 1] = coproduct[1, 1, 0] = 1.0
+    coproduct[1, 1, 1] = 1.0 - theta
+    return loop_pointwise(coproduct, ("de", "dg"), "hyperbialgebra")
+
+
+def loop_group_irreps(table, seeds=(12345, 54321, 777)):
+    """The irrep split of the regular representation with every table walk
+    written as a loop; the eigen-decomposition steps are the builder's."""
+    d = len(table)
+    regs = np.zeros((d, d, d), dtype=complex)
+    for g in range(d):
+        for h in range(d):
+            regs[g, table[g, h], h] = 1.0
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        a = a + a.conj().T
+        x = sum(regs[g] @ a @ dagger(regs[g]) for g in range(d)) / d
+        vals, vecs = np.linalg.eigh(x)
+        cuts = [i for i in range(1, d)
+                if vals[i] - vals[i - 1] > 1e-6 * max(1.0, abs(vals[i]))]
+        reps = {}
+        for lo, hi in zip([0] + cuts, cuts + [d]):
+            v = vecs[:, lo:hi]
+            pi = np.array([dagger(v) @ regs[g] @ v for g in range(d)])
+            reps.setdefault(tuple(np.round(np.trace(pi[g]), 8) for g in range(d)), pi)
+        chosen = [pi for _, pi in sorted(
+            reps.items(), key=lambda kv: (kv[1].shape[1], [(-z.real, -z.imag) for z in kv[0]]))]
+        blocks = tuple(pi.shape[1] for pi in chosen)
+        if sum(n * n for n in blocks) != d:
+            continue
+        n = sum(blocks)
+        images = np.zeros((d, n, n), dtype=complex)
+        for g in range(d):
+            ofs = 0
+            for pi in chosen:
+                images[g, ofs:ofs + len(pi[g]), ofs:ofs + len(pi[g])] = pi[g]
+                ofs += len(pi[g])
+        resid = max(maxabs(images[table[g, h]] - images[g] @ images[h])
+                    for g in range(d) for h in range(d))
+        if resid < 1e-10:
+            return blocks, images
+    raise AssertionError("no seed splits the regular representation")
+
+
+def loop_group_algebra(table):
+    d = len(table)
+    mult = np.zeros((d, d, d), dtype=complex)
+    star_m = np.zeros((d, d), dtype=complex)
+    coproduct = np.zeros((d, d, d), dtype=complex)
+    for g in range(d):
+        coproduct[g, g, g] = 1.0
+        for h in range(d):
+            mult[g, h, table[g, h]] = 1.0
+            if table[g, h] == 0:
+                star_m[h, g] = 1.0
+    unit = np.zeros(d, dtype=complex)
+    unit[0] = 1.0
+    blocks, images = loop_group_irreps(table)
+    return dict(basis_labels=tuple(f"L{g}" for g in range(d)), unit=unit, mult=mult,
+                star_matrix=star_m, counit=np.ones(d, dtype=complex), coproduct=coproduct,
+                rep_blocks=blocks, rep_images=images, kind="bialgebra")
+
+
+def assert_same_structure(b, want):
+    assert b.dim == len(want["basis_labels"])
+    for field, value in want.items():
+        got = getattr(b, field)
+        if isinstance(value, np.ndarray):
+            assert got.dtype == value.dtype and np.array_equal(got, value), field
+        else:
+            assert got == value, field
+
+
+def max_monoid(n):
+    return np.maximum.outer(np.arange(n), np.arange(n))
+
+
+def product_table(n1, n2):
+    """Z_n1 x Z_n2, element (a, b) at index a * n2 + b."""
+    a, b = np.divmod(np.arange(n1 * n2), n2)
+    return ((a[:, None] + a) % n1) * n2 + (b[:, None] + b) % n2
+
+
+def relabeled(table, rng):
+    """The same monoid with its non-identity elements renamed at random."""
+    p = np.concatenate(([0], 1 + rng.permutation(len(table) - 1)))
+    out = np.empty_like(table)
+    out[np.ix_(p, p)] = p[table]
+    return out
+
+
+GROUP_TABLES = {"Z2": cyclic_table(2), "Z3": cyclic_table(3), "Z4": cyclic_table(4),
+                "Z6": cyclic_table(6), "S3": s3_table(), "D4": d4_table(),
+                "Z2xZ4": product_table(2, 4), "Z8": cyclic_table(8)}
+MONOID_TABLES = {"max3": max_monoid(3), "max8": max_monoid(8)}
+BUILDERS = {"function": (build_function_algebra, loop_function_algebra),
+            "group": (build_group_algebra, loop_group_algebra),
+            "class": (class_hypergroup_algebra, loop_class_hypergroup)}
+BUILDER_CASES = [(kind, name) for name in GROUP_TABLES for kind in BUILDERS] \
+    + [("function", name) for name in MONOID_TABLES]
+
+
+@pytest.mark.parametrize("kind, name", BUILDER_CASES)
+@settings(derandomize=True, deadline=None, max_examples=4)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_builders_match_entry_loops(kind, name, seed):
+    table = {**GROUP_TABLES, **MONOID_TABLES}[name]
+    build, loop = BUILDERS[kind]
+    # the table as given, and with its elements renamed
+    for t in (table, relabeled(table, np.random.default_rng(seed))):
+        assert_same_structure(build(t), loop(t))
+
+
+@pytest.mark.parametrize("theta", THETAS + (1.0,))
+def test_two_point_hypergroup_matches_entries(theta):
+    assert_same_structure(two_point_hypergroup(theta), loop_two_point(theta))
+
+
+def test_bundled_fixtures_match_entry_loops(all_fixtures):
+    tables = {"Z2": cyclic_table(2), "Z3": cyclic_table(3), "Z4": cyclic_table(4),
+              "Z6": cyclic_table(6), "S3": s3_table(), "S3-classes": s3_table()}
+    loops = {"C": loop_function_algebra, "Alg": loop_group_algebra,
+             "Hyper": loop_class_hypergroup}
+    for name, b in all_fixtures.items():
+        prefix, group = name[:-1].split("(")
+        assert_same_structure(b, loops[prefix](tables[group]))
+
+
+def random_table(rng):
+    """A d x d table over 0..d-1 that is often close to a monoid: random,
+    a cyclic group with one entry changed, or a max-monoid with a row
+    replaced; sometimes with a broken identity row or out-of-range entry."""
+    d = int(rng.integers(1, 7))
+    shape = rng.integers(4)
+    if shape == 0:
+        t = rng.integers(0, d, size=(d, d))
+    elif shape == 1:
+        t = cyclic_table(d)
+        t[rng.integers(d), rng.integers(d)] = rng.integers(d)
+    elif shape == 2:
+        t = max_monoid(d)
+        t[rng.integers(d)] = rng.integers(0, d, size=d)
+    else:
+        t = relabeled(np.asarray(s3_table()) if d > 3 else cyclic_table(d), rng)
+    if rng.random() < 0.8:
+        t[0] = t[:, 0] = np.arange(len(t))
+    if rng.random() < 0.05:
+        t[rng.integers(len(t)), rng.integers(len(t))] = len(t)
+    return t
+
+
+def verdict(message):
+    if message is None:
+        return None
+    return next(w for w in ("square", "identity", "associative", "inverse") if w in message)
+
+
+def test_check_table_messages_match_loops():
+    rng = np.random.default_rng(20061)
+    seen = set()
+    for _ in range(400):
+        t = random_table(rng)
+        for need_group in (False, True):
+            try:
+                _check_table(t, need_group)
+                got = None
+            except ValueError as exc:
+                got = str(exc)
+            assert got == loop_check_table(t, need_group), t
+            seen.add(verdict(got))
+    # every verdict occurs, so the comparison covers each message
+    assert seen == {None, "square", "identity", "associative", "inverse"}
+
+
+def loop_cocycle_residuals(data):
+    t, u, xi, lam = data.table, data.unitaries, data.xi, data.lam
+    pairs = list(itertools.product(range(data.order), repeat=2))
+    return {
+        "unitary": max(maxabs(ug @ dagger(ug) - np.eye(data.d_noise)) for ug in u),
+        "representation": max(maxabs(u[t[g, h]] - u[g] @ u[h]) for g, h in pairs),
+        "xi_cocycle": max(maxabs(xi[t[g, h]] - xi[g] - u[g] @ xi[h]) for g, h in pairs),
+        "lambda_relation": max(abs(lam[t[g, h]] - lam[g] - lam[h]
+                                   + np.vdot(xi[g], u[g] @ xi[h]).imag) for g, h in pairs),
+    }
+
+
+def loop_psi_blocks(data):
+    k = data.d_noise
+    out = np.zeros((data.order, 1 + k, 1 + k), dtype=complex)
+    for g in range(data.order):
+        xg, ug = data.xi[g], data.unitaries[g]
+        out[g, 0, 0] = 1j * data.lam[g] - 0.5 * np.vdot(xg, xg).real
+        out[g, 0, 1:] = -np.conjugate(xg) @ ug
+        out[g, 1:, 0] = xg
+        out[g, 1:, 1:] = ug - np.eye(k)
+    return out
+
+
+def loop_group_relation_residuals(psi, table):
+    n = len(table)
+    dqs = np.diag([0.0] + [1.0] * (psi.shape[1] - 1))
+    inv = [next(h for h in range(n) if table[g, h] == 0) for g in range(n)]
+    return {
+        "multiplicative": max(maxabs(psi[table[g, h]] - psi[g] - psi[h] - psi[g] @ dqs @ psi[h])
+                              for g in range(n) for h in range(n)),
+        "adjoint": max(maxabs(dagger(psi[g]) - psi[inv[g]]) for g in range(n)),
+        "at_identity": maxabs(psi[0]),
+    }
+
+
+@pytest.mark.parametrize("name", ["Z4", "S3", "D4"])
+@settings(derandomize=True, deadline=None, max_examples=6)
+@given(seed=st.integers(0, 2 ** 32 - 1), eps=st.sampled_from([1e-6, 1e-2, 1.0]))
+def test_group_residuals_match_pair_loops(name, seed, eps):
+    table = GROUP_TABLES[name]
+    rng = np.random.default_rng(seed)
+    # a coboundary of the group's irreps, then every field moved off the
+    # cocycle relations by eps
+    u = build_group_algebra(table).rep_images
+    d_noise = u.shape[1]
+
+    def noise(shape):
+        return eps * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    exact = coboundary_data(table, u, noise(d_noise) / eps)
+    data = GroupCocycleData(table, exact.unitaries + noise(u.shape),
+                            exact.xi + noise(exact.xi.shape),
+                            exact.lam + noise(exact.lam.shape).real)
+    size = max(1.0, maxabs(data.unitaries), maxabs(data.xi), maxabs(data.lam))
+    tol = 1e-12 * (1 + d_noise) * size ** 2
+    fast, slow = data.residuals(), loop_cocycle_residuals(data)
+    assert fast.keys() == slow.keys()
+    for key, value in slow.items():
+        assert abs(fast[key] - value) <= tol, (key, fast[key], value)
+    assert slow["xi_cocycle"] > 1e-3 * eps
+    psi = loop_psi_blocks(data)
+    assert np.allclose(psi_blocks(data), psi, rtol=0, atol=tol)
+    fast = group_relation_residuals(psi, table)
+    slow = loop_group_relation_residuals(psi, table)
+    tol = 1e-12 * (1 + d_noise) * max(1.0, maxabs(psi)) ** 2
+    assert fast.keys() == slow.keys()
+    for key, value in slow.items():
+        assert abs(fast[key] - value) <= tol, (key, fast[key], value)
+    assert slow["multiplicative"] > 1e-3 * eps
