@@ -484,14 +484,14 @@ def _group_irreps(table, seeds=(12345, 54321, 777)):
     factor; its eigenspaces carry single copies of the irreps.
     """
     d = table.shape[0]
-    regs = np.zeros((d, d, d), dtype=complex)
-    regs[np.arange(d)[:, None], table, np.arange(d)] = 1.0    # [g, gh, h]
+    # R_g a R_g^dagger and v^dagger R_g as gathers, for R_g e_h = e_gh
+    inv = np.argsort(table, axis=1)
     last_err = None
     for seed in seeds:
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         a = a + a.conj().T
-        x = sum(regs[g] @ a @ dagger(regs[g]) for g in range(d)) / d
+        x = sum(a[inv[g]][:, inv[g]] for g in range(d)) / d
         vals, vecs = np.linalg.eigh(x)
         groups, start = [], 0
         for i in range(1, d + 1):
@@ -501,7 +501,7 @@ def _group_irreps(table, seeds=(12345, 54321, 777)):
         reps = {}
         for sl in groups:
             v = vecs[:, sl]
-            pi = np.array([dagger(v) @ regs[g] @ v for g in range(d)])
+            pi = np.array([dagger(v)[:, table[g]] @ v for g in range(d)])
             reps.setdefault(tuple(np.round(np.trace(pi, axis1=1, axis2=2), 8)), pi)
         chosen = sorted(reps.items(),
                         key=lambda kv: (kv[1].shape[1],

@@ -19,8 +19,7 @@ from .cocycle import (Generator, StepFunction, matrix_element,
                       check_cocycle_identity, simplex_series_oracle)
 from .convolution import (ConvolutionSemigroup, OperatorMap, functional,
                           load_operator_map)
-from .derivations import (DerivationProblem, check_chi_structure,
-                          implement_chi_structure, solve_inner)
+from .derivations import DerivationProblem, implement_chi_structure, solve_inner
 from .generators import (check_phi1, check_structure_map, gns_construct,
                          check_conditionally_positive)
 from .harness import (GroupCocycleData, RunConfig, build_group_generator,
@@ -150,6 +149,12 @@ def _number_arg(kind, holds, what):
 positive_int_arg = _number_arg(int, lambda v: v > 0, "an integer >= 1")
 positive_float_arg = _number_arg(float, lambda v: v > 0, "a finite number > 0")
 nonnegative_float_arg = _number_arg(float, lambda v: v >= 0, "a finite number >= 0")
+seed_arg = _number_arg(int, lambda v: 0 <= v < 2 ** 64, "an integer in [0, 2**64)")
+
+
+def _tol(args, default):
+    """The --tol flag, or the verb's default when it is not given."""
+    return default if args.tol is None else args.tol
 
 
 def real_vector_arg(text):
@@ -196,7 +201,7 @@ def cmd_validate(args):
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    results = validate_bialgebra(b, struct_tol=args.tol or 1e-12)
+    results = validate_bialgebra(b, struct_tol=_tol(args, 1e-12))
     ok = True
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -251,7 +256,7 @@ def cmd_cocycle_eval(args):
     checks["oracle_tail_bound"] = tail
     _emit(args, {"value": _c2j(value), "method": "semigroup-factorization",
                  "residual_checks": checks})
-    return 0 if checks["cocycle_identity"] <= (args.tol or 1e-9) else 1
+    return 0 if checks["cocycle_identity"] <= _tol(args, 1e-9) else 1
 
 
 def cmd_gns(args):
@@ -310,14 +315,13 @@ def cmd_derivation_solve(args):
     t, residual = solve_inner(DerivationProblem(*maps))
     _emit(args, {"T": _mat2j(t),
                  "residual": residual})
-    return 0 if residual <= (args.tol or 1e-9) else 1
+    return 0 if residual <= _tol(args, 1e-9) else 1
 
 
 def cmd_chi_structure(args):
     b = _load_algebra(args.bialgebra)
     phi = load_operator_map(args.phi, b)
     chi = _functional_from_spec(b, args.chi)
-    relation = check_chi_structure(phi, chi)
     pi, xi, lam, residuals = implement_chi_structure(phi, chi)
     _emit(args, {"pi": [_mat2j(m) for m in pi.values],
                  "xi": [_c2j(z) for z in xi],
@@ -364,7 +368,7 @@ def cmd_montecarlo(args):
 
 
 def cmd_report(args):
-    config = RunConfig(seed=args.seed, tol=args.tol or 1e-9,
+    config = RunConfig(seed=args.seed, tol=_tol(args, 1e-9),
                        n_samples=args.samples, out=args.out)
     report = run_report(config, suite=args.battery)
     print(f"battery {args.battery}: {report['n_cases']} cases, "
@@ -374,15 +378,15 @@ def cmd_report(args):
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--tol", type=float, default=argparse.SUPPRESS)
+    common.add_argument("--seed", type=seed_arg, default=argparse.SUPPRESS)
+    common.add_argument("--tol", type=nonnegative_float_arg, default=argparse.SUPPRESS)
     common.add_argument("--out", type=str, default=argparse.SUPPRESS)
     common.add_argument("--format", choices=["json", "csv"],
                         default=argparse.SUPPRESS)
 
     parser = argparse.ArgumentParser(prog="qlevy")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--tol", type=float, default=None)
+    parser.add_argument("--seed", type=seed_arg, default=7)
+    parser.add_argument("--tol", type=nonnegative_float_arg, default=None)
     parser.add_argument("--out", type=str, default=None)
     parser.add_argument("--format", choices=["json", "csv"], default=None)
     sub = parser.add_subparsers(dest="verb", required=True)

@@ -335,18 +335,19 @@ def _assemble(values, coeffs):
 
 
 def _ratio_ascent(values, rep, c, iters):
+    # an accepted point keeps its gradient, rescaled with c: ratio(s c) = ratio(c)
     c = c / max(1e-300, maxabs(c))
     step = 0.5
-    val = _ratio(values, rep, c)
+    val, g = _ratio_and_grad(values, rep, c)
     for _ in range(iters):
-        g = _ratio_grad(values, rep, c)
         gn = maxabs(g)
         if gn < 1e-14:
             break
         c_new = c + step * g / gn
-        v_new = _ratio(values, rep, c_new)
+        v_new, g_new = _ratio_and_grad(values, rep, c_new)
         if v_new > val:
-            c, val = c_new / max(1e-300, maxabs(c_new)), v_new
+            s = max(1e-300, maxabs(c_new))
+            c, val, g = c_new / s, v_new, g_new * s
             step = min(step * 1.3, 2.0)
         else:
             step *= 0.5
@@ -355,27 +356,20 @@ def _ratio_ascent(values, rep, c, iters):
     return val, c
 
 
-def _ratio(values, rep, c):
-    den = opnorm(_assemble(rep, c))
-    if den < 1e-300:
-        return 0.0
-    return opnorm(_assemble(values, c)) / den
+def _ratio_and_grad(values, rep, c):
+    """The ratio sigma_max(a) / sigma_max(r) of the values and rep matrices
+    assembled at c, with its ascent direction in c; (0, 0) when r vanishes."""
+    sa, ga = _top_singular(values, c)
+    sr, gr = _top_singular(rep, c)
+    if sr < 1e-300:
+        return 0.0, np.zeros_like(c)
+    return float(sa / sr), np.conjugate((ga * sr - sa * gr) / sr ** 2)
 
 
-def _ratio_grad(values, rep, c):
-    a = _assemble(values, c)
-    r = _assemble(rep, c)
-    ua, sa, vha = np.linalg.svd(a)
-    ur, sr, vhr = np.linalg.svd(r)
-    ga = _svd_grad(values, ua[:, 0], vha[0], c.shape[1])
-    gr = _svd_grad(rep, ur[:, 0], vhr[0], c.shape[1])
-    denom = max(sr[0], 1e-300)
-    grad = (ga * denom - sa[0] * gr) / denom ** 2
-    return np.conjugate(grad)
-
-
-def _svd_grad(values, u, vh, n):
-    p, q = values.shape[1:]
-    umat = u.reshape(p, n)
-    wmat = vh.conj().reshape(q, n)
-    return np.einsum("an,iab,bm->inm", np.conjugate(umat), values, wmat)
+def _top_singular(values, c):
+    """sigma_max of a = sum_i values[i] (x) c[i], from one SVD, and its
+    derivative u^dagger (values[i] (x) E_nm) v along each entry of c."""
+    u, s, vh = np.linalg.svd(_assemble(values, c))
+    umat = u[:, 0].reshape(-1, c.shape[1])
+    wmat = vh[0].conj().reshape(-1, c.shape[1])
+    return s[0], np.einsum("an,iab,bm->inm", np.conjugate(umat), values, wmat)

@@ -342,6 +342,14 @@ def test_step_function_not_fitting_is_usage_error(z3_file, tmp_path, flag, spec,
     (["montecarlo", "--mu", "[1.0]", "--order", "-2"], "--order"),
     (["report", "--samples", "0"], "--samples"),
     (["report", "--samples", "-5"], "--samples"),
+    (["validate", "{z3}", "--tol", "nan"], "--tol"),
+    (["validate", "{z3}", "--tol", "-1"], "--tol"),
+    (["--tol", "inf", "validate", "{z3}"], "--tol"),
+    (["--tol", "tiny", "report"], "--tol"),
+    (["montecarlo", "--mu", "[0.5,0.5]", "--seed", "-1"], "--seed"),
+    (["montecarlo", "--mu", "[0.5,0.5]", "--seed", "1.5"], "--seed"),
+    (["--seed", str(2 ** 64), "report"], "--seed"),
+    (["report", "--seed", "-1"], "--seed"),
 ])
 def test_out_of_range_number_is_usage_error(z3_file, argv, flag, capsys):
     with pytest.raises(SystemExit) as err:
@@ -355,3 +363,17 @@ def test_montecarlo_accepts_zero_time_and_rate(extra, capsys):
     # no jumps: every sample stays at the identity, as the exact law says
     assert main(["montecarlo", "--mu", "[0.5,0.5]", "--samples", "50"] + extra) == 0
     assert json.loads(capsys.readouterr().out)["frequencies"] == [1.0, 0.0]
+
+
+def test_validate_honours_zero_tol(z3_file, capsys):
+    # every residual of C(Z3) is exactly zero, so tol 0 still passes
+    assert main(["validate", z3_file, "--tol", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "(tol 0e+00)" in out and "(tol 1e-12)" not in out
+
+
+def test_largest_seed_accepted(capsys):
+    seed = 2 ** 64 - 1
+    assert main(["montecarlo", "--mu", "[0.5,0.5]", "--samples", "50", "--t", "0",
+                 "--seed", str(seed)]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == seed

@@ -271,6 +271,40 @@ def test_amplified_norm_submultiplicative(all_fixtures):
             assert lhs <= r1 * r2 + 1e-6
 
 
+@pytest.mark.parametrize("name", ["C(Z3)", "Alg(Z4)", "Hyper(S3-classes)"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_amplified_norm_is_ratio_at_returned_point(all_fixtures, name, n):
+    b = all_fixtures[name]
+    phi = random_operator_map(np.random.default_rng(20 + n), b, 2)
+    value, c = amplified_norm(phi, n, n_starts=4, n_iters=75, return_point=True)
+    num = np.einsum("kab,kcd->acbd", phi.values, c).reshape(phi.p * n, phi.q * n)
+    den = np.einsum("kab,kcd->acbd", b.rep_images, c).reshape(b.rep_dim * n, -1)
+    ratio = np.linalg.norm(num, 2) / np.linalg.norm(den, 2)
+    assert value > 0 and abs(ratio - value) <= 1e-12 * value
+
+
+def test_amplified_norm_assembles_each_point_once(all_fixtures, monkeypatch):
+    import qlevy.convolution as conv
+    calls = []
+    assemble = conv._assemble
+    monkeypatch.setattr(conv, "_assemble",
+                        lambda values, c: calls.append(1) or assemble(values, c))
+    phi = random_operator_map(np.random.default_rng(22), all_fixtures["C(Z3)"], 2)
+    n_starts, n_iters = 3, 20
+    amplified_norm(phi, 2, n_starts=n_starts, n_iters=n_iters)
+    # one numerator and one denominator per evaluated point: the start and
+    # at most one trial point per iteration
+    assert 0 < len(calls) <= n_starts * 2 * (n_iters + 1)
+
+
+def test_amplified_norm_zero_start_has_ratio_zero(all_fixtures):
+    # the denominator vanishes at c = 0: ratio 0 and no ascent direction
+    b = all_fixtures["C(Z3)"]
+    phi = random_operator_map(np.random.default_rng(23), b, 2)
+    assert amplified_norm(phi, 2, n_starts=0,
+                          warm_starts=[np.zeros((b.dim, 2, 2))]) == 0.0
+
+
 # -- files ---------------------------------------------------------------------
 
 def test_operator_map_round_trip(tmp_path, all_fixtures):
