@@ -44,9 +44,14 @@ def _write(args, text):
 
 
 def _load_algebra(path):
-    if path.startswith("fixture:"):
+    """The bialgebra of a file, or the bundled fixture of 'fixture:<name>'."""
+    if not path.startswith("fixture:"):
+        return load_bialgebra(path)
+    try:
         return fixtures.fixture(path.split(":", 1)[1])
-    return load_bialgebra(path)
+    except KeyError:
+        raise UsageError(f"unknown fixture {path!r}; bundled fixtures: "
+                         + ", ".join(sorted(fixtures.bundled_fixtures()))) from None
 
 
 def _split_top_level(text, sep=","):
@@ -197,7 +202,8 @@ def _functional_from_spec(b, text):
 
 def cmd_validate(args):
     try:
-        b = bialgebra_from_dict(_read_json(args.file))
+        b = (_load_algebra(args.file) if args.file.startswith("fixture:")
+             else bialgebra_from_dict(_read_json(args.file)))
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
@@ -266,7 +272,8 @@ def cmd_gns(args):
     if not ok:
         _emit(args, {"error": "not conditionally positive", "margin": margin})
         return 1
-    triple, phi = gns_construct(gamma, tol=args.tol)
+    tol = _tol(args, 1e-9)
+    triple, phi = gns_construct(gamma, check_tol=tol)
     payload = {
         "rank": triple.n,
         "pi": [_mat2j(m) for m in triple.pi.values],
@@ -276,7 +283,7 @@ def cmd_gns(args):
         "residuals": triple.residuals(),
     }
     _emit(args, payload)
-    return 0 if triple.max_residual() <= 1e-9 else 1
+    return 0 if triple.max_residual() <= tol else 1
 
 
 def cmd_classify(args):
@@ -482,7 +489,7 @@ def main(argv=None):
         return args.func(args)
     except UsageError as exc:
         parser.error(str(exc))
-    except (ParseError, AxiomViolation, ValueError, OSError) as exc:
+    except (ParseError, AxiomViolation, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convolution import OperatorMap
-from .generators import (check_chi_structure, implemented_chi_structure,
-                         representation_defect, validate_representation)
-from .linalg import lstsq_minnorm, maxabs, numerical_rank
+from .generators import (check_chi_structure, derivation_defect,
+                         implemented_chi_structure, representation_defect)
+from .linalg import commutator_system, lstsq_minnorm, maxabs, numerical_rank
 
 
 @dataclass
@@ -34,14 +34,6 @@ class DerivationProblem:
         if self.delta.p != self.pi_prime.p or self.delta.q != self.pi.p:
             raise ValueError("delta must take n' x n values")
 
-    def validated(self, tol=1e-10):
-        validate_representation(self.pi_prime, tol)
-        validate_representation(self.pi, tol)
-        res = check_derivation(self)
-        if res > tol:
-            raise ValueError(f"Leibniz relation fails (residual {res:.2e})")
-        return self
-
 
 def inner_derivation(pi_prime, pi, t):
     """delta(a) = pi'(a) T - T pi(a) as an OperatorMap."""
@@ -52,12 +44,7 @@ def inner_derivation(pi_prime, pi, t):
 
 def check_derivation(problem):
     """Max residual of the Leibniz relation over basis pairs."""
-    src = problem.pi.source
-    dv = problem.delta.values
-    lhs = np.einsum("ijk,kab->ijab", src.mult, dv)
-    rhs = np.einsum("iab,jbc->ijac", dv, problem.pi.values) \
-        + np.einsum("iab,jbc->ijac", problem.pi_prime.values, dv)
-    return maxabs(lhs - rhs)
+    return derivation_defect(problem.pi_prime, problem.pi, problem.delta)
 
 
 def solve_inner(problem, check_tol=1e-8):
@@ -70,16 +57,9 @@ def solve_inner(problem, check_tol=1e-8):
     res = check_derivation(problem)
     if res > check_tol:
         raise ValueError(f"input is not a derivation (Leibniz residual {res:.2e})")
-    np_, nq = problem.delta.p, problem.delta.q
-    rows, rhs = [], []
-    for a in range(problem.pi.source.dim):
-        # vec(pi'(a) T - T pi(a)) with column stacking
-        rows.append(np.kron(np.eye(nq), problem.pi_prime.values[a])
-                    - np.kron(problem.pi.values[a].T, np.eye(np_)))
-        rhs.append(problem.delta.values[a].reshape(-1, order="F"))
-    amat = np.concatenate(rows, axis=0)
-    bvec = np.concatenate(rhs)
-    t = lstsq_minnorm(amat, bvec).reshape(np_, nq, order="F")
+    amat = commutator_system(problem.pi_prime.values, problem.pi.values)
+    bvec = problem.delta.values.transpose(0, 2, 1).reshape(-1)
+    t = lstsq_minnorm(amat, bvec).reshape(problem.delta.p, problem.delta.q, order="F")
     residual = maxabs(inner_derivation(problem.pi_prime, problem.pi, t).values
                       - problem.delta.values)
     return t, residual
@@ -89,15 +69,11 @@ def derivation_constraint_matrix(src, chi_prime, chi):
     """Leibniz constraints for an unknown scalar (chi', chi)-derivation,
     as a d^2 x d matrix applied to the vector of values delta(e_k)."""
     d = src.dim
-    cp = chi_prime.as_vector()
-    c = chi.as_vector()
-    out = np.zeros((d * d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            out[i * d + j] = src.mult[i, j]
-            out[i * d + j, i] -= c[j]
-            out[i * d + j, j] -= cp[i]
-    return out
+    eye = np.eye(d)
+    # row (i, j): mult[i, j] - chi(e_j) e_i - chi'(e_i) e_j
+    out = src.mult - eye[:, None, :] * chi.as_vector()[None, :, None] \
+        - chi_prime.as_vector()[:, None, None] * eye[None, :, :]
+    return out.reshape(d * d, d)
 
 
 def two_character_derivation_space(src, chi_prime, chi, rtol=1e-10):
@@ -133,7 +109,7 @@ def implement_chi_structure(phi, chi, relation_tol=1e-8, tol=1e-9):
     """Recover (pi, xi, lambda) implementing a chi-structure map.
 
     Blocks are read off phi, pi = nu + chi(.) I is validated, xi solves the
-    inner-derivation system delta(a) = nu(a) |xi>, and lambda is checked
+    inner-derivation system delta(a) = pi(a) xi - xi chi(a), and lambda is checked
     against <xi, nu(.) xi> through the reassembled map.  Returns
     (pi, xi, lam, residuals) where residuals includes the full entrywise
     reassembly defect.
@@ -146,10 +122,10 @@ def implement_chi_structure(phi, chi, relation_tol=1e-8, tol=1e-9):
     cv = chi.as_vector()
     lam = OperatorMap(src, phi.values[:, 0, 0])
     delta_vals = phi.values[:, 1:, 0]
-    nu_vals = phi.values[:, 1:, 1:]
-    pi = OperatorMap(src, nu_vals + cv[:, None, None] * np.eye(n)[None, :, :])
+    pi = OperatorMap(src, phi.values[:, 1:, 1:]
+                     + cv[:, None, None] * np.eye(n)[None, :, :])
     rep_defect = representation_defect(pi)
-    amat = nu_vals.reshape(-1, n)
+    amat = commutator_system(pi.values, chi.values)
     bvec = delta_vals.reshape(-1)
     xi = lstsq_minnorm(amat, bvec)
     delta_res = maxabs(amat @ xi - bvec)

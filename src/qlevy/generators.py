@@ -21,8 +21,8 @@ import numpy as np
 from . import algebra
 from .cocycle import Generator, NoiseSpace, as_generator
 from .convolution import OperatorMap, counit_map
-from .linalg import (dagger, lstsq_minnorm, maxabs, min_eig_herm,
-                     numerical_rank, opnorm)
+from .linalg import (commutator_system, dagger, lstsq_minnorm, maxabs,
+                     min_eig_herm, numerical_rank, opnorm)
 
 
 # -- representation utilities -------------------------------------------------
@@ -43,6 +43,16 @@ def is_character(chi, tol=1e-10):
     return chi.is_functional and representation_defect(chi) <= tol
 
 
+def derivation_defect(pi_prime, pi, delta):
+    """Max residual over basis pairs of the Leibniz relation
+    delta(e_i e_j) = delta(e_i) pi(e_j) + pi'(e_i) delta(e_j)."""
+    dv = delta.values
+    lhs = np.einsum("ijk,kab->ijab", pi.source.mult, dv)
+    rhs = np.einsum("iab,jbc->ijac", dv, pi.values) \
+        + np.einsum("iab,jbc->ijac", pi_prime.values, dv)
+    return maxabs(lhs - rhs)
+
+
 # -- Schurmann triples ---------------------------------------------------------
 
 @dataclass
@@ -61,11 +71,8 @@ class SchurmannTriple:
         star = src.star_matrix
         dv = self.delta.values[:, :, 0]
         lv = self.lam.as_vector()
-        out = {"representation": representation_defect(self.pi)}
-        lhs = np.einsum("ijk,ka->ija", src.mult, dv)
-        rhs = np.einsum("ia,j->ija", dv, eps) \
-            + np.einsum("iab,jb->ija", self.pi.values, dv)
-        out["derivation"] = maxabs(lhs - rhs)
+        out = {"representation": representation_defect(self.pi),
+               "derivation": derivation_defect(self.pi, counit_map(src), self.delta)}
         lam_xy = np.einsum("mi,mjk,k->ij", star, src.mult, lv)
         lhs = lam_xy - np.outer(np.conjugate(lv), eps) - np.outer(np.conjugate(eps), lv)
         rhs = np.einsum("ia,ja->ij", np.conjugate(dv), dv)
@@ -171,6 +178,11 @@ class CPQuadruple:
     def d_noise(self):
         return self.big_d.shape[1]
 
+    @property
+    def w(self):
+        """W = [xi | D], K x (1 + d_noise)."""
+        return np.concatenate([self.xi[:, None], self.big_d], axis=1)
+
     def residuals(self):
         dd = dagger(self.big_d) @ self.big_d - np.eye(self.d_noise)
         return {
@@ -219,7 +231,7 @@ def make_cp_generator(q):
     """phi(x) = [<xi|; D^dag] (rho(x) - eps(x) I) [|xi>, D] + eps(x) phi(1)."""
     q.validate()
     src = q.rho.source
-    w = np.concatenate([q.xi[:, None], q.big_d], axis=1)  # K x (1 + k)
+    w = q.w
     b = q.rho.values - src.counit[:, None, None] * np.eye(q.space_dim)[None, :, :]
     vals = dagger(w)[None, :, :] @ b @ w[None, :, :] \
         + src.counit[:, None, None] * q.phi1[None, :, :]
@@ -233,8 +245,7 @@ def check_cp_form(phi, q):
     src = phi.source
     rebuilt = make_cp_generator(q)
     decomposition = maxabs(phi.values - rebuilt.values)
-    w = np.concatenate([q.xi[:, None], q.big_d], axis=1)
-    psi = dagger(w)[None, :, :] @ q.rho.values @ w[None, :, :]
+    psi = dagger(q.w)[None, :, :] @ q.rho.values @ q.w[None, :, :]
     phi1 = np.einsum("k,kab->ab", src.unit, phi.values)
     chi = np.concatenate([[0.5 * (np.vdot(q.xi, q.xi) - phi1[0, 0])],
                           dagger(q.big_d) @ q.xi - phi1[1:, 0]])
@@ -264,24 +275,21 @@ class NotConditionallyPositive(ValueError):
     pass
 
 
+def _counit_projection(src):
+    """The coordinate matrix of x -> x - eps(x) 1, onto Ker eps."""
+    return np.eye(src.dim, dtype=complex) - np.outer(src.unit, src.counit)
+
+
 def _counit_kernel_basis(src):
     """Columns spanning Ker eps: projections e_i - eps(e_i) 1, one index dropped."""
-    d = src.dim
     k0 = int(np.argmax(np.abs(src.counit * src.unit)))
-    cols = []
-    for i in range(d):
-        if i == k0:
-            continue
-        v = np.zeros(d, dtype=complex)
-        v[i] = 1.0
-        cols.append(v - src.counit[i] * src.unit)
-    return np.stack(cols, axis=1), k0  # d x (d-1)
+    return np.delete(_counit_projection(src), k0, axis=1)  # d x (d-1)
 
 
 def kernel_gram(gamma):
     """Gram matrix gamma(b_i^* b_j) over the counit-kernel basis."""
     src = gamma.source
-    kb, _ = _counit_kernel_basis(src)
+    kb = _counit_kernel_basis(src)
     gv = gamma.as_vector()
     star_cols = src.star_matrix @ np.conjugate(kb)       # coords of b_i^*
     gram = np.einsum("mi,nj,mnk,k->ij", star_cols, kb, src.mult, gv)
@@ -336,19 +344,15 @@ def gns_construct(gamma, tol=None, check_tol=1e-9):
     chart_inv = vecs / roots[None, :]              # (d-1) x rank
     kb_pinv = np.linalg.pinv(kb, rcond=1e-12)
 
-    d = src.dim
-    pi_vals = np.zeros((d, rank, rank), dtype=complex)
-    for a in range(d):
-        prod = np.einsum("jk,jc->kc", src.mult[a], kb)   # columns e_a . b_c
-        pi_vals[a] = chart @ (kb_pinv @ prod) @ chart_inv
+    prod = np.einsum("ajk,jc->akc", src.mult, kb)  # columns e_a . b_c
+    pi_vals = chart @ (kb_pinv @ prod) @ chart_inv
     pi = OperatorMap(src, pi_vals)
 
-    proj = np.eye(d, dtype=complex) - np.outer(src.unit, src.counit)
-    dmat = chart @ kb_pinv @ proj                  # rank x d
+    dmat = chart @ kb_pinv @ _counit_projection(src)   # rank x d
     delta = OperatorMap(src, dmat.T[:, :, None])
     triple = SchurmannTriple(pi=pi, delta=delta, lam=gamma, n=rank)
 
-    vals_phi = np.zeros((d, 1 + rank, 1 + rank), dtype=complex)
+    vals_phi = np.zeros((src.dim, 1 + rank, 1 + rank), dtype=complex)
     vals_phi[:, 0, 0] = gv
     vals_phi[:, 1:, 0] = delta.values[:, :, 0]
     vals_phi[:, 0, 1:] = delta.conjugate_map().values[:, 0, :]
@@ -366,9 +370,7 @@ def gns_construct(gamma, tol=None, check_tol=1e-9):
 
 def check_minimality(q, rtol=1e-10):
     """Whether rho(B)(C xi + Ran D) spans the whole representation space."""
-    seed = np.concatenate([q.xi[:, None], q.big_d], axis=1)
-    spans = np.concatenate([q.rho.values[a] @ seed
-                            for a in range(q.rho.source.dim)], axis=1)
+    spans = np.concatenate(q.rho.values @ q.w, axis=1)
     return numerical_rank(spans, rtol=rtol) == q.space_dim
 
 
@@ -388,15 +390,11 @@ def intertwine_minimal(q1, q2, tol=1e-9):
     if not check_minimality(q1):
         raise ValueError("first quadruple must be minimal")
     k1, k2 = q1.space_dim, q2.space_dim
-    rows = [np.kron(q1.big_d.T, np.eye(k2)),
-            np.kron(q1.xi[None, :], np.eye(k2))]
-    rhs = [q2.big_d.reshape(-1, order="F"), q2.xi]
-    for a in range(q1.rho.source.dim):
-        rows.append(np.kron(q1.rho.values[a].T, np.eye(k2))
-                    - np.kron(np.eye(k1), q2.rho.values[a]))
-        rhs.append(np.zeros(k2 * k1, dtype=complex))
-    amat = np.concatenate(rows, axis=0)
-    bvec = np.concatenate(rhs)
+    # V W1 = W2 with W = [xi | D], and rho2(a) V - V rho1(a) = 0
+    amat = np.concatenate([np.kron(q1.w.T, np.eye(k2)),
+                           commutator_system(q2.rho.values, q1.rho.values)])
+    bvec = np.concatenate([q2.w.reshape(-1, order="F"),
+                           np.zeros(q1.rho.source.dim * k2 * k1, dtype=complex)])
     v = lstsq_minnorm(amat, bvec).reshape(k2, k1, order="F")
     residual = maxabs(amat @ v.reshape(-1, order="F") - bvec)
     if residual > tol:

@@ -27,7 +27,7 @@ from .cocycle import Generator, NoiseSpace, StepFunction, check_cocycle_identity
 from .convolution import ConvolutionSemigroup, OperatorMap, functional
 from .derivations import DerivationProblem, inner_derivation, solve_inner
 from .generators import check_structure_map, gns_construct, make_structure_map
-from .linalg import dagger, maxabs
+from .linalg import commutator_system, dagger, lstsq_minnorm, maxabs
 
 
 # -- group cocycle data ----------------------------------------------------------
@@ -131,16 +131,11 @@ def solve_coboundary(data, tol=1e-8):
     Returns (eta, residuals); eta is None when no vector satisfies both
     conditions within ``tol`` (the residuals still report the best fit).
     """
-    n = data.order
-    k = data.d_noise
-    rows = np.concatenate([data.unitaries[g] - np.eye(k) for g in range(n)], axis=0)
-    rhs = data.xi.reshape(-1)
-    eta, *_ = np.linalg.lstsq(rows, rhs, rcond=1e-12)
-    xi_res = maxabs(rows @ eta - rhs)
-    lam_res = max(abs(data.lam[g] - np.vdot(eta, data.unitaries[g] @ eta).imag)
-                  for g in range(n))
-    residuals = {"xi": xi_res, "lambda": lam_res}
-    if max(xi_res, lam_res) > tol:
+    rows = commutator_system(data.unitaries, np.ones((data.order, 1, 1)))
+    eta = lstsq_minnorm(rows, data.xi.reshape(-1))
+    fit = coboundary_data(data.table, data.unitaries, eta)
+    residuals = {"xi": maxabs(fit.xi - data.xi), "lambda": maxabs(fit.lam - data.lam)}
+    if max(residuals.values()) > tol:
         return None, residuals
     return eta, residuals
 

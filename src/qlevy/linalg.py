@@ -52,6 +52,18 @@ def split_blocks(m, sizes):
     return out
 
 
+def commutator_system(left, right):
+    """The stacked matrix of T -> left[k] T - T right[k] on the column-stacked
+    vec(T), for stacks left (m, p, p) and right (m, q, q): block k is
+    I_q (x) left[k] - right[k]^T (x) I_p, of shape (p q, p q)."""
+    m, p, _ = left.shape
+    q = right.shape[-1]
+    # entry [k, (a, i), (b, j)] = [a = b] left[k, i, j] - right[k, b, a] [i = j]
+    out = np.eye(q)[None, :, None, :, None] * left[:, None, :, None, :] \
+        - np.swapaxes(right, 1, 2)[:, :, None, :, None] * np.eye(p)[None, None, :, None, :]
+    return out.reshape(m * q * p, q * p)
+
+
 def lstsq_minnorm(a, b, rcond=1e-12):
     """Minimal-norm least-squares solution with relative singular-value cutoff."""
     x, _, _, _ = np.linalg.lstsq(a, b, rcond=rcond)

@@ -4,11 +4,13 @@ import json
 import numpy as np
 import pytest
 
+from qlevy.algebra import validate_bialgebra
 from qlevy.cli import main, parse_steps
 from qlevy.cocycle import Generator
 from qlevy.convolution import OperatorMap, functional
 from qlevy.derivations import inner_derivation
 from qlevy.fixtures import bundled_fixtures, s3_table
+from qlevy.generators import make_structure_map
 from qlevy.harness import coboundary_data
 from qlevy.linalg import maxabs
 
@@ -377,3 +379,55 @@ def test_largest_seed_accepted(capsys):
     assert main(["montecarlo", "--mu", "[0.5,0.5]", "--samples", "50", "--t", "0",
                  "--seed", str(seed)]) == 0
     assert json.loads(capsys.readouterr().out)["seed"] == seed
+
+
+def test_validate_fixture_matches_file(z3_file, capsys):
+    assert main(["validate", z3_file]) == 0
+    from_file = capsys.readouterr().out
+    assert main(["validate", "fixture:C(Z3)"]) == 0
+    out = capsys.readouterr().out
+    assert out == from_file
+    assert len(out.splitlines()) == len(validate_bialgebra(bundled_fixtures()["C(Z3)"]))
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "{fx}"], ["semigroup", "{fx}", "g.json"],
+    ["cocycle-eval", "{fx}", "g.json", "--x", "e", "--t", "1"], ["gns", "{fx}", "g.json"],
+    ["classify", "{fx}", "g.json"], ["derivation", "solve", "{fx}", "p.json"],
+    ["chi-structure", "implement", "{fx}", "phi.json", "counit"],
+])
+def test_unknown_fixture_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main([a.format(fx="fixture:Nope") for a in argv])
+    assert err.value.code == 2
+    msg = capsys.readouterr().err
+    assert "'fixture:Nope'" in msg
+    assert all(name in msg for name in bundled_fixtures())
+
+
+@pytest.fixture
+def s3_gamma(tmp_path):
+    """A generator functional on Alg(S3) whose GNS triple has rank 3 and
+    rounding-level, nonzero residuals."""
+    b = bundled_fixtures()["Alg(S3)"]
+    c = np.random.default_rng(0).standard_normal(b.rep_dim)
+    path = tmp_path / "gamma.json"
+    make_structure_map(OperatorMap(b, b.rep_images), c).lam_block().save(path)
+    return str(path)
+
+
+def test_gns_tol_is_the_check_tolerance(s3_gamma, capsys):
+    # --tol bounds the triple residuals; the Gram rank cut keeps its
+    # data-relative default, so a loose --tol keeps the full rank
+    assert main(["gns", "fixture:Alg(S3)", s3_gamma]) == 0
+    default = json.loads(capsys.readouterr().out)
+    assert main(["gns", "fixture:Alg(S3)", s3_gamma, "--tol", "100"]) == 0
+    loose = json.loads(capsys.readouterr().out)
+    assert default["rank"] == loose["rank"] == 3
+    assert loose["residuals"] == default["residuals"]
+
+
+def test_gns_failed_recheck_is_one_error_line(s3_gamma, capsys):
+    assert main(["gns", "fixture:Alg(S3)", s3_gamma, "--tol", "0"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: reconstructed triple")

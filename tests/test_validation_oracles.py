@@ -29,6 +29,8 @@ from qlevy.algebra import (_check_table, _coproduct_choi_min_eig, assert_valid,
                            class_hypergroup_algebra, representation_defect,
                            validate_bialgebra)
 from qlevy.convolution import OperatorMap, counit_map, functional
+from qlevy.derivations import (DerivationProblem, check_derivation,
+                               derivation_constraint_matrix)
 from qlevy.fixtures import (bundled_fixtures, cyclic_table, d4_table, s3_table,
                             two_point_hypergroup)
 from qlevy.generators import (CPQuadruple, canonical_phi1, check_chi_structure,
@@ -37,7 +39,7 @@ from qlevy.generators import (CPQuadruple, canonical_phi1, check_chi_structure,
 from qlevy.generators import representation_defect as single_block_defect
 from qlevy.harness import (GroupCocycleData, coboundary_data,
                            group_relation_residuals, psi_blocks)
-from qlevy.linalg import dagger, maxabs, min_eig_herm
+from qlevy.linalg import commutator_system, dagger, maxabs, min_eig_herm
 
 from conftest import random_generator
 
@@ -630,3 +632,83 @@ def test_group_residuals_match_pair_loops(name, seed, eps):
     for key, value in slow.items():
         assert abs(fast[key] - value) <= tol, (key, fast[key], value)
     assert slow["multiplicative"] > 1e-3 * eps
+
+
+# -- innerness systems and the Leibniz residual against per-basis loops -------
+# Every innerness solve stacks the commutator system of one helper, built by
+# broadcasting; the oracle is the per-basis Kronecker loop it replaced.
+
+def kron_commutator_system(left, right):
+    p, q = left.shape[-1], right.shape[-1]
+    return np.concatenate([np.kron(np.eye(q), lk) - np.kron(rk.T, np.eye(p))
+                           for lk, rk in zip(left, right)], axis=0)
+
+
+def loop_constraint_matrix(src, chi_prime, chi):
+    d = src.dim
+    cp, c = chi_prime.as_vector(), chi.as_vector()
+    out = np.zeros((d * d, d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            out[i * d + j] = src.mult[i, j]
+            out[i * d + j, i] -= c[j]
+            out[i * d + j, j] -= cp[i]
+    return out
+
+
+def loop_leibniz(pi, delta):
+    """max |delta(e_i e_j) - delta(e_i) eps(e_j) - pi(e_i) delta(e_j)| for a
+    (pi, eps)-derivation into columns, one basis pair at a time."""
+    src = pi.source
+    dv = delta.values[:, :, 0]
+    return max(maxabs(src.mult[i, j] @ dv - dv[i] * src.counit[j] - pi.values[i] @ dv[j])
+               for i, j in itertools.product(range(src.dim), repeat=2))
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_commutator_system_matches_kron_loop(name):
+    b = FIXTURES[name]
+    pi, eps = b.rep_images, counit_map(b).values
+    for left, right in ((pi, pi), (pi, eps), (eps, pi)):
+        assert np.array_equal(commutator_system(left, right),
+                              kron_commutator_system(left, right))
+    chars = [eps[:, 0, 0]] + ([OTHER_CHARACTERS[name]] if name in OTHER_CHARACTERS else [])
+    for cp, c in itertools.product(chars, repeat=2):
+        cp, c = functional(b, cp), functional(b, c)
+        assert np.array_equal(derivation_constraint_matrix(b, cp, c),
+                              loop_constraint_matrix(b, cp, c))
+
+
+def test_commutator_system_random_stacks():
+    rng = np.random.default_rng(0)
+    for m in (1, 4, 7):
+        left = rng.standard_normal((m, 3, 3)) + 1j * rng.standard_normal((m, 3, 3))
+        right = rng.standard_normal((m, 2, 2)) + 1j * rng.standard_normal((m, 2, 2))
+        for a, b in ((left, right), (right, left)):
+            assert np.array_equal(commutator_system(a, b), kron_commutator_system(a, b))
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "Z6"])
+def test_coboundary_system_matches_kron_loop(name):
+    u = build_group_algebra(GROUP_TABLES[name]).rep_images
+    ones = np.ones((len(u), 1, 1))
+    assert np.array_equal(commutator_system(u, ones), kron_commutator_system(u, ones))
+
+
+@pytest.mark.parametrize("name", ["Alg(S3)", "C(S3)"])
+def test_leibniz_residual_negative_control(name):
+    b = FIXTURES[name]
+    rng = np.random.default_rng(1)
+    pi = OperatorMap(b, b.rep_images)
+    triple, _ = gns_construct(make_structure_map(pi, rng.standard_normal(pi.p)).lam_block())
+    dv = triple.delta.values.copy()
+    dv[1, :, 0] += 0.1 * (rng.standard_normal(triple.n) + 1j * rng.standard_normal(triple.n))
+    bad = dataclasses.replace(triple, delta=OperatorMap(b, dv))
+    for t in (triple, bad):
+        res = t.residuals()["derivation"]
+        assert res == check_derivation(DerivationProblem(t.pi, counit_map(b), t.delta))
+        want = loop_leibniz(t.pi, t.delta)
+        assert abs(res - want) <= 1e-12 * max(1.0, maxabs(dv), maxabs(t.pi.values)) ** 2
+    want = loop_leibniz(bad.pi, bad.delta)
+    assert want > 1e-3
+    assert abs(bad.residuals()["derivation"] - want) <= 1e-12 * want
