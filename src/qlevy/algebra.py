@@ -23,11 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (block_diag, dagger, maxabs, min_eig_herm,
-                     numerical_rank, split_blocks)
-
-STRUCT_TOL = 1e-12
-PSD_TOL = 1e-10
+from .linalg import (RCOND, SPECTRAL_TOL, STRUCT_TOL, block_diag, dagger,
+                     maxabs, min_eig_herm, numerical_rank, split_blocks)
 
 
 class ParseError(ValueError):
@@ -191,12 +188,12 @@ def represent(x):
     return x.algebra.represent_coords(x.coords)
 
 
-def is_positive(x, tol=PSD_TOL):
-    """x >= 0 iff rho0(x) is self-adjoint with spectrum above -tol."""
+def is_positive(x):
+    """x >= 0 iff rho0(x) is self-adjoint with spectrum above -SPECTRAL_TOL."""
     m = represent(x)
     if maxabs(m - dagger(m)) > 1e-9 * max(1.0, maxabs(m)):
         return False
-    return min_eig_herm(m) >= -tol
+    return min_eig_herm(m) >= -SPECTRAL_TOL
 
 
 # -- axiom validation -------------------------------------------------------
@@ -220,12 +217,12 @@ def _worst(t):
     return float(a.flat[flat]), tuple(int(i) for i in np.unravel_index(flat, a.shape))
 
 
-def validate_bialgebra(b, struct_tol=STRUCT_TOL, psd_tol=PSD_TOL):
+def validate_bialgebra(b, struct_tol=STRUCT_TOL):
     """Run every bialgebra axiom; returns a list of :class:`AxiomResult`.
 
     Structural identities use ``struct_tol``; spectral positivity (the Choi
     matrix of the represented coproduct, hyperbialgebra case) uses
-    ``psd_tol``.  The structural checks are reshaped matrix products of
+    ``SPECTRAL_TOL``.  The structural checks are reshaped matrix products of
     cost O(d^5) at most, coproduct-multiplicativity costs O(d^6), and the
     representation and complete-positivity checks go block by block (see
     :func:`representation_defect` and :func:`_coproduct_choi_min_eig`).
@@ -288,13 +285,13 @@ def validate_bialgebra(b, struct_tol=STRUCT_TOL, psd_tol=PSD_TOL):
         res.append(AxiomResult("coproduct-star-preserving", maxabs(lhs - rhs), struct_tol))
     elif b.kind == "hyperbialgebra":
         defect = max(0.0, -_coproduct_choi_min_eig(b))
-        res.append(AxiomResult("coproduct-completely-positive", defect, psd_tol))
+        res.append(AxiomResult("coproduct-completely-positive", defect, SPECTRAL_TOL))
     else:
         res.append(AxiomResult("kind", 1.0, 0.0))
 
     res.append(AxiomResult("representation",
                            representation_defect(b, b.rep_images, b.rep_blocks), struct_tol))
-    rank = numerical_rank(b.rep_images.reshape(d, -1), rtol=1e-10)
+    rank = numerical_rank(b.rep_images.reshape(d, -1))
     res.append(AxiomResult("representation-faithful", float(b.dim - rank), 0.5))
     return res
 
@@ -315,9 +312,9 @@ def _coproduct_of_products(b):
     return (x @ y).reshape(d, d, d, d).transpose(0, 2, 1, 3)
 
 
-def assert_valid(b, struct_tol=STRUCT_TOL, psd_tol=PSD_TOL):
+def assert_valid(b, struct_tol=STRUCT_TOL):
     """Raise :class:`AxiomViolation` naming the first failing axiom."""
-    for r in validate_bialgebra(b, struct_tol, psd_tol):
+    for r in validate_bialgebra(b, struct_tol):
         if not r.passed:
             raise AxiomViolation(r.name, r.residual, r.where)
     return b
@@ -373,7 +370,7 @@ def _coproduct_choi_min_eig(b):
     if not blocks:
         return 0.0
     flat = np.concatenate([r.reshape(d, -1) for r in blocks], axis=1)
-    pinv = np.linalg.pinv(flat, rcond=1e-12)      # block entries -> coords
+    pinv = np.linalg.pinv(flat, rcond=RCOND)      # block entries -> coords
     units, images, ofs = {}, {}, 0                # stacked per block size
     for r in blocks:
         n = r.shape[1]
@@ -476,7 +473,7 @@ def build_group_algebra(cayley_table, labels=None):
     return assert_valid(b)
 
 
-def _group_irreps(table, seeds=(12345, 54321, 777)):
+def _group_irreps(table):
     """One unitary irrep per equivalence class, from the regular representation.
 
     A random Hermitian element of the commutant of the left regular
@@ -487,7 +484,7 @@ def _group_irreps(table, seeds=(12345, 54321, 777)):
     # R_g a R_g^dagger and v^dagger R_g as gathers, for R_g e_h = e_gh
     inv = np.argsort(table, axis=1)
     last_err = None
-    for seed in seeds:
+    for seed in (12345, 54321, 777):
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         a = a + a.conj().T
@@ -512,7 +509,7 @@ def _group_irreps(table, seeds=(12345, 54321, 777)):
             continue
         images = block_diag([pi for _, pi in chosen])
         resid = maxabs(images[table] - images[:, None] @ images[None])
-        if resid < 1e-10:
+        if resid < SPECTRAL_TOL:
             return blocks, images
         last_err = f"representation residual {resid:.2e}"
     raise RuntimeError(f"irrep decomposition failed: {last_err}")
@@ -619,7 +616,7 @@ def _read_json(path):
             raise ParseError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def load_bialgebra(path, struct_tol=STRUCT_TOL, psd_tol=PSD_TOL):
+def load_bialgebra(path):
     """Parse and fully validate a bialgebra file.
 
     Raises :class:`ParseError` on malformed input and :class:`AxiomViolation`
@@ -630,10 +627,10 @@ def load_bialgebra(path, struct_tol=STRUCT_TOL, psd_tol=PSD_TOL):
     """
     data = _read_json(path)
     b = bialgebra_from_dict(data)
-    assert_valid(b, struct_tol, psd_tol)
+    assert_valid(b)
     if "rep2" in data:
         alt = dict(data)
         alt["rep"] = data["rep2"]
         del alt["rep2"]
-        assert_valid(bialgebra_from_dict(alt), struct_tol, psd_tol)
+        assert_valid(bialgebra_from_dict(alt))
     return b

@@ -13,9 +13,9 @@ import numpy as np
 
 from . import fixtures
 from .algebra import (AxiomViolation, ParseError, _c2j, _j2c, _j2mat, _mat2j,
-                      _read_json, bialgebra_from_dict, load_bialgebra,
-                      validate_bialgebra)
-from .cocycle import (Generator, StepFunction, matrix_element,
+                      _read_json, bialgebra_from_dict, build_function_algebra,
+                      load_bialgebra, validate_bialgebra)
+from .cocycle import (HORIZON_SLACK, Generator, StepFunction, matrix_element,
                       check_cocycle_identity, simplex_series_oracle)
 from .convolution import (ConvolutionSemigroup, OperatorMap, functional,
                           load_operator_map)
@@ -25,6 +25,7 @@ from .generators import (check_phi1, check_structure_map, gns_construct,
 from .harness import (GroupCocycleData, RunConfig, build_group_generator,
                       compound_poisson_law, group_relation_residuals,
                       run_report, simulate_compound_poisson, solve_coboundary)
+from .linalg import INPUT_TOL, SOLVE_TOL, SPECTRAL_TOL, STRUCT_TOL
 
 
 class UsageError(Exception):
@@ -207,7 +208,7 @@ def cmd_validate(args):
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    results = validate_bialgebra(b, struct_tol=_tol(args, 1e-12))
+    results = validate_bialgebra(b, struct_tol=_tol(args, STRUCT_TOL))
     ok = True
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -247,8 +248,7 @@ def cmd_cocycle_eval(args):
         if g is not None and g.d_noise != dn:
             raise UsageError(f"argument {flag}: step values have dimension "
                              f"{g.d_noise}, the generator's noise dimension is {dn}")
-        # the same slack as the cocycle engine's horizon check
-        if g is not None and g.horizon < args.t - 1e-9:
+        if g is not None and g.horizon < args.t - HORIZON_SLACK:
             raise UsageError(f"argument {flag}: step function ends at "
                              f"{g.horizon}, before --t {args.t}")
     f = args.f or StepFunction.zero(dn, args.t)
@@ -262,7 +262,7 @@ def cmd_cocycle_eval(args):
     checks["oracle_tail_bound"] = tail
     _emit(args, {"value": _c2j(value), "method": "semigroup-factorization",
                  "residual_checks": checks})
-    return 0 if checks["cocycle_identity"] <= _tol(args, 1e-9) else 1
+    return 0 if checks["cocycle_identity"] <= _tol(args, SOLVE_TOL) else 1
 
 
 def cmd_gns(args):
@@ -272,7 +272,7 @@ def cmd_gns(args):
     if not ok:
         _emit(args, {"error": "not conditionally positive", "margin": margin})
         return 1
-    tol = _tol(args, 1e-9)
+    tol = _tol(args, SOLVE_TOL)
     triple, phi = gns_construct(gamma, check_tol=tol)
     payload = {
         "rank": triple.n,
@@ -289,21 +289,22 @@ def cmd_gns(args):
 def cmd_classify(args):
     b = _load_algebra(args.bialgebra)
     phi = Generator(b, load_operator_map(args.generator, b).values)
+    tol = _tol(args, SPECTRAL_TOL)
     struct = check_structure_map(phi)
     phi1 = check_phi1(phi)
     gamma = phi.lam_block()
-    cp_ok, margin = check_conditionally_positive(gamma)
+    _, margin = check_conditionally_positive(gamma)
     corner_at_one = abs(complex(gamma.as_vector() @ b.unit))
     report = {
         "epsilon_structure": {"residuals": struct,
-                              "holds": bool(max(struct.values()) <= 1e-10)},
+                              "holds": bool(max(struct.values()) <= tol)},
         "cp_form_phi1": {"residuals": {k: v for k, v in phi1.items() if k != "ok"},
-                         "holds": bool(phi1["ok"])},
+                         "holds": bool(phi1["nonpositive"] <= tol)},
         "real": {"residual": phi.reality_defect(),
-                 "holds": bool(phi.is_real())},
+                 "holds": bool(phi.reality_defect() <= tol)},
         "unital_corner": {"residual": corner_at_one,
                           "conditionally_positive_margin": margin,
-                          "holds": bool(corner_at_one <= 1e-10 and cp_ok)},
+                          "holds": bool(corner_at_one <= tol and margin >= -tol)},
     }
     for key, entry in report.items():
         print(f"{'PASS' if entry['holds'] else 'FAIL'}  {key}: "
@@ -322,7 +323,7 @@ def cmd_derivation_solve(args):
     t, residual = solve_inner(DerivationProblem(*maps))
     _emit(args, {"T": _mat2j(t),
                  "residual": residual})
-    return 0 if residual <= _tol(args, 1e-9) else 1
+    return 0 if residual <= _tol(args, SOLVE_TOL) else 1
 
 
 def cmd_chi_structure(args):
@@ -334,7 +335,7 @@ def cmd_chi_structure(args):
                  "xi": [_c2j(z) for z in xi],
                  "lambda": [_c2j(z) for z in lam.as_vector()],
                  "residuals": residuals})
-    return 0 if max(residuals.values()) <= 1e-8 else 1
+    return 0 if max(residuals.values()) <= _tol(args, INPUT_TOL) else 1
 
 
 def cmd_group_gen(args):
@@ -342,12 +343,12 @@ def cmd_group_gen(args):
     gen = build_group_generator(data)
     res = group_relation_residuals(gen.values, data.table)
     _emit(args, {"generator": gen.to_dict(), "residuals": res})
-    return 0 if max(res.values()) <= 1e-10 else 1
+    return 0 if max(res.values()) <= _tol(args, SPECTRAL_TOL) else 1
 
 
 def cmd_coboundary(args):
     data = _load_group_data(args.data).validate()
-    eta, residuals = solve_coboundary(data)
+    eta, residuals = solve_coboundary(data, _tol(args, INPUT_TOL))
     if eta is None:
         _emit(args, {"eta": None, "residuals": residuals})
         return 1
@@ -358,10 +359,7 @@ def cmd_coboundary(args):
 def cmd_montecarlo(args):
     n = args.order
     table = fixtures.cyclic_table(n)
-    b = fixtures.fixture(f"C(Z{n})") if n in (2, 3, 4, 6) else None
-    from .algebra import build_function_algebra
-    if b is None:
-        b = build_function_algebra(table)
+    b = build_function_algebra(table)
     mu = args.mu
     mc = simulate_compound_poisson(table, args.rate, mu, args.t,
                                    args.samples, args.seed)
@@ -375,7 +373,7 @@ def cmd_montecarlo(args):
 
 
 def cmd_report(args):
-    config = RunConfig(seed=args.seed, tol=_tol(args, 1e-9),
+    config = RunConfig(seed=args.seed, tol=_tol(args, SOLVE_TOL),
                        n_samples=args.samples, out=args.out)
     report = run_report(config, suite=args.battery)
     print(f"battery {args.battery}: {report['n_cases']} cases, "

@@ -22,7 +22,9 @@ from scipy.linalg import expm
 from .convolution import (ConvolutionSemigroup, OperatorMap, _exp_tail,
                           conv_exp, convolve, functional, lifted_matrix,
                           semigroup_generator)
-from .linalg import maxabs, opnorm
+from .linalg import SPECTRAL_TOL, maxabs, opnorm
+
+HORIZON_SLACK = 1e-9   # a step function ending this close before a time covers it
 
 
 class HorizonMismatch(ValueError):
@@ -110,7 +112,7 @@ class StepFunction:
 
     def shifted_restriction(self, a, b):
         """The step function u -> f(a + u) on [0, b - a)."""
-        if a < -1e-12 or b > self.horizon + 1e-9 or b <= a:
+        if a < -1e-12 or b > self.horizon + HORIZON_SLACK or b <= a:
             raise HorizonMismatch(f"[{a}, {b}) not inside [0, {self.horizon})")
         bp = self.breakpoints
         pts = np.concatenate(([a], bp[(bp > a) & (bp < b - 1e-15)], [b]))
@@ -126,7 +128,7 @@ def _refine(f, f_prime, t):
     """
     if f.d_noise != f_prime.d_noise:
         raise ValueError("step functions live in different noise spaces")
-    if f.horizon < t - 1e-9 or f_prime.horizon < t - 1e-9:
+    if f.horizon < t - HORIZON_SLACK or f_prime.horizon < t - HORIZON_SLACK:
         raise HorizonMismatch(f"step functions must cover [0, {t}]")
     pts = np.concatenate([[0.0, t], f.breakpoints, f_prime.breakpoints])
     pts = np.unique(pts[(pts > -1e-15) & (pts < t + 1e-15)])
@@ -190,12 +192,8 @@ class Generator(OperatorMap):
         """Corner functional x -> phi(x)_{00}."""
         return functional(self.source, self.values[:, 0, 0])
 
-    def reality_defect(self):
-        """Max deviation of phi(x*) from phi(x)^dagger over the basis."""
-        return maxabs(self.conjugate_map().values - self.values)
-
-    def is_real(self, tol=1e-10):
-        return self.reality_defect() <= tol
+    def is_real(self):
+        return self.reality_defect() <= SPECTRAL_TOL
 
 
 def as_generator(phi):

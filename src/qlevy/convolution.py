@@ -66,6 +66,10 @@ class OperatorMap:
         vals = np.einsum("mk,mab->kba", np.conjugate(s), np.conjugate(self.values))
         return OperatorMap(self.source, vals)
 
+    def reality_defect(self):
+        """Max deviation of phi(x*) from phi(x)^dagger over the basis."""
+        return maxabs(self.conjugate_map().values - self.values)
+
     def to_dict(self):
         return {"source_hash": self.source.structural_hash(),
                 "p": self.p, "q": self.q,

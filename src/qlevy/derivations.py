@@ -16,7 +16,8 @@ import numpy as np
 from .convolution import OperatorMap
 from .generators import (check_chi_structure, derivation_defect,
                          implemented_chi_structure, representation_defect)
-from .linalg import commutator_system, lstsq_minnorm, maxabs, numerical_rank
+from .linalg import (INPUT_TOL, SOLVE_TOL, SPECTRAL_TOL, commutator_system,
+                     lstsq_minnorm, maxabs, numerical_rank)
 
 
 @dataclass
@@ -47,15 +48,15 @@ def check_derivation(problem):
     return derivation_defect(problem.pi_prime, problem.pi, problem.delta)
 
 
-def solve_inner(problem, check_tol=1e-8):
+def solve_inner(problem):
     """Minimal-norm T with pi'(e_i) T - T pi(e_i) = delta(e_i) for every i.
 
     In finite dimensions the Leibniz relation guarantees solvability; the
-    input is rejected when its derivation residual exceeds ``check_tol``.
+    input is rejected when its derivation residual exceeds ``INPUT_TOL``.
     Returns (T, residual).
     """
     res = check_derivation(problem)
-    if res > check_tol:
+    if res > INPUT_TOL:
         raise ValueError(f"input is not a derivation (Leibniz residual {res:.2e})")
     amat = commutator_system(problem.pi_prime.values, problem.pi.values)
     bvec = problem.delta.values.transpose(0, 2, 1).reshape(-1)
@@ -76,7 +77,7 @@ def derivation_constraint_matrix(src, chi_prime, chi):
     return out.reshape(d * d, d)
 
 
-def two_character_derivation_space(src, chi_prime, chi, rtol=1e-10):
+def two_character_derivation_space(src, chi_prime, chi):
     """Dimensions (total, non_inner) of the scalar (chi', chi)-derivation space.
 
     Every solution of the Leibniz system is inner, i.e. a multiple of
@@ -88,7 +89,7 @@ def two_character_derivation_space(src, chi_prime, chi, rtol=1e-10):
     amat = derivation_constraint_matrix(src, chi_prime, chi)
     _, s, vh = np.linalg.svd(amat)
     scale = s[0] if s.size and s[0] > 0 else 1.0
-    null = np.conjugate(vh[s <= rtol * scale])
+    null = np.conjugate(vh[s <= SPECTRAL_TOL * scale])
     total = null.shape[0]
     inner = (chi_prime.as_vector() - chi.as_vector()).reshape(1, -1)
     if numerical_rank(inner) == 0:
@@ -105,7 +106,7 @@ class NotImplementable(RuntimeError):
     map this contradicts the innerness theorem, so it flags numerics."""
 
 
-def implement_chi_structure(phi, chi, relation_tol=1e-8, tol=1e-9):
+def implement_chi_structure(phi, chi):
     """Recover (pi, xi, lambda) implementing a chi-structure map.
 
     Blocks are read off phi, pi = nu + chi(.) I is validated, xi solves the
@@ -115,7 +116,7 @@ def implement_chi_structure(phi, chi, relation_tol=1e-8, tol=1e-9):
     reassembly defect.
     """
     rel = check_chi_structure(phi, chi)
-    if rel > relation_tol:
+    if rel > INPUT_TOL:
         raise ValueError(f"not a chi-structure map (relation residual {rel:.2e})")
     src = phi.source
     n = phi.p - 1
@@ -137,6 +138,6 @@ def implement_chi_structure(phi, chi, relation_tol=1e-8, tol=1e-9):
     residuals = {"relation": rel, "representation": rep_defect,
                  "xi_fit": delta_res, "reassembly": reassembly,
                  "lambda_at_one": lam_at_one}
-    if delta_res > tol or reassembly > max(tol, 1e-10):
+    if delta_res > SOLVE_TOL or reassembly > SOLVE_TOL:
         raise NotImplementable(f"implementation residuals {residuals}")
     return pi, xi, lam, residuals

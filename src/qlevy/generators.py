@@ -10,8 +10,8 @@ Three routes are implemented:
 * GNS reconstruction of a generator from a real, conditionally positive
   functional vanishing at 1 (the generator datum of a quantum Levy process).
 
-Everything returns residual reports rather than proofs; tolerances follow
-the package-wide policy (structural ~1e-12, spectral -1e-10).
+Everything returns residual reports rather than proofs; each pass/fail
+threshold is one of the named tolerances of :mod:`qlevy.linalg`.
 """
 
 from dataclasses import dataclass
@@ -21,7 +21,8 @@ import numpy as np
 from . import algebra
 from .cocycle import Generator, NoiseSpace, as_generator
 from .convolution import OperatorMap, counit_map
-from .linalg import (commutator_system, dagger, lstsq_minnorm, maxabs,
+from .linalg import (RCOND, SOLVE_TOL, SPECTRAL_TOL, STRUCT_TOL,
+                     commutator_system, dagger, lstsq_minnorm, maxabs,
                      min_eig_herm, numerical_rank, opnorm)
 
 
@@ -32,15 +33,15 @@ def representation_defect(pi):
     return algebra.representation_defect(pi.source, pi.values, (pi.p,))
 
 
-def validate_representation(pi, tol=1e-10):
+def validate_representation(pi):
     defect = representation_defect(pi)
-    if defect > tol:
+    if defect > SPECTRAL_TOL:
         raise ValueError(f"not a unital *-representation (defect {defect:.2e})")
     return pi
 
 
-def is_character(chi, tol=1e-10):
-    return chi.is_functional and representation_defect(chi) <= tol
+def is_character(chi):
+    return chi.is_functional and representation_defect(chi) <= SPECTRAL_TOL
 
 
 def derivation_defect(pi_prime, pi, delta):
@@ -77,7 +78,7 @@ class SchurmannTriple:
         lhs = lam_xy - np.outer(np.conjugate(lv), eps) - np.outer(np.conjugate(eps), lv)
         rhs = np.einsum("ia,ja->ij", np.conjugate(dv), dv)
         out["sesquilinear"] = maxabs(lhs - rhs)
-        out["reality"] = maxabs(self.lam.conjugate_map().values - self.lam.values)
+        out["reality"] = self.lam.reality_defect()
         return out
 
     def max_residual(self):
@@ -193,8 +194,8 @@ class CPQuadruple:
         }
 
     def validate(self):
-        thresholds = {"representation": 1e-10, "contraction": 1e-12,
-                      "phi1_nonpositive": 1e-10, "phi1_corner": 1e-12}
+        thresholds = {"representation": SPECTRAL_TOL, "contraction": STRUCT_TOL,
+                      "phi1_nonpositive": SPECTRAL_TOL, "phi1_corner": STRUCT_TOL}
         res = self.residuals()
         bad = {k: v for k, v in res.items() if v > thresholds[k]}
         if bad:
@@ -215,7 +216,7 @@ def canonical_phi1(big_d, e=None, t=None):
     vals, vecs = np.linalg.eigh(c)
     vals = np.clip(vals, 0.0, None)
     chalf = vecs @ np.diag(np.sqrt(vals)) @ dagger(vecs)
-    e = chalf @ chalf @ np.linalg.pinv(c, rcond=1e-12) @ e  # project onto Ran C
+    e = chalf @ chalf @ np.linalg.pinv(c, rcond=RCOND) @ e  # project onto Ran C
     col = chalf @ e
     tmax = -float(np.vdot(e, e).real)
     t = tmax if t is None else min(float(t), tmax)
@@ -256,7 +257,7 @@ def check_cp_form(phi, q):
     return {"decomposition": decomposition, "cp_split": split}
 
 
-def check_phi1(phi, q=None, tol=1e-10):
+def check_phi1(phi, q=None):
     """-phi(1) PSD; with a quadruple also the lower-right block identity
     phi(1)[1:, 1:] = D^dag D - I."""
     phi = as_generator(phi)
@@ -265,7 +266,7 @@ def check_phi1(phi, q=None, tol=1e-10):
     if q is not None:
         dd = dagger(q.big_d) @ q.big_d - np.eye(q.d_noise)
         out["corner"] = maxabs(phi1[1:, 1:] - dd)
-    out["ok"] = out["nonpositive"] <= tol and out.get("corner", 0.0) <= 1e-12
+    out["ok"] = out["nonpositive"] <= SPECTRAL_TOL and out.get("corner", 0.0) <= STRUCT_TOL
     return out
 
 
@@ -296,21 +297,21 @@ def kernel_gram(gamma):
     return gram, kb
 
 
-def check_conditionally_positive(gamma, tol=1e-10):
+def check_conditionally_positive(gamma):
     """(is conditionally positive, margin): the margin is the minimum
     eigenvalue of the counit-kernel Gram matrix."""
     g, _ = kernel_gram(gamma)
     margin = min_eig_herm(g) if g.size else 0.0
-    return margin >= -tol, margin
+    return margin >= -SPECTRAL_TOL, margin
 
 
-def gns_construct(gamma, tol=None, check_tol=1e-9):
+def gns_construct(gamma, check_tol=SOLVE_TOL):
     """GNS-style reconstruction of a Schurmann triple and a generator from a
     real, conditionally positive functional vanishing at 1.
 
     The quotient of Ker eps by the null space of gamma(x* y) is charted by
-    the Gram eigenvectors above the rank threshold (descending eigenvalue,
-    first sizable component of each eigenvector rotated positive real, so the
+    the Gram eigenvectors above SPECTRAL_TOL times the largest (descending
+    order, first sizable component of each rotated positive real, so the
     output is deterministic).  The triple is (compressed left multiplication,
     class of x - eps(x) 1, gamma); the returned generator is its block
     assembly, with noise dimension equal to the numerical rank.  The triple
@@ -318,21 +319,21 @@ def gns_construct(gamma, tol=None, check_tol=1e-9):
     """
     src = gamma.source
     gv = gamma.as_vector()
-    reality = maxabs(gamma.conjugate_map().values - gamma.values)
-    if reality > 1e-10:
+    reality = gamma.reality_defect()
+    if reality > SPECTRAL_TOL:
         raise ValueError(f"generator functional is not real (defect {reality:.2e})")
     at_one = abs(complex(gv @ src.unit))
-    if at_one > 1e-10:
+    if at_one > SPECTRAL_TOL:
         raise ValueError(f"generator functional must vanish at 1 (got {at_one:.2e})")
     gram, kb = kernel_gram(gamma)
     gram = 0.5 * (gram + dagger(gram))
     vals, vecs = np.linalg.eigh(gram)
     vals, vecs = vals[::-1], vecs[:, ::-1]
     scale = float(vals[0]) if vals.size and vals[0] > 0 else 0.0
-    cut = (1e-10 * scale) if tol is None else tol
-    if vals.size and vals[-1] < -max(cut, 1e-10):
+    cut = SPECTRAL_TOL * scale
+    if vals.size and vals[-1] < -max(cut, SPECTRAL_TOL):
         raise NotConditionallyPositive(f"Gram matrix has eigenvalue {vals[-1]:.3e}")
-    rank = int(np.sum(vals > max(cut, 0.0)))
+    rank = int(np.sum(vals > cut))
     vecs = vecs[:, :rank].copy()
     for r in range(rank):
         col = vecs[:, r]
@@ -342,7 +343,7 @@ def gns_construct(gamma, tol=None, check_tol=1e-9):
     roots = np.sqrt(vals[:rank])
     chart = roots[:, None] * dagger(vecs)          # rank x (d-1)
     chart_inv = vecs / roots[None, :]              # (d-1) x rank
-    kb_pinv = np.linalg.pinv(kb, rcond=1e-12)
+    kb_pinv = np.linalg.pinv(kb, rcond=RCOND)
 
     prod = np.einsum("ajk,jc->akc", src.mult, kb)  # columns e_a . b_c
     pi_vals = chart @ (kb_pinv @ prod) @ chart_inv
@@ -360,18 +361,20 @@ def gns_construct(gamma, tol=None, check_tol=1e-9):
     phi = Generator(src, vals_phi)
     worst = triple.max_residual()
     if worst > check_tol:
+        kept = f"{vals[0]:.3e} to {vals[rank - 1]:.3e}" if rank else "none"
+        dropped = f"{vals[rank]:.3e}" if rank < vals.size else "none"
         raise RuntimeError(f"reconstructed triple violates its relations "
-                           f"(residual {worst:.3e} > {check_tol:.0e}); "
-                           f"try raising the rank threshold")
+                           f"(residual {worst:.3e} > {check_tol:.0e}) at rank {rank}; "
+                           f"kept Gram eigenvalues {kept}, largest dropped {dropped}")
     return triple, phi
 
 
 # -- minimality and intertwiners --------------------------------------------------
 
-def check_minimality(q, rtol=1e-10):
+def check_minimality(q):
     """Whether rho(B)(C xi + Ran D) spans the whole representation space."""
     spans = np.concatenate(q.rho.values @ q.w, axis=1)
-    return numerical_rank(spans, rtol=rtol) == q.space_dim
+    return numerical_rank(spans) == q.space_dim
 
 
 class NoIntertwiner(RuntimeError):
@@ -381,12 +384,12 @@ class NoIntertwiner(RuntimeError):
                          f"(best residual {residual:.3e})")
 
 
-def intertwine_minimal(q1, q2, tol=1e-9):
+def intertwine_minimal(q1, q2):
     """The unique isometry V with V D1 = D2, V xi1 = xi2, V rho1 = rho2 V,
     for a minimal first quadruple.
 
     Solved as one stacked least-squares problem over vec(V); raises
-    :class:`NoIntertwiner` if the best residual exceeds ``tol``."""
+    :class:`NoIntertwiner` if the best residual exceeds ``SOLVE_TOL``."""
     if not check_minimality(q1):
         raise ValueError("first quadruple must be minimal")
     k1, k2 = q1.space_dim, q2.space_dim
@@ -397,7 +400,7 @@ def intertwine_minimal(q1, q2, tol=1e-9):
                            np.zeros(q1.rho.source.dim * k2 * k1, dtype=complex)])
     v = lstsq_minnorm(amat, bvec).reshape(k2, k1, order="F")
     residual = maxabs(amat @ v.reshape(-1, order="F") - bvec)
-    if residual > tol:
+    if residual > SOLVE_TOL:
         raise NoIntertwiner(residual)
     defect = maxabs(dagger(v) @ v - np.eye(k1))
     return v, {"residual": residual, "isometry_defect": defect}

@@ -27,7 +27,8 @@ from .cocycle import Generator, NoiseSpace, StepFunction, check_cocycle_identity
 from .convolution import ConvolutionSemigroup, OperatorMap, functional
 from .derivations import DerivationProblem, inner_derivation, solve_inner
 from .generators import check_structure_map, gns_construct, make_structure_map
-from .linalg import commutator_system, dagger, lstsq_minnorm, maxabs
+from .linalg import (INPUT_TOL, SOLVE_TOL, SPECTRAL_TOL, STRUCT_TOL,
+                     commutator_system, dagger, lstsq_minnorm, maxabs)
 
 
 # -- group cocycle data ----------------------------------------------------------
@@ -67,9 +68,9 @@ class GroupCocycleData:
                                       + (xi.conj()[:, None, None] @ u_xi)[..., 0, 0].imag),
         }
 
-    def validate(self, tol=1e-10):
+    def validate(self):
         res = self.residuals()
-        bad = {k: v for k, v in res.items() if v > tol}
+        bad = {k: v for k, v in res.items() if v > SPECTRAL_TOL}
         if bad:
             raise ValueError(f"invalid group cocycle data: {bad}")
         return self
@@ -113,19 +114,19 @@ def build_group_generator(data, algebra=None):
     """The stochastic generator phi(L_g) = psi_g on the group bialgebra.
 
     Validates the cocycle data and the assembled relations (residuals must
-    stay below 1e-10)."""
+    stay below SPECTRAL_TOL)."""
     data.validate()
     if algebra is None:
         algebra = build_group_algebra(data.table)
     psi = psi_blocks(data)
     res = group_relation_residuals(psi, data.table)
-    bad = {k: v for k, v in res.items() if v > 1e-10}
+    bad = {k: v for k, v in res.items() if v > SPECTRAL_TOL}
     if bad:
         raise ValueError(f"assembled generator violates the group relations: {bad}")
     return Generator(algebra, psi)
 
 
-def solve_coboundary(data, tol=1e-8):
+def solve_coboundary(data, tol=INPUT_TOL):
     """Least-squares eta with xi_g = U_g eta - eta and lambda_g = Im<eta, U_g eta>.
 
     Returns (eta, residuals); eta is None when no vector satisfies both
@@ -185,7 +186,7 @@ def simulate_compound_poisson(table, rate, jump_measure, t, n_samples, seed):
     table = np.asarray(table, dtype=int)
     mu = np.asarray(jump_measure, dtype=float)
     if mu.ndim != 1 or mu.size != table.shape[0] or np.any(mu < 0) \
-            or abs(mu.sum() - 1.0) > 1e-12:
+            or abs(mu.sum() - 1.0) > STRUCT_TOL:
         raise ValueError("jump measure must be a probability vector on the group")
     if rate < 0:
         raise ValueError("rate must be nonnegative")
@@ -218,7 +219,7 @@ def compound_poisson_law(function_algebra, rate, jump_measure, t):
 @dataclass
 class RunConfig:
     seed: int = 7
-    tol: float = 1e-9
+    tol: float = SOLVE_TOL
     n_samples: int = 10000
     t_grid: tuple = (0.25, 0.5, 1.0)
     out: str = None
@@ -290,14 +291,14 @@ def _battery_gns(config):
         c = rng.standard_normal(b.rep_dim) + 1j * rng.standard_normal(b.rep_dim)
         phi = make_structure_map(pi, c)
         cases.append(_case(f"{name}:structure",
-                           max(check_structure_map(phi).values()), 1e-12))
+                           max(check_structure_map(phi).values()), STRUCT_TOL))
         triple, phi2 = gns_construct(phi.lam_block())
-        cases.append(_case(f"{name}:triple", triple.max_residual(), 1e-9))
+        cases.append(_case(f"{name}:triple", triple.max_residual(), SOLVE_TOL))
         sg1 = ConvolutionSemigroup(phi.lam_block())
         sg2 = ConvolutionSemigroup(phi2.lam_block())
         res = max(maxabs(sg1.at(t).as_vector() - sg2.at(t).as_vector())
                   for t in config.t_grid)
-        cases.append(_case(f"{name}:vacuum-semigroup", res, 1e-9))
+        cases.append(_case(f"{name}:vacuum-semigroup", res, SOLVE_TOL))
     return cases
 
 
@@ -311,7 +312,7 @@ def _battery_derivations(config):
             t0 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             problem = DerivationProblem(pi, pi, inner_derivation(pi, pi, t0))
             _, res = solve_inner(problem)
-            cases.append(_case(f"{name}:inner[{rep}]", res, 1e-9))
+            cases.append(_case(f"{name}:inner[{rep}]", res, SOLVE_TOL))
     return cases
 
 

@@ -1,6 +1,12 @@
-"""Small linear-algebra helpers shared across the package."""
+"""Linear-algebra helpers and the package's pass/fail tolerances."""
 
 import numpy as np
+
+STRUCT_TOL = 1e-12     # structure identities of exact data
+RCOND = 1e-12          # relative singular-value cutoff of pinv and lstsq
+SPECTRAL_TOL = 1e-10   # PSD margins; representation, character, reality defects; rank cuts
+SOLVE_TOL = 1e-9       # residuals of a solved, reconstructed or exponentiated result
+INPUT_TOL = 1e-8       # accepting an input as a derivation, chi-structure map or coboundary
 
 
 def dagger(m):
@@ -64,16 +70,16 @@ def commutator_system(left, right):
     return out.reshape(m * q * p, q * p)
 
 
-def lstsq_minnorm(a, b, rcond=1e-12):
+def lstsq_minnorm(a, b):
     """Minimal-norm least-squares solution with relative singular-value cutoff."""
-    x, _, _, _ = np.linalg.lstsq(a, b, rcond=rcond)
+    x, _, _, _ = np.linalg.lstsq(a, b, rcond=RCOND)
     return x
 
 
-def numerical_rank(a, rtol=1e-10):
+def numerical_rank(a):
     if a.size == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > rtol * s[0]))
+    return int(np.sum(s > SPECTRAL_TOL * s[0]))

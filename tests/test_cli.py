@@ -431,3 +431,50 @@ def test_gns_failed_recheck_is_one_error_line(s3_gamma, capsys):
     assert main(["gns", "fixture:Alg(S3)", s3_gamma, "--tol", "0"]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: reconstructed triple")
+    assert "rank threshold" not in err[0] and "at rank 3;" in err[0]
+
+
+@pytest.fixture(scope="module")
+def alg_s3_inputs(tmp_path_factory):
+    """Input files on Alg(S3) on which every check has a nonzero residual."""
+    d = tmp_path_factory.mktemp("alg_s3")
+    b = bundled_fixtures()["Alg(S3)"]
+    rng = np.random.default_rng(0)
+    pi = OperatorMap(b, b.rep_images)
+    phi = make_structure_map(pi, rng.standard_normal(b.rep_dim))
+    phi.save(d / "phi.json")
+    phi.lam_block().save(d / "gamma.json")
+    t0 = rng.standard_normal((b.rep_dim, b.rep_dim))
+    problem = {"pi_prime": pi.values, "pi": pi.values,
+               "delta": inner_derivation(pi, pi, t0).values}
+    (d / "problem.json").write_text(json.dumps(
+        {k: [[[[z.real, z.imag] for z in row] for row in m] for m in v]
+         for k, v in problem.items()}))
+    (d / "data.json").write_text(json.dumps(_group_data_raw()))
+    return {name: str(d / f"{name}.json") for name in ("phi", "gamma", "problem", "data")}
+
+
+# every verb that reads --tol, with its documented default
+@pytest.mark.parametrize("argv, default", [
+    (["validate", "fixture:Alg(S3)"], "1e-12"),
+    (["cocycle-eval", "fixture:Alg(S3)", "{phi}", "--x", "L1", "--t", "1"], "1e-9"),
+    (["gns", "fixture:Alg(S3)", "{gamma}"], "1e-9"),
+    (["classify", "fixture:Alg(S3)", "{phi}"], "1e-10"),
+    (["derivation", "solve", "fixture:Alg(S3)", "{problem}"], "1e-9"),
+    (["chi-structure", "implement", "fixture:Alg(S3)", "{phi}", "counit"], "1e-8"),
+    (["group-gen", "{data}"], "1e-10"),
+    (["coboundary", "{data}"], "1e-8"),
+    (["report", "--battery", "cocycle"], "1e-9"),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_tol_reaches_every_checking_verb(alg_s3_inputs, argv, default, capsys):
+    argv = [a.format(**alg_s3_inputs) for a in argv]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert main(argv + ["--tol", default]) == 0
+    assert capsys.readouterr().out == out
+    # each input has a nonzero residual; classify reports FAIL and exits 0
+    if argv[0] == "classify":
+        assert main(argv + ["--tol", "0"]) == 0
+        assert "FAIL" in capsys.readouterr().out
+    else:
+        assert main(argv + ["--tol", "0"]) == 1

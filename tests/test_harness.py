@@ -46,7 +46,7 @@ def test_coboundary_data_satisfies_invariants(name):
     gen = build_group_generator(data)
     res = group_relation_residuals(psi_blocks(data), table)
     assert max(res.values()) <= 1e-10
-    assert gen.is_real(1e-10)
+    assert gen.is_real()
 
 
 def test_trivial_data_gives_zero_generator():
