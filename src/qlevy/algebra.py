@@ -153,17 +153,6 @@ class Element:
         _same_algebra(self, other)
         return Element(self.algebra, self.algebra.multiply_coords(self.coords, other.coords))
 
-    def __add__(self, other):
-        _same_algebra(self, other)
-        return Element(self.algebra, self.coords + other.coords)
-
-    def __sub__(self, other):
-        _same_algebra(self, other)
-        return Element(self.algebra, self.coords - other.coords)
-
-    def __rmul__(self, scalar):
-        return Element(self.algebra, complex(scalar) * self.coords)
-
     def star(self):
         return Element(self.algebra, self.algebra.star_coords(self.coords))
 
@@ -429,7 +418,7 @@ def pointwise_algebra(coproduct, labels, kind):
                      rep_images=diag.copy(), kind=kind)
 
 
-def build_function_algebra(cayley_table, labels=None):
+def build_function_algebra(cayley_table):
     """C(H) for a finite monoid H: pointwise products of delta functions.
 
     The coproduct is dual to the monoid multiplication,
@@ -440,12 +429,11 @@ def build_function_algebra(cayley_table, labels=None):
     a, c = np.indices((d, d))
     coproduct = np.zeros((d, d, d), dtype=complex)
     coproduct[table, a, c] = 1.0
-    if labels is None:
-        labels = tuple(f"d{h}" for h in range(d))
+    labels = tuple(f"d{h}" for h in range(d))
     return assert_valid(pointwise_algebra(coproduct, labels, "bialgebra"))
 
 
-def build_group_algebra(cayley_table, labels=None):
+def build_group_algebra(cayley_table):
     """Group *-bialgebra C[G] on the basis {L_g}.
 
     Delta(L_g) = L_g (x) L_g, eps(L_g) = 1, L_g* = L_{g^{-1}}; the faithful
@@ -454,8 +442,6 @@ def build_group_algebra(cayley_table, labels=None):
     """
     table = _check_table(cayley_table, need_group=True)
     d = table.shape[0]
-    if labels is None:
-        labels = tuple(f"L{g}" for g in range(d))
     g = np.arange(d)
     mult = np.zeros((d, d, d), dtype=complex)
     mult[g[:, None], g[None, :], table] = 1.0
@@ -466,8 +452,8 @@ def build_group_algebra(cayley_table, labels=None):
     unit = np.zeros(d, dtype=complex)
     unit[0] = 1.0
     blocks, images = _group_irreps(table)
-    b = Bialgebra(dim=d, basis_labels=tuple(labels), unit=unit, mult=mult,
-                  star_matrix=star_m, counit=np.ones(d, dtype=complex),
+    b = Bialgebra(dim=d, basis_labels=tuple(f"L{h}" for h in range(d)), unit=unit,
+                  mult=mult, star_matrix=star_m, counit=np.ones(d, dtype=complex),
                   coproduct=coproduct, rep_blocks=tuple(blocks),
                   rep_images=images, kind="bialgebra")
     return assert_valid(b)
@@ -515,7 +501,7 @@ def _group_irreps(table):
     raise RuntimeError(f"irrep decomposition failed: {last_err}")
 
 
-def class_hypergroup_algebra(cayley_table, labels=None):
+def class_hypergroup_algebra(cayley_table):
     """Conjugacy-class hypergroup of a finite group, as a C*-hyperbialgebra.
 
     Functions on the class set with pointwise product; the coproduct carries
@@ -532,8 +518,7 @@ def class_hypergroup_algebra(cayley_table, labels=None):
             cls[conj[g]] = len(classes)
             classes.append(np.unique(conj[g]))
     m = len(classes)
-    if labels is None:
-        labels = tuple("C" + "_".join(map(str, c)) for c in classes)
+    labels = tuple("C" + "_".join(map(str, c)) for c in classes)
     # each pair (a, b) of the table adds 1 / (|C_a| |C_b|) to the
     # coefficient of C_a (x) C_b in Delta(C_ab)
     size = np.bincount(cls)[cls]
@@ -616,21 +601,27 @@ def _read_json(path):
             raise ParseError(f"invalid JSON in {path}: {exc}") from exc
 
 
+def rep2_variant(data):
+    """The bialgebra of file data with its optional "rep2" field, a second
+    faithful representation (same schema as "rep"), in place of "rep"; None
+    without one.  Its checks sample representation independence of the CP
+    verdict."""
+    if "rep2" not in data:
+        return None
+    alt = dict(data)
+    alt["rep"] = alt.pop("rep2")
+    return bialgebra_from_dict(alt)
+
+
 def load_bialgebra(path):
-    """Parse and fully validate a bialgebra file.
+    """Parse and fully validate a bialgebra file, and its :func:`rep2_variant`.
 
     Raises :class:`ParseError` on malformed input and :class:`AxiomViolation`
-    naming the first failing axiom otherwise.  An optional "rep2" field (same
-    schema as "rep") is validated as a second faithful representation: the
-    spectral checks are repeated in it, which samples representation
-    independence of the CP verdict.
+    naming the first failing axiom otherwise.
     """
     data = _read_json(path)
-    b = bialgebra_from_dict(data)
-    assert_valid(b)
-    if "rep2" in data:
-        alt = dict(data)
-        alt["rep"] = data["rep2"]
-        del alt["rep2"]
-        assert_valid(bialgebra_from_dict(alt))
+    b = assert_valid(bialgebra_from_dict(data))
+    alt = rep2_variant(data)
+    if alt is not None:
+        assert_valid(alt)
     return b

@@ -14,7 +14,7 @@ import numpy as np
 from . import fixtures
 from .algebra import (AxiomViolation, ParseError, _c2j, _j2c, _j2mat, _mat2j,
                       _read_json, bialgebra_from_dict, build_function_algebra,
-                      load_bialgebra, validate_bialgebra)
+                      load_bialgebra, rep2_variant, validate_bialgebra)
 from .cocycle import (HORIZON_SLACK, Generator, StepFunction, matrix_element,
                       check_cocycle_identity, simplex_series_oracle)
 from .convolution import (ConvolutionSemigroup, OperatorMap, functional,
@@ -55,15 +55,15 @@ def _load_algebra(path):
                          + ", ".join(sorted(fixtures.bundled_fixtures()))) from None
 
 
-def _split_top_level(text, sep=","):
-    """Split on separators not nested inside brackets."""
+def _split_top_level(text):
+    """Split on commas not nested inside brackets."""
     parts, depth, cur = [], 0, []
     for ch in text:
         if ch in "[(":
             depth += 1
         elif ch in "])":
             depth -= 1
-        if ch == sep and depth == 0:
+        if ch == "," and depth == 0:
             parts.append("".join(cur))
             cur = []
         else:
@@ -203,17 +203,22 @@ def _functional_from_spec(b, text):
 
 def cmd_validate(args):
     try:
-        b = (_load_algebra(args.file) if args.file.startswith("fixture:")
-             else bialgebra_from_dict(_read_json(args.file)))
+        if args.file.startswith("fixture:"):
+            variants = {"": _load_algebra(args.file)}
+        else:
+            data = _read_json(args.file)
+            variants = {"": bialgebra_from_dict(data), "rep2:": rep2_variant(data)}
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    results = validate_bialgebra(b, struct_tol=_tol(args, STRUCT_TOL))
     ok = True
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        ok = ok and r.passed
-        print(f"{status}  {r.name:<34s} residual {r.residual:.3e}  (tol {r.tol:.0e})")
+    for prefix, b in variants.items():
+        if b is None:
+            continue
+        for r in validate_bialgebra(b, struct_tol=_tol(args, STRUCT_TOL)):
+            ok = ok and r.passed
+            print(f"{'PASS' if r.passed else 'FAIL'}  {prefix + r.name:<34s} "
+                  f"residual {r.residual:.3e}  (tol {r.tol:.0e})")
     return 0 if ok else 1
 
 
@@ -239,10 +244,14 @@ def cmd_semigroup(args):
 def cmd_cocycle_eval(args):
     b = _load_algebra(args.bialgebra)
     phi = Generator(b, load_operator_map(args.generator, b).values)
-    if isinstance(args.x, str):
-        x = b.basis_element(b.label_index(args.x))
-    else:
-        x = b.element(args.x)
+    try:
+        x = (b.basis_element(b.label_index(args.x)) if isinstance(args.x, str)
+             else b.element(args.x))
+    except KeyError as exc:
+        raise UsageError(f"argument --x: {exc.args[0]}; basis labels: "
+                         + ", ".join(b.basis_labels)) from None
+    except ValueError as exc:
+        raise UsageError(f"argument --x: {exc}") from None
     dn = phi.d_noise
     for flag, g in (("--f", args.f), ("--fp", args.fp)):
         if g is not None and g.d_noise != dn:

@@ -25,6 +25,7 @@ from .convolution import (ConvolutionSemigroup, OperatorMap, _exp_tail,
 from .linalg import SPECTRAL_TOL, maxabs, opnorm
 
 HORIZON_SLACK = 1e-9   # a step function ending this close before a time covers it
+TOY_FOCK_CAP_BYTES = 2 ** 28   # largest full toy-Fock map, checked before allocating
 
 
 class HorizonMismatch(ValueError):
@@ -32,7 +33,7 @@ class HorizonMismatch(ValueError):
 
 
 class MemoryCapExceeded(RuntimeError):
-    """Full-matrix toy-Fock evolution would exceed the configured cap."""
+    """Full-matrix toy-Fock evolution would exceed ``TOY_FOCK_CAP_BYTES``."""
 
 
 class OverlappingIntervals(ValueError):
@@ -315,10 +316,7 @@ def check_cocycle_identity(phi, s, t, f, f_prime):
     phi = as_generator(phi)
     src = phi.source
     lhs = cocycle_functional(phi, f, f_prime, s + t)
-    if s == 0:
-        l1 = functional(src, src.counit)
-    else:
-        l1 = functional(src, cocycle_functional(phi, f, f_prime, s))
+    l1 = functional(src, cocycle_functional(phi, f, f_prime, s))
     if t == 0:
         l2 = functional(src, src.counit)
     else:
@@ -424,12 +422,12 @@ def toy_fock_step_map(phi, h):
     return OperatorMap(phi.source, vals)
 
 
-def toy_fock_evolve(phi, x, t, steps, mode="slice", memory_cap_bytes=2 ** 28):
+def toy_fock_evolve(phi, x, t, steps, mode="slice"):
     """N-step toy-Fock approximation of the cocycle at time t.
 
     ``slice`` mode contracts the vacuum slot step by step (no size cap);
     ``full`` mode returns the whole map into the N-fold matrix tensor power
-    and raises :class:`MemoryCapExceeded` above the byte cap.
+    and raises :class:`MemoryCapExceeded` above ``TOY_FOCK_CAP_BYTES``.
     """
     phi = as_generator(phi)
     if steps < 1:
@@ -444,9 +442,9 @@ def toy_fock_evolve(phi, x, t, steps, mode="slice", memory_cap_bytes=2 ** 28):
         raise ValueError(f"unknown mode {mode!r}")
     dim_total = phi.p ** steps
     need = src.dim * dim_total * dim_total * 16
-    if need > memory_cap_bytes:
+    if need > TOY_FOCK_CAP_BYTES:
         raise MemoryCapExceeded(f"full toy-Fock map needs {need} bytes "
-                                f"(cap {memory_cap_bytes})")
+                                f"(cap {TOY_FOCK_CAP_BYTES})")
     walk = step = toy_fock_step_map(phi, h)
     for _ in range(steps - 1):
         walk = convolve(walk, step)

@@ -236,13 +236,7 @@ def _exp_tail(z, n):
 
 
 class ConvolutionSemigroup:
-    """lambda_t = exp_*(t gamma), with the lifted generator cached.
-
-    The per-t evaluation cache holds the ``CACHE_SIZE`` times most recently
-    computed and assumes single-writer use.
-    """
-
-    CACHE_SIZE = 256
+    """lambda_t = exp_*(t gamma), with the lifted generator cached."""
 
     def __init__(self, gamma):
         if not gamma.is_functional:
@@ -250,18 +244,10 @@ class ConvolutionSemigroup:
         self.generator = gamma
         self.source = gamma.source
         self.lifted_generator = lifted_matrix(gamma)
-        self._cache = {}
 
     def at(self, t):
-        t = float(t)
-        if t in self._cache:
-            return self._cache[t]
-        coords = self.source.counit @ expm(t * self.lifted_generator)
-        lam = functional(self.source, coords)
-        if len(self._cache) >= self.CACHE_SIZE:
-            del self._cache[next(iter(self._cache))]
-        self._cache[t] = lam
-        return lam
+        coords = self.source.counit @ expm(float(t) * self.lifted_generator)
+        return functional(self.source, coords)
 
     def __call__(self, t, x=None):
         lam = self.at(t)

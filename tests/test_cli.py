@@ -478,3 +478,106 @@ def test_tol_reaches_every_checking_verb(alg_s3_inputs, argv, default, capsys):
         assert "FAIL" in capsys.readouterr().out
     else:
         assert main(argv + ["--tol", "0"]) == 1
+
+
+@pytest.mark.parametrize("x, why", [
+    ("nope", "unknown basis label 'nope'; basis labels: d0, d1, d2"),
+    ("[[1,0],[0,0]]", "expected 3 coordinates"),
+    ("[[1,0],[0,0],[0,0],[0,0]]", "expected 3 coordinates"),
+    ("[[1,0],[NaN,0],[0,0]]", "finite"),
+    ("[[1,0],[0,Infinity],[0,0]]", "finite"),
+])
+def test_x_not_fitting_the_bialgebra_is_usage_error(z3_file, tmp_path, x, why, capsys):
+    gpath = tmp_path / "phi.json"
+    Generator(bundled_fixtures()["C(Z3)"], 0.3 * np.ones((3, 2, 2))).save(gpath)
+    with pytest.raises(SystemExit) as err:
+        main(["cocycle-eval", z3_file, str(gpath), "--x", x, "--t", "0.9"])
+    assert err.value.code == 2
+    msg = capsys.readouterr().err
+    assert "argument --x:" in msg and why in msg
+
+
+@pytest.mark.parametrize("scale, code", [(1.0, 0), (1.5, 1)])
+def test_validate_checks_rep2(tmp_path, scale, code, capsys):
+    # rep2 is rep with the 2 x 2 block of every image scaled: a representation
+    # only at scale 1
+    data = bundled_fixtures()["Alg(S3)"].to_dict()
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps(data))
+    assert main(["validate", str(plain)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert not any("rep2:" in line for line in lines)
+    data["rep2"] = {"blocks": data["rep"]["blocks"], "images": [
+        blocks[:2] + [[[[scale * v for v in z] for z in row] for row in blocks[2]]]
+        for blocks in data["rep"]["images"]]}
+    path = tmp_path / "rep2.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", str(path)]) == code
+    out = capsys.readouterr().out.splitlines()
+    assert out[:len(lines)] == lines
+    rep2 = out[len(lines):]
+    assert len(rep2) == len(lines)
+    assert all(r.replace("rep2:", "", 1).split() == line.split()
+               for r, line in zip(rep2, lines) if "representation" not in line)
+    verdict = "PASS" if code == 0 else "FAIL"
+    assert any(r.startswith(f"{verdict}  rep2:representation ") for r in rep2)
+
+
+@pytest.mark.parametrize("form", ["json", "file"])
+def test_chi_structure_chi_forms_agree(tmp_path, form, capsys):
+    b = bundled_fixtures()["C(Z4)"]
+    from qlevy.derivations import implemented_chi_structure
+    chi = functional(b, b.counit)
+    phi = implemented_chi_structure(OperatorMap(b, b.rep_images), chi,
+                                    np.array([0.2, 0.1, 0.0, 0.4]))
+    ppath = tmp_path / "phi.json"
+    phi.save(ppath)
+    argv = ["chi-structure", "implement", "fixture:C(Z4)", str(ppath)]
+    assert main(argv + ["counit"]) == 0
+    by_name = capsys.readouterr().out
+    if form == "json":
+        spec = json.dumps([[z.real, z.imag] for z in b.counit])
+    else:
+        spec = str(tmp_path / "chi.json")
+        chi.save(spec)
+    assert main(argv + [spec]) == 0
+    assert capsys.readouterr().out == by_name
+
+
+def test_semigroup_json_matches_csv(tmp_path, capsys):
+    b = bundled_fixtures()["C(Z3)"]
+    gpath = tmp_path / "gamma.json"
+    functional(b, 0.5 * (np.eye(3)[1] - np.eye(3)[0])).save(gpath)
+    argv = ["semigroup", "fixture:C(Z3)", str(gpath), "--t-grid", "0:1:5"]
+    assert main(argv + ["--format", "csv"]) == 0
+    header, *csv_rows = capsys.readouterr().out.strip().splitlines()
+    assert main(argv + ["--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["basis"] == list(b.basis_labels)
+    assert payload["t_grid"] == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert payload["rows"] == [[float(v) for v in row.split(",")] for row in csv_rows]
+    assert header.split(",")[1:3] == ["d0_re", "d0_im"]
+
+
+def test_gns_not_conditionally_positive_is_check_failure(tmp_path, capsys):
+    # minus a structure-map corner is real but negative on the counit kernel
+    b = bundled_fixtures()["Alg(S3)"]
+    c = np.random.default_rng(0).standard_normal(b.rep_dim)
+    corner = make_structure_map(OperatorMap(b, b.rep_images), c).lam_block()
+    path = tmp_path / "gamma.json"
+    functional(b, -corner.as_vector()).save(path)
+    assert main(["gns", "fixture:Alg(S3)", str(path)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "not conditionally positive"
+    assert payload["margin"] < 0
+
+
+def test_classify_out_matches_printed_verdicts(alg_s3_inputs, tmp_path, capsys):
+    out = tmp_path / "classify.json"
+    argv = ["classify", "fixture:Alg(S3)", alg_s3_inputs["phi"]]
+    assert main(argv + ["--tol", "0", "--out", str(out)]) == 0
+    printed = dict(line.split(":")[0].split()[::-1]
+                   for line in capsys.readouterr().out.splitlines())
+    report = json.loads(out.read_text())
+    assert printed == {k: "PASS" if e["holds"] else "FAIL" for k, e in report.items()}
+    assert not all(e["holds"] for e in report.values())

@@ -388,8 +388,7 @@ def test_toy_fock_memory_cap(all_fixtures):
     b = all_fixtures["C(Z2)"]
     phi = random_generator(rng, b, 2)
     with pytest.raises(MemoryCapExceeded):
-        toy_fock_evolve(phi, b.one(), 1.0, 20, mode="full",
-                        memory_cap_bytes=10 ** 6)
+        toy_fock_evolve(phi, b.one(), 1.0, 20, mode="full")
 
 
 # -- weak quantum Levy process moments --------------------------------------------------
