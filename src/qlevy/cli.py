@@ -37,7 +37,7 @@ def _emit(args, payload):
 
 
 def _write(args, text):
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
@@ -158,11 +158,6 @@ nonnegative_float_arg = _number_arg(float, lambda v: v >= 0, "a finite number >=
 seed_arg = _number_arg(int, lambda v: 0 <= v < 2 ** 64, "an integer in [0, 2**64)")
 
 
-def _tol(args, default):
-    """The --tol flag, or the verb's default when it is not given."""
-    return default if args.tol is None else args.tol
-
-
 def real_vector_arg(text):
     """argparse type for a JSON list of real numbers."""
     try:
@@ -215,7 +210,7 @@ def cmd_validate(args):
     for prefix, b in variants.items():
         if b is None:
             continue
-        for r in validate_bialgebra(b, struct_tol=_tol(args, STRUCT_TOL)):
+        for r in validate_bialgebra(b, struct_tol=args.tol):
             ok = ok and r.passed
             print(f"{'PASS' if r.passed else 'FAIL'}  {prefix + r.name:<34s} "
                   f"residual {r.residual:.3e}  (tol {r.tol:.0e})")
@@ -231,7 +226,7 @@ def cmd_semigroup(args):
     for t in grid:
         lam = sg.at(float(t)).as_vector()
         rows.append([float(t)] + [v for z in lam for v in _c2j(z)])
-    if (args.format or "csv") == "json":
+    if args.format == "json":
         _emit(args, {"t_grid": list(map(float, grid)),
                      "rows": rows, "basis": list(b.basis_labels)})
     else:
@@ -271,7 +266,7 @@ def cmd_cocycle_eval(args):
     checks["oracle_tail_bound"] = tail
     _emit(args, {"value": _c2j(value), "method": "semigroup-factorization",
                  "residual_checks": checks})
-    return 0 if checks["cocycle_identity"] <= _tol(args, SOLVE_TOL) else 1
+    return 0 if checks["cocycle_identity"] <= args.tol else 1
 
 
 def cmd_gns(args):
@@ -281,8 +276,7 @@ def cmd_gns(args):
     if not ok:
         _emit(args, {"error": "not conditionally positive", "margin": margin})
         return 1
-    tol = _tol(args, SOLVE_TOL)
-    triple, phi = gns_construct(gamma, check_tol=tol)
+    triple, phi = gns_construct(gamma, check_tol=args.tol)
     payload = {
         "rank": triple.n,
         "pi": [_mat2j(m) for m in triple.pi.values],
@@ -292,13 +286,13 @@ def cmd_gns(args):
         "residuals": triple.residuals(),
     }
     _emit(args, payload)
-    return 0 if triple.max_residual() <= tol else 1
+    return 0 if triple.max_residual() <= args.tol else 1
 
 
 def cmd_classify(args):
     b = _load_algebra(args.bialgebra)
     phi = Generator(b, load_operator_map(args.generator, b).values)
-    tol = _tol(args, SPECTRAL_TOL)
+    tol = args.tol
     struct = check_structure_map(phi)
     phi1 = check_phi1(phi)
     gamma = phi.lam_block()
@@ -332,7 +326,7 @@ def cmd_derivation_solve(args):
     t, residual = solve_inner(DerivationProblem(*maps))
     _emit(args, {"T": _mat2j(t),
                  "residual": residual})
-    return 0 if residual <= _tol(args, SOLVE_TOL) else 1
+    return 0 if residual <= args.tol else 1
 
 
 def cmd_chi_structure(args):
@@ -344,7 +338,7 @@ def cmd_chi_structure(args):
                  "xi": [_c2j(z) for z in xi],
                  "lambda": [_c2j(z) for z in lam.as_vector()],
                  "residuals": residuals})
-    return 0 if max(residuals.values()) <= _tol(args, INPUT_TOL) else 1
+    return 0 if max(residuals.values()) <= args.tol else 1
 
 
 def cmd_group_gen(args):
@@ -352,12 +346,12 @@ def cmd_group_gen(args):
     gen = build_group_generator(data)
     res = group_relation_residuals(gen.values, data.table)
     _emit(args, {"generator": gen.to_dict(), "residuals": res})
-    return 0 if max(res.values()) <= _tol(args, SPECTRAL_TOL) else 1
+    return 0 if max(res.values()) <= args.tol else 1
 
 
 def cmd_coboundary(args):
     data = _load_group_data(args.data).validate()
-    eta, residuals = solve_coboundary(data, _tol(args, INPUT_TOL))
+    eta, residuals = solve_coboundary(data, args.tol)
     if eta is None:
         _emit(args, {"eta": None, "residuals": residuals})
         return 1
@@ -382,7 +376,7 @@ def cmd_montecarlo(args):
 
 
 def cmd_report(args):
-    config = RunConfig(seed=args.seed, tol=_tol(args, SOLVE_TOL),
+    config = RunConfig(seed=args.seed, tol=args.tol,
                        n_samples=args.samples, out=args.out)
     report = run_report(config, suite=args.battery)
     print(f"battery {args.battery}: {report['n_cases']} cases, "
@@ -391,86 +385,61 @@ def cmd_report(args):
 
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=seed_arg, default=argparse.SUPPRESS)
-    common.add_argument("--tol", type=nonnegative_float_arg, default=argparse.SUPPRESS)
-    common.add_argument("--out", type=str, default=argparse.SUPPRESS)
-    common.add_argument("--format", choices=["json", "csv"],
-                        default=argparse.SUPPRESS)
-
     parser = argparse.ArgumentParser(prog="qlevy")
-    parser.add_argument("--seed", type=seed_arg, default=7)
-    parser.add_argument("--tol", type=nonnegative_float_arg, default=None)
-    parser.add_argument("--out", type=str, default=None)
-    parser.add_argument("--format", choices=["json", "csv"], default=None)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("validate", parents=[common],
-                       help="check every bialgebra axiom of a file")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_validate)
+    def verb(parent, name, func, summary, positionals, tol=None, out=True,
+             seed=False, fmt=False):
+        """A leaf verb with its positionals and exactly the flags func reads."""
+        p = parent.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        for arg in positionals.split():
+            p.add_argument(arg)
+        if tol is not None:
+            p.add_argument("--tol", type=nonnegative_float_arg, default=tol,
+                           help="pass/fail tolerance (default %(default)g)")
+        if out:
+            p.add_argument("--out", type=str, default=None)
+        if seed:
+            p.add_argument("--seed", type=seed_arg, default=7)
+        if fmt:
+            p.add_argument("--format", choices=["json", "csv"], default="csv")
+        return p
 
-    p = sub.add_parser("semigroup", parents=[common],
-                       help="evolve a convolution semigroup on a t-grid")
-    p.add_argument("bialgebra")
-    p.add_argument("generator")
+    verb(sub, "validate", cmd_validate, "check every bialgebra axiom of a file",
+         "file", tol=STRUCT_TOL, out=False)
+    p = verb(sub, "semigroup", cmd_semigroup, "evolve a convolution semigroup on a t-grid",
+             "bialgebra generator", fmt=True)
     p.add_argument("--t-grid", type=t_grid_arg, default="0:1:11",
                    help="start:stop:count")
-    p.set_defaults(func=cmd_semigroup)
-
-    p = sub.add_parser("cocycle-eval", parents=[common],
-                       help="matrix element between exponential vectors")
-    p.add_argument("bialgebra")
-    p.add_argument("generator")
+    p = verb(sub, "cocycle-eval", cmd_cocycle_eval,
+             "matrix element between exponential vectors", "bialgebra generator",
+             tol=SOLVE_TOL)
     p.add_argument("--x", type=element_arg, required=True,
                    help="basis label or JSON coords")
     p.add_argument("--f", type=steps_arg, default=None,
                    help="step function t1:c1,...")
     p.add_argument("--fp", type=steps_arg, default=None)
     p.add_argument("--t", type=positive_float_arg, required=True)
-    p.set_defaults(func=cmd_cocycle_eval)
-
-    p = sub.add_parser("gns", parents=[common],
-                       help="GNS reconstruction from a generator functional")
-    p.add_argument("bialgebra")
-    p.add_argument("gamma")
-    p.set_defaults(func=cmd_gns)
-
-    p = sub.add_parser("classify", parents=[common],
-                       help="which generator classes a map belongs to")
-    p.add_argument("bialgebra")
-    p.add_argument("generator")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("derivation", help="derivation utilities")
-    dsub = p.add_subparsers(dest="subverb", required=True)
-    ps = dsub.add_parser("solve", parents=[common],
-                         help="solve the innerness system")
-    ps.add_argument("bialgebra")
-    ps.add_argument("problem")
-    ps.set_defaults(func=cmd_derivation_solve)
-
-    p = sub.add_parser("chi-structure", help="chi-structure map utilities")
-    csub = p.add_subparsers(dest="subverb", required=True)
-    pc = csub.add_parser("implement", parents=[common],
-                         help="recover (pi, xi, lambda)")
-    pc.add_argument("bialgebra")
-    pc.add_argument("phi")
-    pc.add_argument("chi", help="'counit', JSON coords, or a functional file")
-    pc.set_defaults(func=cmd_chi_structure)
-
-    p = sub.add_parser("group-gen", parents=[common],
-                       help="generator from group cocycle data")
-    p.add_argument("data")
-    p.set_defaults(func=cmd_group_gen)
-
-    p = sub.add_parser("coboundary", parents=[common],
-                       help="solve xi_g = U_g eta - eta")
-    p.add_argument("data")
-    p.set_defaults(func=cmd_coboundary)
-
-    p = sub.add_parser("montecarlo", parents=[common],
-                       help="compound Poisson versus semigroup law")
+    verb(sub, "gns", cmd_gns, "GNS reconstruction from a generator functional",
+         "bialgebra gamma", tol=SOLVE_TOL)
+    verb(sub, "classify", cmd_classify, "which generator classes a map belongs to",
+         "bialgebra generator", tol=SPECTRAL_TOL)
+    dsub = sub.add_parser("derivation", help="derivation utilities").add_subparsers(
+        dest="subverb", required=True)
+    verb(dsub, "solve", cmd_derivation_solve, "solve the innerness system",
+         "bialgebra problem", tol=SOLVE_TOL)
+    csub = sub.add_parser("chi-structure", help="chi-structure map utilities"
+                          ).add_subparsers(dest="subverb", required=True)
+    p = verb(csub, "implement", cmd_chi_structure, "recover (pi, xi, lambda)",
+             "bialgebra phi", tol=INPUT_TOL)
+    p.add_argument("chi", help="'counit', JSON coords, or a functional file")
+    verb(sub, "group-gen", cmd_group_gen, "generator from group cocycle data",
+         "data", tol=SPECTRAL_TOL)
+    verb(sub, "coboundary", cmd_coboundary, "solve xi_g = U_g eta - eta",
+         "data", tol=INPUT_TOL)
+    p = verb(sub, "montecarlo", cmd_montecarlo, "compound Poisson versus semigroup law",
+             "", seed=True)
     p.add_argument("--order", type=positive_int_arg, default=2,
                    help="cyclic group order")
     p.add_argument("--rate", type=nonnegative_float_arg, default=1.0)
@@ -478,14 +447,11 @@ def build_parser():
                    help="JSON probability vector")
     p.add_argument("--t", type=nonnegative_float_arg, default=1.0)
     p.add_argument("--samples", type=positive_int_arg, default=100000)
-    p.set_defaults(func=cmd_montecarlo)
-
-    p = sub.add_parser("report", parents=[common],
-                       help="run a named battery and emit a report")
+    p = verb(sub, "report", cmd_report, "run a named battery and emit a report",
+             "", tol=SOLVE_TOL, seed=True)
     p.add_argument("--battery", default="axioms",
                    help="axioms|cocycle|gns|derivations|montecarlo|all")
     p.add_argument("--samples", type=positive_int_arg, default=10000)
-    p.set_defaults(func=cmd_report)
     return parser
 
 

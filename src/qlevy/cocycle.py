@@ -19,9 +19,9 @@ import numpy as np
 from numpy.polynomial import legendre
 from scipy.linalg import expm
 
-from .convolution import (ConvolutionSemigroup, OperatorMap, _exp_tail,
-                          conv_exp, convolve, functional, lifted_matrix,
-                          semigroup_generator)
+from .convolution import (ConvolutionSemigroup, NonFiniteCocycle, OperatorMap,
+                          _exp_tail, conv_exp, convolve, functional,
+                          lifted_matrix, semigroup_generator, star_power)
 from .linalg import SPECTRAL_TOL, maxabs, opnorm
 
 HORIZON_SLACK = 1e-9   # a step function ending this close before a time covers it
@@ -115,10 +115,14 @@ class StepFunction:
         """The step function u -> f(a + u) on [0, b - a)."""
         if a < -1e-12 or b > self.horizon + HORIZON_SLACK or b <= a:
             raise HorizonMismatch(f"[{a}, {b}) not inside [0, {self.horizon})")
+        # breakpoints are kept by their shifted value, so that none
+        # rounds onto the new horizon b - a
         bp = self.breakpoints
-        pts = np.concatenate(([a], bp[(bp > a) & (bp < b - 1e-15)], [b]))
-        vals = self._values_at(np.minimum(pts[:-1], self.horizon - 1e-15))
-        return StepFunction(pts - a, vals)
+        shifted = bp - a
+        inside = (shifted > 0.0) & (shifted < b - a)
+        starts = np.concatenate(([a], bp[inside]))
+        vals = self._values_at(np.minimum(starts, np.nextafter(self.horizon, 0.0)))
+        return StepFunction(np.concatenate(([0.0], shifted[inside], [b - a])), vals)
 
 
 def _refine(f, f_prime, t):
@@ -132,7 +136,7 @@ def _refine(f, f_prime, t):
     if f.horizon < t - HORIZON_SLACK or f_prime.horizon < t - HORIZON_SLACK:
         raise HorizonMismatch(f"step functions must cover [0, {t}]")
     pts = np.concatenate([[0.0, t], f.breakpoints, f_prime.breakpoints])
-    pts = np.unique(pts[(pts > -1e-15) & (pts < t + 1e-15)])
+    pts = np.unique(pts[(pts >= 0.0) & (pts <= t)])
     dts = pts[1:] - pts[:-1]
     if dts.min() <= 1e-12:
         merged = [pts[0]]
@@ -204,11 +208,6 @@ def as_generator(phi):
 
 
 # -- matrix elements via semigroup factorization -----------------------------
-
-class NonFiniteCocycle(ValueError):
-    """A cocycle evaluation overflowed; the message names the first piece
-    whose semigroup factor, running product or prefactor is not finite."""
-
 
 def _pieces(phi, f, f_prime, t):
     """The common refinement of f, f' over [0, t] (see :func:`_refine`) and
@@ -445,9 +444,7 @@ def toy_fock_evolve(phi, x, t, steps, mode="slice"):
     if need > TOY_FOCK_CAP_BYTES:
         raise MemoryCapExceeded(f"full toy-Fock map needs {need} bytes "
                                 f"(cap {TOY_FOCK_CAP_BYTES})")
-    walk = step = toy_fock_step_map(phi, h)
-    for _ in range(steps - 1):
-        walk = convolve(walk, step)
+    walk = star_power(toy_fock_step_map(phi, h), steps)
     full = np.einsum("k,kab->ab", x.coords, walk.values)
     return ToyFockResult(vacuum=complex(full[0, 0]),
                          full=walk.values)

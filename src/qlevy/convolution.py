@@ -235,6 +235,12 @@ def _exp_tail(z, n):
     return float("inf")
 
 
+class NonFiniteCocycle(ValueError):
+    """A semigroup or cocycle evaluation overflowed; the message names the
+    time, or the first piece whose semigroup factor, running product or
+    prefactor is not finite."""
+
+
 class ConvolutionSemigroup:
     """lambda_t = exp_*(t gamma), with the lifted generator cached."""
 
@@ -246,7 +252,10 @@ class ConvolutionSemigroup:
         self.lifted_generator = lifted_matrix(gamma)
 
     def at(self, t):
+        """lambda_t; raises :class:`NonFiniteCocycle` when it overflows."""
         coords = self.source.counit @ expm(float(t) * self.lifted_generator)
+        if not np.isfinite(coords).all():
+            raise NonFiniteCocycle(f"semigroup value not finite at t = {float(t)!r}")
         return functional(self.source, coords)
 
     def __call__(self, t, x=None):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qlevy.algebra import validate_bialgebra
-from qlevy.cli import main, parse_steps
+from qlevy.cli import build_parser, main, parse_steps
 from qlevy.cocycle import Generator
 from qlevy.convolution import OperatorMap, functional
 from qlevy.derivations import inner_derivation
@@ -346,11 +346,11 @@ def test_step_function_not_fitting_is_usage_error(z3_file, tmp_path, flag, spec,
     (["report", "--samples", "-5"], "--samples"),
     (["validate", "{z3}", "--tol", "nan"], "--tol"),
     (["validate", "{z3}", "--tol", "-1"], "--tol"),
-    (["--tol", "inf", "validate", "{z3}"], "--tol"),
-    (["--tol", "tiny", "report"], "--tol"),
+    (["validate", "{z3}", "--tol", "inf"], "--tol"),
+    (["report", "--tol", "tiny"], "--tol"),
     (["montecarlo", "--mu", "[0.5,0.5]", "--seed", "-1"], "--seed"),
     (["montecarlo", "--mu", "[0.5,0.5]", "--seed", "1.5"], "--seed"),
-    (["--seed", str(2 ** 64), "report"], "--seed"),
+    (["report", "--seed", str(2 ** 64)], "--seed"),
     (["report", "--seed", "-1"], "--seed"),
 ])
 def test_out_of_range_number_is_usage_error(z3_file, argv, flag, capsys):
@@ -358,6 +358,43 @@ def test_out_of_range_number_is_usage_error(z3_file, argv, flag, capsys):
         main([a.format(z3=z3_file) for a in argv])
     assert err.value.code == 2
     assert f"argument {flag}:" in capsys.readouterr().err
+
+
+# each verb, a minimal command line for it and the global flags it reads
+VERB_FLAGS = [
+    ("validate", "a.json", {"--tol"}),
+    ("semigroup", "a.json g.json", {"--out", "--format"}),
+    ("cocycle-eval", "a.json g.json --x e --t 1", {"--tol", "--out"}),
+    ("gns", "a.json g.json", {"--tol", "--out"}),
+    ("classify", "a.json g.json", {"--tol", "--out"}),
+    ("derivation solve", "a.json p.json", {"--tol", "--out"}),
+    ("chi-structure implement", "a.json phi.json counit", {"--tol", "--out"}),
+    ("group-gen", "d.json", {"--tol", "--out"}),
+    ("coboundary", "d.json", {"--tol", "--out"}),
+    ("montecarlo", "--mu [1.0]", {"--seed", "--out"}),
+    ("report", "", {"--tol", "--seed", "--out"}),
+]
+FLAG_VALUES = {"--seed": "3", "--tol": "0.5", "--out": "r.txt", "--format": "json"}
+
+
+def _flag_cases(read):
+    return [pytest.param(f"{verb} {rest}".split(), flag, id=f"{verb}{flag}")
+            for verb, rest, flags in VERB_FLAGS for flag in FLAG_VALUES
+            if (flag in flags) == read]
+
+
+@pytest.mark.parametrize("argv, flag", _flag_cases(read=False))
+def test_flag_the_verb_does_not_read_is_usage_error(argv, flag, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv + [flag, FLAG_VALUES[flag]])
+    assert err.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", _flag_cases(read=True))
+def test_flag_the_verb_reads_is_parsed(argv, flag):
+    args = build_parser().parse_args(argv + [flag, FLAG_VALUES[flag]])
+    assert str(getattr(args, flag[2:])) == FLAG_VALUES[flag]
 
 
 @pytest.mark.parametrize("extra", [["--t", "0"], ["--rate", "0"]])
@@ -557,6 +594,18 @@ def test_semigroup_json_matches_csv(tmp_path, capsys):
     assert payload["t_grid"] == [0.0, 0.25, 0.5, 0.75, 1.0]
     assert payload["rows"] == [[float(v) for v in row.split(",")] for row in csv_rows]
     assert header.split(",")[1:3] == ["d0_re", "d0_im"]
+
+
+def test_semigroup_overflow_is_one_error_line(tmp_path, capsys):
+    b = bundled_fixtures()["C(S3)"]
+    gpath = tmp_path / "gamma.json"
+    functional(b, 50.0 * (np.arange(b.dim) - 2.5)).save(gpath)
+    with np.errstate(all="ignore"):
+        assert main(["semigroup", "fixture:C(S3)", str(gpath),
+                     "--t-grid", "0:100:3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: semigroup value not finite at t = 50.0"]
 
 
 def test_gns_not_conditionally_positive_is_check_failure(tmp_path, capsys):

@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
-from qlevy.cocycle import (HorizonMismatch, MemoryCapExceeded,
+from qlevy.cocycle import (HORIZON_SLACK, HorizonMismatch, MemoryCapExceeded,
                            NoiseSpace, OverlappingIntervals, StepFunction,
                            check_cocycle_identity, cocycle_functional,
                            constant_collapse, exp_inner_product,
                            matrix_element, opposite_matrix_element,
                            simplex_series_oracle, toy_fock_evolve,
                            vacuum_semigroup, weak_qlp_moments)
-from qlevy.convolution import (OperatorMap, conv_exp, functional,
-                               semigroup_generator)
+from qlevy.convolution import (ConvolutionSemigroup, OperatorMap, conv_exp,
+                               functional, semigroup_generator)
 from qlevy.generators import make_structure_map
-from qlevy.linalg import maxabs, min_eig_herm
+from qlevy.linalg import SOLVE_TOL, maxabs, min_eig_herm
 
 from conftest import random_element, random_generator, random_step
 
@@ -161,6 +161,56 @@ def test_cocycle_identity_random(all_fixtures):
             f = random_step(rng, dn, s + t)
             fp = random_step(rng, dn, s + t)
             assert check_cocycle_identity(phi, s, t, f, fp) < 1e-9
+
+
+# -- long times: from t = 16 on, t + 1e-15 == t --------------------------------
+
+LONG_TIMES = [16.0, 20.0, 100.0]
+
+
+@pytest.mark.parametrize("t", LONG_TIMES)
+def test_vacuum_cocycle_is_corner_semigroup_at_long_times(all_fixtures, t):
+    for name in ("Alg(S3)", "C(S3)"):
+        phi = structure_map_on(all_fixtures[name], seed=1, scale=0.3)
+        f = StepFunction.zero(phi.d_noise, t)
+        want = ConvolutionSemigroup(phi.lam_block()).at(t).as_vector()
+        assert maxabs(cocycle_functional(phi, f, f, t) - want) < 1e-12
+
+
+@pytest.mark.parametrize("t", LONG_TIMES)
+def test_exp_inner_product_covers_the_last_piece(t):
+    c = np.array([[0.1 + 0.05j], [-0.08j]])
+    cp = np.array([[0.07], [0.1 - 0.02j]])
+    bp = np.array([0.0, 0.5 * t, t])
+    got = exp_inner_product(StepFunction(bp, c), StepFunction(bp, cp), t)
+    want = np.exp(0.5 * t * (np.vdot(c[0], cp[0]) + np.vdot(c[1], cp[1])))
+    assert abs(got - want) < 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("t", LONG_TIMES)
+def test_cocycle_identity_at_long_times(all_fixtures, t):
+    rng = np.random.default_rng(21)
+    for name in ("Alg(S3)", "C(S3)"):
+        phi = structure_map_on(all_fixtures[name], seed=2, scale=0.3)
+        bp = np.array([0.0, 0.3 * t, 0.7 * t, t])
+        f = StepFunction(bp, 0.1 * (rng.standard_normal((3, phi.d_noise))
+                                    + 1j * rng.standard_normal((3, phi.d_noise))))
+        assert check_cocycle_identity(phi, 0.4 * t, 0.6 * t, f, f) <= SOLVE_TOL
+
+
+@pytest.mark.parametrize("horizon, a, b", [
+    (20.0, 8.0, np.nextafter(np.nextafter(20.0, 21.0), 21.0)),
+    (20.0, 8.0, 20.0 + 0.5 * HORIZON_SLACK),
+    # b = a + (horizon - a) rounds one ulp past the horizon, and b - a
+    # rounds back onto horizon - a
+    (0.82, 0.179, 0.179 + (0.82 - 0.179)),
+], ids=["2ulp", "slack", "rounded-split"])
+def test_shifted_restriction_just_past_the_horizon(horizon, a, b):
+    f = StepFunction(np.array([0.0, 0.5 * horizon, horizon]), np.array([[1.0], [2.0]]))
+    g = f.shifted_restriction(a, b)
+    assert g.horizon == b - a
+    assert g.value_at(0.0)[0] == 1.0
+    assert g.value_at(np.nextafter(g.horizon, 0.0))[0] == 2.0
 
 
 def test_markov_case_is_semigroup_law(all_fixtures):

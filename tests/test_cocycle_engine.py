@@ -31,9 +31,9 @@ def ref_value_at(f, s):
 def ref_shifted_restriction(f, a, b):
     if a < -1e-12 or b > f.horizon + 1e-9 or b <= a:
         raise HorizonMismatch(f"[{a}, {b}) not inside [0, {f.horizon})")
-    pts = [a] + [float(p) for p in f.breakpoints if a < p < b - 1e-15] + [b]
-    vals = [ref_value_at(f, min(p, f.horizon - 1e-15)) for p in pts[:-1]]
-    return StepFunction(np.array(pts) - a, np.array(vals))
+    inside = [float(p) for p in f.breakpoints if 0.0 < p - a < b - a]
+    vals = [ref_value_at(f, min(p, np.nextafter(f.horizon, 0.0))) for p in [a] + inside]
+    return StepFunction(np.array([0.0] + [p - a for p in inside] + [b - a]), np.array(vals))
 
 
 def ref_refine_pair(f, f_prime, t):
@@ -42,7 +42,7 @@ def ref_refine_pair(f, f_prime, t):
     if f.horizon < t - 1e-9 or f_prime.horizon < t - 1e-9:
         raise HorizonMismatch(f"step functions must cover [0, {t}]")
     pts = np.concatenate([[0.0, t], f.breakpoints, f_prime.breakpoints])
-    pts = np.unique(pts[(pts > -1e-15) & (pts < t + 1e-15)])
+    pts = np.unique(pts[(pts >= 0.0) & (pts <= t)])
     merged = [pts[0]]
     for p in pts[1:]:
         if p - merged[-1] > 1e-12:

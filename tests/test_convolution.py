@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qlevy.algebra import ParseError
-from qlevy.convolution import (ConvolutionSemigroup, OperatorMap,
+from qlevy.convolution import (ConvolutionSemigroup, NonFiniteCocycle, OperatorMap,
                                amplified_norm, amplified_norm_profile,
                                conv_exp, convolve, counit_map, e_map,
                                functional, lifted_compose, lifted_matrix,
@@ -163,6 +163,21 @@ def test_semigroup_law(all_fixtures):
             lhs = sg.at(s + t).as_vector()
             rhs = convolve(sg.at(s), sg.at(t)).as_vector()
             assert maxabs(lhs - rhs) < 1e-10
+
+
+def test_overflowing_semigroup_names_the_time(all_fixtures):
+    # on C(S3) the lifted generator of 50 (k - 2.5) has eigenvalues up to 150:
+    # its exponential is finite at t = 1, not at t = 50
+    b = all_fixtures["C(S3)"]
+    sg = ConvolutionSemigroup(functional(b, 50.0 * (np.arange(b.dim) - 2.5)))
+    assert np.isfinite(sg.at(1.0).as_vector()).all()
+    with np.errstate(all="ignore"):
+        with pytest.raises(NonFiniteCocycle, match=r"not finite at t = 50\.0"):
+            sg.at(50)
+        with pytest.raises(NonFiniteCocycle):
+            conv_exp(sg.generator, 50.0)
+    import qlevy.cocycle
+    assert qlevy.cocycle.NonFiniteCocycle is NonFiniteCocycle
 
 
 def test_semigroup_generator_slices(all_fixtures):
