@@ -4,8 +4,8 @@ from .algebra import (AxiomViolation, Bialgebra, Element, ParseError,
                       build_function_algebra, build_group_algebra,
                       class_hypergroup_algebra, is_positive, load_bialgebra,
                       multiply, represent, star, validate_bialgebra)
-from .cocycle import (Generator, NoiseSpace, StepFunction,
-                      check_cocycle_identity, exp_inner_product,
+from .cocycle import (Generator, StepFunction, check_cocycle_identity,
+                      delta_qs, exp_inner_product,
                       matrix_element, opposite_matrix_element,
                       simplex_series_oracle, toy_fock_evolve,
                       weak_qlp_moments)

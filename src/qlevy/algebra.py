@@ -67,23 +67,11 @@ class Bialgebra:
     rep_images: np.ndarray    # (d, N, N) assembled block-diagonal images
     kind: str = "bialgebra"   # or "hyperbialgebra"
 
-    # -- element-level arithmetic on coordinate vectors ------------------
+    # -- elements ---------------------------------------------------------
 
     @property
     def rep_dim(self):
         return int(sum(self.rep_blocks))
-
-    def multiply_coords(self, x, y):
-        return np.einsum("i,j,ijk->k", x, y, self.mult)
-
-    def star_coords(self, x):
-        return self.star_matrix @ np.conjugate(x)
-
-    def counit_value(self, x):
-        return complex(self.counit @ x)
-
-    def represent_coords(self, x):
-        return np.einsum("k,kab->ab", x, self.rep_images)
 
     def basis_element(self, i):
         c = np.zeros(self.dim, dtype=complex)
@@ -150,16 +138,13 @@ class Element:
     coords: np.ndarray
 
     def __mul__(self, other):
-        _same_algebra(self, other)
-        return Element(self.algebra, self.algebra.multiply_coords(self.coords, other.coords))
+        b = self.algebra
+        if not b.same_structure(other.algebra):
+            raise ValueError("elements belong to different bialgebras")
+        return Element(b, np.einsum("i,j,ijk->k", self.coords, other.coords, b.mult))
 
     def star(self):
-        return Element(self.algebra, self.algebra.star_coords(self.coords))
-
-
-def _same_algebra(x, y):
-    if not x.algebra.same_structure(y.algebra):
-        raise ValueError("elements belong to different bialgebras")
+        return Element(self.algebra, self.algebra.star_matrix @ np.conjugate(self.coords))
 
 
 # -- spec operations -------------------------------------------------------
@@ -174,7 +159,7 @@ def star(x):
 
 def represent(x):
     """Image of x under the faithful block-matrix representation."""
-    return x.algebra.represent_coords(x.coords)
+    return np.einsum("k,kab->ab", x.coords, x.algebra.rep_images)
 
 
 def is_positive(x):

@@ -40,27 +40,11 @@ class OverlappingIntervals(ValueError):
     """Weak quantum Levy process moments need pairwise disjoint intervals."""
 
 
-@dataclass(frozen=True)
-class NoiseSpace:
-    """The one-dimension-augmented noise space C + k."""
-
-    d_noise: int
-
-    @property
-    def dim(self):
-        return 1 + self.d_noise
-
-    @property
-    def e0(self):
-        v = np.zeros(self.dim, dtype=complex)
-        v[0] = 1.0
-        return v
-
-    @property
-    def delta_qs(self):
-        p = np.eye(self.dim, dtype=complex)
-        p[0, 0] = 0.0
-        return p
+def delta_qs(p):
+    """The quantum Ito projection Delta_QS onto k in B(C + k), p = 1 + dim k."""
+    dqs = np.eye(p, dtype=complex)
+    dqs[0, 0] = 0.0
+    return dqs
 
 
 @dataclass(frozen=True)
@@ -189,10 +173,6 @@ class Generator(OperatorMap):
     def d_noise(self):
         return self.p - 1
 
-    @property
-    def noise(self):
-        return NoiseSpace(self.d_noise)
-
     def lam_block(self):
         """Corner functional x -> phi(x)_{00}."""
         return functional(self.source, self.values[:, 0, 0])
@@ -260,17 +240,19 @@ def cocycle_functional(phi, f, f_prime, t, reverse=False):
     if t == 0:
         return src.counit.astype(complex).copy()
     pts, dts, c, cp, _, lifted = _pieces(phi, f, f_prime, t)
-    factors = _expm_stack(dts[:, None, None] * lifted)
-    scalars = np.exp(dts * _inner_products(c, cp))
     order = range(dts.size - 1, -1, -1) if reverse else range(dts.size)
-    lift = np.eye(src.dim, dtype=complex)
-    pref = 1.0 + 0.0j
-    for i in order:
-        lift = lift @ factors[i]
-        pref *= scalars[i]
-    coords = pref * (src.counit @ lift)
-    if not np.isfinite(coords).all() or not np.isfinite(pref):
-        _raise_non_finite(src, pts, factors, scalars, order)
+    # an overflow is reported once, by the NonFiniteCocycle raised below
+    with np.errstate(over="ignore", invalid="ignore"):
+        factors = _expm_stack(dts[:, None, None] * lifted)
+        scalars = np.exp(dts * _inner_products(c, cp))
+        lift = np.eye(src.dim, dtype=complex)
+        pref = 1.0 + 0.0j
+        for i in order:
+            lift = lift @ factors[i]
+            pref *= scalars[i]
+        coords = pref * (src.counit @ lift)
+        if not np.isfinite(coords).all() or not np.isfinite(pref):
+            _raise_non_finite(src, pts, factors, scalars, order)
     return coords
 
 

@@ -253,7 +253,8 @@ class ConvolutionSemigroup:
 
     def at(self, t):
         """lambda_t; raises :class:`NonFiniteCocycle` when it overflows."""
-        coords = self.source.counit @ expm(float(t) * self.lifted_generator)
+        with np.errstate(over="ignore", invalid="ignore"):
+            coords = self.source.counit @ expm(float(t) * self.lifted_generator)
         if not np.isfinite(coords).all():
             raise NonFiniteCocycle(f"semigroup value not finite at t = {float(t)!r}")
         return functional(self.source, coords)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .cocycle import Generator, NoiseSpace, as_generator
+from .cocycle import Generator, as_generator, delta_qs
 from .convolution import OperatorMap, counit_map
 from .linalg import (RCOND, SOLVE_TOL, SPECTRAL_TOL, STRUCT_TOL,
                      commutator_system, dagger, lstsq_minnorm, maxabs,
@@ -31,13 +31,6 @@ from .linalg import (RCOND, SOLVE_TOL, SPECTRAL_TOL, STRUCT_TOL,
 def representation_defect(pi):
     """Max residual of unitality, multiplicativity and star-preservation."""
     return algebra.representation_defect(pi.source, pi.values, (pi.p,))
-
-
-def validate_representation(pi):
-    defect = representation_defect(pi)
-    if defect > SPECTRAL_TOL:
-        raise ValueError(f"not a unital *-representation (defect {defect:.2e})")
-    return pi
 
 
 def is_character(chi):
@@ -110,7 +103,9 @@ def make_structure_map(pi, c):
     The resulting generator has noise dimension n = dim pi, satisfies
     phi(1) = 0 and the multiplicative structure relation exactly.
     """
-    validate_representation(pi)
+    defect = representation_defect(pi)
+    if defect > SPECTRAL_TOL:
+        raise ValueError(f"not a unital *-representation (defect {defect:.2e})")
     c = np.asarray(c, dtype=complex).reshape(-1)
     if c.size != pi.p:
         raise ValueError(f"vector size {c.size} does not match representation dim {pi.p}")
@@ -123,7 +118,7 @@ def _relation_residual(phi, chi):
     src = phi.source
     lhs = np.einsum("mi,mjk,kab->ijab", src.star_matrix, src.mult, phi.values)
     phidag = dagger(phi.values)
-    pdq = phidag @ NoiseSpace(phi.p - 1).delta_qs
+    pdq = phidag @ delta_qs(phi.p)
     rhs = np.einsum("iab,j->ijab", phidag, chi) \
         + np.einsum("i,jab->ijab", np.conjugate(chi), phi.values) \
         + np.einsum("iab,jbc->ijac", pdq, phi.values)
@@ -250,9 +245,8 @@ def check_cp_form(phi, q):
     phi1 = np.einsum("k,kab->ab", src.unit, phi.values)
     chi = np.concatenate([[0.5 * (np.vdot(q.xi, q.xi) - phi1[0, 0])],
                           dagger(q.big_d) @ q.xi - phi1[1:, 0]])
-    ns = phi.noise
-    amp = ns.delta_qs + np.outer(ns.e0, np.conjugate(chi)) \
-        + np.outer(chi, np.conjugate(ns.e0))
+    e0 = np.eye(phi.p)[0]
+    amp = delta_qs(phi.p) + np.outer(e0, np.conjugate(chi)) + np.outer(chi, e0)
     split = maxabs(phi.values - (psi - src.counit[:, None, None] * amp[None, :, :]))
     return {"decomposition": decomposition, "cp_split": split}
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fixtures
-from .algebra import build_group_algebra
-from .cocycle import Generator, NoiseSpace, StepFunction, check_cocycle_identity
+from .algebra import build_group_algebra, validate_bialgebra
+from .cocycle import Generator, StepFunction, check_cocycle_identity, delta_qs
 from .convolution import ConvolutionSemigroup, OperatorMap, functional
 from .derivations import DerivationProblem, inner_derivation, solve_inner
 from .generators import check_structure_map, gns_construct, make_structure_map
@@ -102,7 +102,7 @@ def psi_blocks(data):
 def group_relation_residuals(psi, table):
     """Residuals of psi_{gh} = psi_g + psi_h + psi_g Delta_QS psi_h,
     psi_g^dag = psi_{g^{-1}}, psi_e = 0."""
-    dqs = NoiseSpace(psi.shape[1] - 1).delta_qs
+    dqs = delta_qs(psi.shape[1])
     table = np.asarray(table)
     inv = np.argmax(table == 0, axis=1)
     mult = psi[table] - psi[:, None] - psi[None] - psi[:, None] @ dqs @ psi[None]
@@ -239,7 +239,6 @@ def _case(name, residual, tol):
 
 
 def _battery_axioms(config):
-    from .algebra import validate_bialgebra
     cases = []
     for name, b in fixtures.bundled_fixtures().items():
         for r in validate_bialgebra(b):

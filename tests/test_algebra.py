@@ -81,9 +81,10 @@ def test_group_algebra_rejects_monoid_without_inverses():
         build_group_algebra(table)
 
 
-def test_element_arithmetic():
+@pytest.mark.parametrize("name", sorted(bundled_fixtures()))
+def test_element_arithmetic(all_fixtures, name):
     rng = np.random.default_rng(11)
-    b = bundled_fixtures()["Alg(S3)"]
+    b = all_fixtures[name]
     x = random_element(rng, b)
     one = b.one()
     assert maxabs((one * x).coords - x.coords) < 1e-14

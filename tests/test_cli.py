@@ -600,12 +600,23 @@ def test_semigroup_overflow_is_one_error_line(tmp_path, capsys):
     b = bundled_fixtures()["C(S3)"]
     gpath = tmp_path / "gamma.json"
     functional(b, 50.0 * (np.arange(b.dim) - 2.5)).save(gpath)
-    with np.errstate(all="ignore"):
-        assert main(["semigroup", "fixture:C(S3)", str(gpath),
-                     "--t-grid", "0:100:3"]) == 1
+    assert main(["semigroup", "fixture:C(S3)", str(gpath), "--t-grid", "0:100:3"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: semigroup value not finite at t = 50.0"]
+
+
+def test_cocycle_eval_overflow_is_one_error_line(tmp_path, capsys):
+    b = bundled_fixtures()["C(S3)"]
+    vals = np.zeros((b.dim, 2, 2), dtype=complex)
+    vals[:, 0, 0] = 50.0 * (np.arange(b.dim) - 2.5)
+    gpath = tmp_path / "phi.json"
+    Generator(b, vals).save(gpath)
+    assert main(["cocycle-eval", "fixture:C(S3)", str(gpath), "--x", "d1", "--t", "50"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: semigroup factor not finite at piece 0 on [0.0, 50.0)"]
 
 
 def test_gns_not_conditionally_positive_is_check_failure(tmp_path, capsys):
