@@ -547,24 +547,14 @@ def _entries(t, axes):
 
 
 def bialgebra_from_dict(data):
-    try:
-        d = int(data["dim"])
-        labels = tuple(str(x) for x in data["basis"])
-        unit = np.array([_j2c(z) for z in data["unit"]], dtype=complex)
-        counit = np.array([_j2c(z) for z in data["counit"]], dtype=complex)
-        star_m = _j2mat(data["star_matrix"])
-        mult = np.zeros((d, d, d), dtype=complex)
-        for e in data["mult"]:
-            mult[e["i"], e["j"], e["k"]] += complex(e["re"], e["im"])
-        coproduct = np.zeros((d, d, d), dtype=complex)
-        for e in data["coproduct"]:
-            coproduct[e["k"], e["i"], e["j"]] += complex(e["re"], e["im"])
-        blocks = tuple(int(n) for n in data["rep"]["blocks"])
-        images = np.array([block_diag([_j2mat(bm) for bm in per_basis])
-                           for per_basis in data["rep"]["images"]])
-        kind = data.get("kind", "bialgebra")
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
-        raise ParseError(f"malformed bialgebra file: {exc}") from exc
+    d = int(data["dim"])
+    labels = tuple(str(x) for x in data["basis"])
+    unit = np.array([_j2c(z) for z in data["unit"]], dtype=complex)
+    counit = np.array([_j2c(z) for z in data["counit"]], dtype=complex)
+    star_m = _j2mat(data["star_matrix"])
+    blocks = tuple(int(n) for n in data["rep"]["blocks"])
+    images = np.array([block_diag([_j2mat(bm) for bm in per_basis])
+                       for per_basis in data["rep"]["images"]])
     if len(labels) != d or unit.shape != (d,) or counit.shape != (d,):
         raise ParseError("field sizes inconsistent with dim")
     if star_m.shape != (d, d) or images.shape[0] != d:
@@ -572,41 +562,51 @@ def bialgebra_from_dict(data):
     n = sum(blocks)
     if images.shape[1:] != (n, n):
         raise ParseError("representation images inconsistent with block sizes")
+    mult = np.zeros((d, d, d), dtype=complex)
+    for e in data["mult"]:
+        mult[e["i"], e["j"], e["k"]] += complex(e["re"], e["im"])
+    coproduct = np.zeros((d, d, d), dtype=complex)
+    for e in data["coproduct"]:
+        coproduct[e["k"], e["i"], e["j"]] += complex(e["re"], e["im"])
     return Bialgebra(dim=d, basis_labels=labels, unit=unit, mult=mult,
                      star_matrix=star_m, counit=counit, coproduct=coproduct,
-                     rep_blocks=blocks, rep_images=images, kind=kind)
+                     rep_blocks=blocks, rep_images=images,
+                     kind=data.get("kind", "bialgebra"))
 
 
-def _read_json(path):
-    """The JSON data in a file; invalid JSON raises :class:`ParseError`."""
+def bialgebra_and_rep2(data):
+    """The bialgebra of file data, and the same with its optional "rep2"
+    field, a second faithful representation (same schema as "rep"), in place
+    of "rep" (None without one).  Checks of the second sample representation
+    independence of the CP verdict."""
+    b = bialgebra_from_dict(data)
+    return b, (bialgebra_from_dict({**data, "rep": data["rep2"]})
+               if "rep2" in data else None)
+
+
+def _parse_file(path, what, parse):
+    """parse(data) for the JSON data in a file.  Invalid JSON, and data that
+    parse cannot read, raise :class:`ParseError` naming the file."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON in {path}: {exc}") from exc
-
-
-def rep2_variant(data):
-    """The bialgebra of file data with its optional "rep2" field, a second
-    faithful representation (same schema as "rep"), in place of "rep"; None
-    without one.  Its checks sample representation independence of the CP
-    verdict."""
-    if "rep2" not in data:
-        return None
-    alt = dict(data)
-    alt["rep"] = alt.pop("rep2")
-    return bialgebra_from_dict(alt)
+    try:
+        return parse(data)
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
+        raise ParseError(f"malformed {what} file {path}: {exc!r}") from exc
 
 
 def load_bialgebra(path):
-    """Parse and fully validate a bialgebra file, and its :func:`rep2_variant`.
+    """Parse and fully validate a bialgebra file, and its "rep2" variant
+    (:func:`bialgebra_and_rep2`).
 
     Raises :class:`ParseError` on malformed input and :class:`AxiomViolation`
     naming the first failing axiom otherwise.
     """
-    data = _read_json(path)
-    b = assert_valid(bialgebra_from_dict(data))
-    alt = rep2_variant(data)
+    b, alt = _parse_file(path, "bialgebra", bialgebra_and_rep2)
+    assert_valid(b)
     if alt is not None:
         assert_valid(alt)
     return b

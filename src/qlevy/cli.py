@@ -12,9 +12,9 @@ import sys
 import numpy as np
 
 from . import fixtures
-from .algebra import (AxiomViolation, ParseError, _c2j, _j2c, _j2mat, _mat2j,
-                      _read_json, bialgebra_from_dict, build_function_algebra,
-                      load_bialgebra, rep2_variant, validate_bialgebra)
+from .algebra import (ParseError, _c2j, _j2c, _j2mat, _mat2j, _parse_file,
+                      bialgebra_and_rep2, build_function_algebra,
+                      load_bialgebra, validate_bialgebra)
 from .cocycle import (HORIZON_SLACK, Generator, StepFunction, matrix_element,
                       check_cocycle_identity, simplex_series_oracle)
 from .convolution import (ConvolutionSemigroup, OperatorMap, functional,
@@ -97,87 +97,56 @@ def parse_steps(spec_text):
     return StepFunction(np.array(bps), arr)
 
 
-def steps_arg(text):
-    """argparse type for a step function 't1:c1,t2:c2,...'; empty means the
-    zero function."""
-    if not text:
-        return None
-    try:
-        return parse_steps(text)
-    except (ValueError, TypeError, IndexError, KeyError) as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected t1:c1,t2:c2,... with each c a JSON list of [re, im] "
-            f"pairs or its base64, got {text!r} ({exc})") from None
+def _arg(parse, what):
+    """argparse type from parse(text); text that parse cannot read is a usage
+    error saying that ``what`` was expected."""
+    def convert(text):
+        try:
+            return parse(text)
+        except (ValueError, TypeError, IndexError, KeyError) as exc:
+            raise argparse.ArgumentTypeError(
+                f"expected {what}, got {text!r} ({exc})") from None
+    return convert
 
 
-def element_arg(text):
-    """argparse type for --x: a basis label, or JSON coordinates [[re, im], ...]
-    returned as a complex vector."""
-    if not text.startswith("["):
-        return text
-    try:
-        return _parse_vector(text)
-    except (ValueError, TypeError, IndexError, KeyError) as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected a basis label or a JSON list of [re, im] pairs, "
-            f"got {text!r} ({exc})") from None
-
-
-def t_grid_arg(text):
-    """argparse type for 'start:stop:count', an evenly spaced time grid."""
-    try:
-        a, b, n = text.split(":")
-        start, stop, count = float(a), float(b), int(n)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected start:stop:count, got {text!r}") from None
-    if not (np.isfinite(start) and np.isfinite(stop)) or count < 0:
-        raise argparse.ArgumentTypeError(
-            f"need finite start and stop and count >= 0, got {text!r}")
+def _t_grid(text):
+    """An evenly spaced time grid from 'start:stop:count'."""
+    a, b, n = text.split(":")
+    start, stop, count = float(a), float(b), int(n)
+    if not (np.isfinite(start) and np.isfinite(stop)):
+        raise ValueError("start and stop must be finite")
     return np.linspace(start, stop, count)
 
 
-def _number_arg(kind, holds, what):
-    """argparse type for one finite number of the given kind for which
-    ``holds`` is true; ``what`` describes such numbers."""
+def _number(kind, holds):
+    """Parse one number of the given kind for which ``holds`` is true."""
     def parse(text):
-        try:
-            value = kind(text)
-            ok = np.isfinite(value) and holds(value)
-        except (ValueError, TypeError):    # TypeError: an int beyond int64
-            ok = False
-        if not ok:
-            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        value = kind(text)
+        if not holds(value):
+            raise ValueError("out of range")
         return value
     return parse
 
 
-positive_int_arg = _number_arg(int, lambda v: v > 0, "an integer >= 1")
-positive_float_arg = _number_arg(float, lambda v: v > 0, "a finite number > 0")
-nonnegative_float_arg = _number_arg(float, lambda v: v >= 0, "a finite number >= 0")
-seed_arg = _number_arg(int, lambda v: 0 <= v < 2 ** 64, "an integer in [0, 2**64)")
-
-
-def real_vector_arg(text):
-    """argparse type for a JSON list of real numbers."""
-    try:
-        vec = np.array(json.loads(text), dtype=float)
-    except (json.JSONDecodeError, TypeError, ValueError):
-        raise argparse.ArgumentTypeError(
-            f"expected a JSON list of numbers, got {text!r}") from None
+def _real_vector(text):
+    vec = np.array(json.loads(text), dtype=float)
     if vec.ndim != 1:
-        raise argparse.ArgumentTypeError(f"expected a flat JSON list, got {text!r}")
+        raise ValueError(f"a JSON array of rank {vec.ndim}")
     return vec
 
 
-def _parse_file(path, what, parse):
-    """parse(data) for the JSON data in a file; data that parse cannot read
-    raises :class:`ParseError` naming ``what``."""
-    data = _read_json(path)
-    try:
-        return parse(data)
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
-        raise ParseError(f"malformed {what} file {path}: {exc!r}") from exc
+steps_arg = _arg(lambda text: parse_steps(text) if text else None,
+                 "t1:c1,t2:c2,... with each c a JSON list of [re, im] pairs "
+                 "or its base64")
+element_arg = _arg(lambda text: _parse_vector(text) if text.startswith("[") else text,
+                   "a basis label or a JSON list of [re, im] pairs")
+t_grid_arg = _arg(_t_grid, "start:stop:count")
+positive_int_arg = _arg(_number(int, lambda v: 0 < v < 2 ** 64), "an integer >= 1")
+positive_float_arg = _arg(_number(float, lambda v: 0 < v < np.inf), "a finite number > 0")
+nonnegative_float_arg = _arg(_number(float, lambda v: 0 <= v < np.inf),
+                             "a finite number >= 0")
+seed_arg = _arg(_number(int, lambda v: 0 <= v < 2 ** 64), "an integer in [0, 2**64)")
+real_vector_arg = _arg(_real_vector, "a flat JSON list of numbers")
 
 
 def _load_group_data(path):
@@ -199,15 +168,14 @@ def _functional_from_spec(b, text):
 def cmd_validate(args):
     try:
         if args.file.startswith("fixture:"):
-            variants = {"": _load_algebra(args.file)}
+            variants = (_load_algebra(args.file), None)
         else:
-            data = _read_json(args.file)
-            variants = {"": bialgebra_from_dict(data), "rep2:": rep2_variant(data)}
+            variants = _parse_file(args.file, "bialgebra", bialgebra_and_rep2)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
     ok = True
-    for prefix, b in variants.items():
+    for prefix, b in zip(("", "rep2:"), variants):
         if b is None:
             continue
         for r in validate_bialgebra(b, struct_tol=args.tol):
@@ -462,7 +430,7 @@ def main(argv=None):
         return args.func(args)
     except UsageError as exc:
         parser.error(str(exc))
-    except (ParseError, AxiomViolation, ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

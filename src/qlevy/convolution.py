@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .algebra import Bialgebra, ParseError, _j2mat, _mat2j, _read_json
+from .algebra import Bialgebra, ParseError, _j2mat, _mat2j, _parse_file
 from .linalg import maxabs, opnorm
 
 
@@ -89,16 +89,14 @@ def counit_map(source):
 
 
 def load_operator_map(path, source):
-    data = _read_json(path)
-    try:
+    def parse(data):
         vals = np.array([_j2mat(m) for m in data["values"]])
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed operator-map file: {exc}") from exc
-    want = data.get("source_hash")
-    if want and want != source.structural_hash():
-        raise ParseError(f"operator map was saved for bialgebra {want}, "
-                         f"got {source.structural_hash()}")
-    return OperatorMap(source, vals)
+        want = data.get("source_hash")
+        if want and want != source.structural_hash():
+            raise ParseError(f"operator map was saved for bialgebra {want}, "
+                             f"got {source.structural_hash()}")
+        return OperatorMap(source, vals)
+    return _parse_file(path, "operator-map", parse)
 
 
 # -- convolution and the R/E maps -------------------------------------------

@@ -113,17 +113,14 @@ def group_relation_residuals(psi, table):
 def build_group_generator(data, algebra=None):
     """The stochastic generator phi(L_g) = psi_g on the group bialgebra.
 
-    Validates the cocycle data and the assembled relations (residuals must
-    stay below SPECTRAL_TOL)."""
+    Validates the cocycle data, which is the group relations of psi in data
+    form: U is a unitary representation (so psi_e = 0 and psi is adjoint),
+    xi is a U-cocycle and lambda meets its relation (the corner's imaginary
+    part); the corner's real part and the top row follow from unitarity."""
     data.validate()
     if algebra is None:
         algebra = build_group_algebra(data.table)
-    psi = psi_blocks(data)
-    res = group_relation_residuals(psi, data.table)
-    bad = {k: v for k, v in res.items() if v > SPECTRAL_TOL}
-    if bad:
-        raise ValueError(f"assembled generator violates the group relations: {bad}")
-    return Generator(algebra, psi)
+    return Generator(algebra, psi_blocks(data))
 
 
 def solve_coboundary(data, tol=INPUT_TOL):

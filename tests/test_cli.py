@@ -297,6 +297,50 @@ def test_malformed_group_data_is_one_error_line(tmp_path, verb, damage, capsys):
             or "invalid JSON" in err[0]), err
 
 
+@pytest.mark.parametrize("verb, damage", [("validate", "dim 100000"),
+                                          ("semigroup", "dim 100000"),
+                                          ("semigroup", "ragged values")])
+def test_malformed_data_file_is_one_error_line(tmp_path, verb, damage, capsys):
+    # "dim" 100000 on a 3-dimensional file must fail its size checks before
+    # any (dim, dim, dim) tensor is allocated; ragged "values" must name the file
+    b = bundled_fixtures()["C(Z3)"]
+    bpath, gpath = tmp_path / "alg.json", tmp_path / "gamma.json"
+    data = b.to_dict()
+    gamma = functional(b, 0.5 * (np.eye(3)[1] - np.eye(3)[0])).to_dict()
+    if damage == "dim 100000":
+        data["dim"] = 100000
+        bad, what = bpath, "bialgebra"
+    else:
+        gamma["values"][1].append([[0.0, 0.0]])
+        bad, what = gpath, "operator-map"
+    bpath.write_text(json.dumps(data))
+    gpath.write_text(json.dumps(gamma))
+    argv = [verb, str(bpath)] + ([str(gpath)] if verb == "semigroup" else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1, err
+    prefix = "parse error" if verb == "validate" else "error"
+    assert err[0].startswith(f"{prefix}: malformed {what} file {bad}: "), err
+
+
+def test_group_gen_checks_relations_once(tmp_path, monkeypatch, capsys):
+    import qlevy.cli
+    import qlevy.harness
+    calls = []
+    real = qlevy.harness.group_relation_residuals
+
+    def counted(psi, table):
+        calls.append(1)
+        return real(psi, table)
+
+    monkeypatch.setattr(qlevy.harness, "group_relation_residuals", counted)
+    monkeypatch.setattr(qlevy.cli, "group_relation_residuals", counted)
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(_group_data_raw()))
+    assert main(["group-gen", str(path)]) == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("key", ["pi_prime", "pi", "delta"])
 def test_malformed_derivation_problem_is_one_error_line(tmp_path, key, capsys):
     b = bundled_fixtures()["Alg(Z3)"]
