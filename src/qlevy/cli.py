@@ -226,15 +226,18 @@ def cmd_cocycle_eval(args):
     f = args.f or StepFunction.zero(dn, args.t)
     fp = args.fp or StepFunction.zero(dn, args.t)
     value = matrix_element(phi, x, f, fp, args.t)
-    checks = {}
     s = 0.5 * args.t
-    checks["cocycle_identity"] = check_cocycle_identity(phi, s, args.t - s, f, fp)
-    orc, tail = simplex_series_oracle(phi, x, f, fp, args.t, n_max=4)
-    checks["oracle_gap"] = abs(value - orc)
-    checks["oracle_tail_bound"] = tail
+    checks = {"cocycle_identity": check_cocycle_identity(phi, s, args.t - s, f, fp)}
+    slack = args.tol * max(1.0, abs(value))
+    for n_max in (4, 8, 16, 32, 64):
+        orc, tail = simplex_series_oracle(phi, x, f, fp, args.t, n_max=n_max)
+        if tail <= slack:
+            break
+    checks.update(oracle_gap=abs(value - orc), oracle_tail_bound=tail)
     _emit(args, {"value": _c2j(value), "method": "semigroup-factorization",
-                 "residual_checks": checks})
-    return 0 if checks["cocycle_identity"] <= args.tol else 1
+                 "oracle_n_max": n_max, "residual_checks": checks})
+    ok = checks["cocycle_identity"] <= args.tol and checks["oracle_gap"] <= tail + slack
+    return 0 if ok else 1
 
 
 def cmd_gns(args):

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import legendre
-from scipy.linalg import expm
 
-from .convolution import (ConvolutionSemigroup, NonFiniteCocycle, OperatorMap,
-                          _exp_tail, conv_exp, convolve, functional,
-                          lifted_matrix, semigroup_generator, star_power)
+from .convolution import (ConvolutionSemigroup, NonFiniteCocycle, OperatorMap, _exp_tail,
+                          _expm_stack, conv_exp, convolve, functional, lifted_matrix,
+                          semigroup_generator, star_power)
 from .linalg import SPECTRAL_TOL, maxabs, opnorm
 
 HORIZON_SLACK = 1e-9   # a step function ending this close before a time covers it
@@ -206,21 +205,6 @@ def _pieces(phi, f, f_prime, t):
     gammas = np.einsum("na,kab,nb->nk", np.conjugate(chat_p), phi.values, chat)
     lifted = np.einsum("kij,nj->nik", phi.source.coproduct, gammas)
     return pts, dts, c, cp, gammas, lifted
-
-
-def _expm_stack(a):
-    """expm of every slice of a C-contiguous (n, d, d) stack.  A stack of
-    diagonal matrices (every group algebra) is exponentiated entrywise,
-    which is the branch ``scipy.linalg.expm`` takes for each diagonal slice."""
-    n, d, _ = a.shape
-    # row i of this view holds the d entries that follow a[:, i, i] in memory;
-    # together the rows hold every off-diagonal entry
-    if a.reshape(n, d * d)[:, :-1].reshape(n, d - 1, d + 1)[:, :, 1:].any():
-        return expm(a)
-    out = np.zeros_like(a)
-    idx = np.arange(d)
-    out[:, idx, idx] = np.exp(a[:, idx, idx])
-    return out
 
 
 def cocycle_functional(phi, f, f_prime, t, reverse=False):

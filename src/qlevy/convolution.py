@@ -239,6 +239,21 @@ class NonFiniteCocycle(ValueError):
     prefactor is not finite."""
 
 
+def _expm_stack(a):
+    """expm of every slice of an (n, d, d) stack, the one exponential of lifted
+    generators.  A stack of diagonal matrices (every group algebra) is
+    exponentiated entrywise, the branch ``scipy.linalg.expm`` takes for each."""
+    n, d, _ = a.shape
+    # row i of this view holds the d entries that follow a[:, i, i] in C order;
+    # together the rows hold every off-diagonal entry
+    if a.reshape(n, d * d)[:, :-1].reshape(n, d - 1, d + 1)[:, :, 1:].any():
+        return expm(a)
+    out = np.zeros_like(a)
+    idx = np.arange(d)
+    out[:, idx, idx] = np.exp(a[:, idx, idx])
+    return out
+
+
 class ConvolutionSemigroup:
     """lambda_t = exp_*(t gamma), with the lifted generator cached."""
 
@@ -252,7 +267,7 @@ class ConvolutionSemigroup:
     def at(self, t):
         """lambda_t; raises :class:`NonFiniteCocycle` when it overflows."""
         with np.errstate(over="ignore", invalid="ignore"):
-            coords = self.source.counit @ expm(float(t) * self.lifted_generator)
+            coords = self.source.counit @ _expm_stack(float(t) * self.lifted_generator[None])[0]
         if not np.isfinite(coords).all():
             raise NonFiniteCocycle(f"semigroup value not finite at t = {float(t)!r}")
         return functional(self.source, coords)

@@ -17,6 +17,7 @@ reproducible from the 64-bit seed recorded in every report.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,27 +142,20 @@ def solve_coboundary(data, tol=INPUT_TOL):
 # -- compound Poisson Monte Carlo -------------------------------------------------
 
 def _poisson_counts(rng, rate_t, size):
-    """Poisson sampling by inversion of the exact CDF, tabulated by a pmf
-    recursion for rate_t <= 30 and by ``scipy.special.pdtr`` above; the
-    latter gives the values of ``scipy.stats.poisson.ppf`` without its
-    import and per-draw root finding (reproducibility contract: both paths
-    draw exactly one uniform block)."""
+    """Poisson sampling by inversion of the exact CDF, tabulated in log space
+    with ``math.lgamma`` on a +-40 sigma window (outside it the mass is
+    under 1e-300); a draw at or above the last tabulated value takes the
+    window's last count.  Every call draws exactly one uniform block, also
+    at rate_t = 0, so runs stay reproducible."""
     if rate_t < 0:
         raise ValueError("rate * t must be nonnegative")
-    if rate_t <= 30.0:
-        cutoff = 30 + int(8 * np.sqrt(rate_t + 1.0)) + int(rate_t)
-        pmf = np.zeros(cutoff)
-        pmf[0] = np.exp(-rate_t)
-        for i in range(1, cutoff):
-            pmf[i] = pmf[i - 1] * rate_t / i
-        cdf = np.cumsum(pmf)
-        u = rng.random(size)
-        return np.searchsorted(cdf, u)
-    from scipy.special import pdtr
-    # the CDF on a +-40 sigma window; below it the mass is under 1e-300
+    u = rng.random(size)
+    if rate_t == 0:
+        return np.zeros(size, dtype=np.int64)
     lo = max(0, int(rate_t - 40.0 * np.sqrt(rate_t)))
     k = np.arange(lo, int(rate_t + 40.0 * np.sqrt(rate_t)) + 40)
-    return lo + np.searchsorted(pdtr(k, rate_t), rng.random(size))
+    log_pmf = k * np.log(rate_t) - rate_t - np.array([math.lgamma(j + 1) for j in k])
+    return lo + np.searchsorted(np.cumsum(np.exp(log_pmf))[:-1], u)
 
 
 @dataclass

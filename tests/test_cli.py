@@ -111,9 +111,42 @@ def test_cocycle_eval(z3_file, tmp_path, capsys):
                  "--t", "0.9"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["method"] == "semigroup-factorization"
-    assert payload["residual_checks"]["cocycle_identity"] <= 1e-9
+    checks = payload["residual_checks"]
+    assert checks["cocycle_identity"] <= 1e-9
     got = complex(*payload["value"])
     assert abs(got) > 0
+    assert checks["oracle_tail_bound"] <= 1e-9 * max(1.0, abs(got))
+    assert checks["oracle_gap"] <= checks["oracle_tail_bound"] + 1e-9 * max(1.0, abs(got))
+
+
+@pytest.fixture
+def flat_z3_generator(tmp_path):
+    """phi = 0.1 on every entry of a d_noise = 1 generator on C(Z3)."""
+    gpath = tmp_path / "phi.json"
+    Generator(bundled_fixtures()["C(Z3)"], 0.1 * np.ones((3, 2, 2))).save(gpath)
+    return str(gpath)
+
+
+def test_cocycle_eval_oracle_checks_long_times(flat_z3_generator, capsys):
+    # at the fixed order 4 the tail bound was 288 against a value of 134
+    assert main(["cocycle-eval", "fixture:C(Z3)", flat_z3_generator, "--x", "d1",
+                 "--t", "20"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    value = abs(complex(*payload["value"]))
+    checks = payload["residual_checks"]
+    assert payload["oracle_n_max"] == 32
+    assert checks["oracle_tail_bound"] <= 1e-9 * value
+    assert checks["oracle_gap"] <= checks["oracle_tail_bound"]
+
+
+def test_cocycle_eval_fails_on_oracle_gap(flat_z3_generator, monkeypatch, capsys):
+    import qlevy.cli
+    exact = qlevy.cli.matrix_element
+    monkeypatch.setattr(qlevy.cli, "matrix_element",
+                        lambda *a: exact(*a) + 1e-3)
+    assert main(["cocycle-eval", "fixture:C(Z3)", flat_z3_generator, "--x", "d1",
+                 "--t", "0.9"]) == 1
+    assert json.loads(capsys.readouterr().out)["residual_checks"]["oracle_gap"] > 1e-4
 
 
 @pytest.mark.parametrize("flag", ["--f", "--fp"])

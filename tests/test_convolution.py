@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qlevy.algebra import ParseError
 from qlevy.convolution import (ConvolutionSemigroup, NonFiniteCocycle, OperatorMap,
@@ -163,6 +164,19 @@ def test_semigroup_law(all_fixtures):
             lhs = sg.at(s + t).as_vector()
             rhs = convolve(sg.at(s), sg.at(t)).as_vector()
             assert maxabs(lhs - rhs) < 1e-10
+
+
+def test_semigroup_is_the_2d_expm_bit_for_bit(all_fixtures):
+    # the reference is the 2-D expm that ConvolutionSemigroup.at called before
+    # it shared the cocycle engine's stacked exponential
+    rng = np.random.default_rng(12)
+    for b in all_fixtures.values():
+        for _ in range(4):
+            gamma = random_operator_map(rng, b, 1)
+            sg = ConvolutionSemigroup(gamma)
+            for t in (0.0, -0.7, 0.3, 1.0, 2.5):
+                ref = b.counit @ expm(t * lifted_matrix(gamma))
+                assert np.array_equal(sg.at(t).as_vector(), ref)
 
 
 def test_overflowing_semigroup_names_the_time(all_fixtures):

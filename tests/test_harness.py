@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -206,7 +209,7 @@ def test_poisson_counts_moments():
     counts = _poisson_counts(rng, rt, 200000)
     assert abs(counts.mean() - rt) < 0.05
     assert abs(counts.var() - rt) < 0.1
-    big = _poisson_counts(rng, 45.0, 100000)  # tabulated pdtr branch
+    big = _poisson_counts(rng, 45.0, 100000)  # the +-40 sigma window starts at 0
     assert abs(big.mean() - 45.0) < 0.3
 
 
@@ -223,6 +226,54 @@ def test_poisson_counts_large_rate_exact_law(rate_t):
     # rounded normals were 0.023 (rate_t = 31) off in total variation
     freq = np.bincount(counts, minlength=k.size)[:k.size] / n
     assert 0.5 * np.abs(freq - pmf).sum() < 0.01
+
+
+def _window_end(rate_t):
+    return int(rate_t + 40.0 * np.sqrt(rate_t)) + 40
+
+
+@pytest.mark.parametrize("rate_t", [1.2, 31.0, 45.0, 1000.0])
+def test_poisson_counts_match_pdtr_inversion(rate_t):
+    from scipy.special import pdtr
+    n = 100000
+    counts = _poisson_counts(np.random.Generator(np.random.Philox(key=17)), rate_t, n)
+    u = np.random.Generator(np.random.Philox(key=17)).random(n)
+    cdf = pdtr(np.arange(_window_end(rate_t)), rate_t)
+    assert np.array_equal(counts, np.searchsorted(cdf, u))
+
+
+def test_poisson_counts_rate_zero_draws_one_block():
+    rng = np.random.Generator(np.random.Philox(key=4))
+    counts = _poisson_counts(rng, 0.0, 50)
+    assert counts.shape == (50,) and not counts.any()
+    ref = np.random.Generator(np.random.Philox(key=4))
+    ref.random(50)
+    assert rng.random() == ref.random()
+
+
+class _TopUniform:
+    """Draws only the largest double below 1."""
+
+    def random(self, size):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+
+@pytest.mark.parametrize("rate_t", [0.5, 1.2, 29.9, 31.0, 60.0, 1000.0])
+def test_poisson_counts_top_uniform_stays_in_window(rate_t):
+    counts = _poisson_counts(_TopUniform(), rate_t, 3)
+    assert (counts > rate_t).all() and (counts < _window_end(rate_t)).all()
+
+
+def test_sampling_leaves_scipy_special_unimported():
+    import qlevy
+    code = ("import sys; from qlevy.fixtures import cyclic_table; "
+            "from qlevy.harness import simulate_compound_poisson; "
+            "simulate_compound_poisson(cyclic_table(3), 60.0, [0.2, 0.5, 0.3], "
+            "1.0, 1000, 1); assert 'scipy.special' not in sys.modules")
+    src = str(Path(qlevy.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_mc_reproducible():
