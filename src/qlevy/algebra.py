@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import decompose
 from .linalg import (RCOND, SPECTRAL_TOL, STRUCT_TOL, block_diag, dagger,
                      maxabs, min_eig_herm, numerical_rank, split_blocks)
 
@@ -128,6 +129,15 @@ class Bialgebra:
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_dict(), fh, indent=1)
+
+    def dual_blocks(self):
+        """The :class:`~qlevy.blocks.DualBlocks` of this bialgebra, computed
+        on first use."""
+        cached = getattr(self, "_blocks_cache", None)
+        if cached is None:
+            cached = decompose(self)
+            object.__setattr__(self, "_blocks_cache", cached)
+        return cached
 
 
 @dataclass

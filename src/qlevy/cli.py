@@ -16,7 +16,8 @@ from .algebra import (ParseError, _c2j, _j2c, _j2mat, _mat2j, _parse_file,
                       bialgebra_and_rep2, build_function_algebra,
                       load_bialgebra, validate_bialgebra)
 from .cocycle import (HORIZON_SLACK, Generator, StepFunction, matrix_element,
-                      check_cocycle_identity, simplex_series_oracle)
+                      check_cocycle_identity, simplex_series_oracle,
+                      simplex_tail_bounds)
 from .convolution import (ConvolutionSemigroup, OperatorMap, functional,
                           load_operator_map)
 from .derivations import DerivationProblem, implement_chi_structure, solve_inner
@@ -26,6 +27,8 @@ from .harness import (GroupCocycleData, RunConfig, build_group_generator,
                       compound_poisson_law, group_relation_residuals,
                       run_report, simulate_compound_poisson, solve_coboundary)
 from .linalg import INPUT_TOL, SOLVE_TOL, SPECTRAL_TOL, STRUCT_TOL
+
+ORACLE_ORDERS = (4, 8, 16, 32, 64)   # cocycle-eval's simplex-oracle orders
 
 
 class UsageError(Exception):
@@ -229,10 +232,11 @@ def cmd_cocycle_eval(args):
     s = 0.5 * args.t
     checks = {"cocycle_identity": check_cocycle_identity(phi, s, args.t - s, f, fp)}
     slack = args.tol * max(1.0, abs(value))
-    for n_max in (4, 8, 16, 32, 64):
-        orc, tail = simplex_series_oracle(phi, x, f, fp, args.t, n_max=n_max)
-        if tail <= slack:
-            break
+    # the lowest order whose tail bound fits the slack, else the highest
+    tails = simplex_tail_bounds(phi, x, f, fp, args.t, ORACLE_ORDERS)
+    n_max = next((n for n, tail in zip(ORACLE_ORDERS, tails) if tail <= slack),
+                 ORACLE_ORDERS[-1])
+    orc, tail = simplex_series_oracle(phi, x, f, fp, args.t, n_max=n_max)
     checks.update(oracle_gap=abs(value - orc), oracle_tail_bound=tail)
     _emit(args, {"value": _c2j(value), "method": "semigroup-factorization",
                  "oracle_n_max": n_max, "residual_checks": checks})

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import legendre
 
+from .blocks import block_exponentials, counit_of_product, group_blocks
 from .convolution import (ConvolutionSemigroup, NonFiniteCocycle, OperatorMap, _exp_tail,
-                          _expm_stack, conv_exp, convolve, functional, lifted_matrix,
+                          conv_exp, convolve, functional, lifted_matrix,
                           semigroup_generator, star_power)
 from .linalg import SPECTRAL_TOL, maxabs, opnorm
 
@@ -145,8 +146,8 @@ def refine_pair(f, f_prime, t):
 
 
 def _inner_products(c, c_prime):
-    """<c'_i, c_i> for every piece, one ``np.vdot`` each."""
-    return np.array([np.vdot(b, a) for a, b in zip(c, c_prime)], dtype=complex)
+    """<c'_i, c_i> for every piece (the rows of c and c')."""
+    return np.einsum("na,na->n", np.conjugate(c_prime), c)
 
 
 def exp_inner_product(f, g, t):
@@ -188,10 +189,9 @@ def as_generator(phi):
 
 # -- matrix elements via semigroup factorization -----------------------------
 
-def _pieces(phi, f, f_prime, t):
+def _piece_generators(phi, f, f_prime, t):
     """The common refinement of f, f' over [0, t] (see :func:`_refine`) and
-    per piece the generator x -> <(1,c'), phi(x) (1,c)> in coordinates (n, d)
-    and its lifted d x d matrix (n, d, d)."""
+    per piece the generator x -> <(1,c'), phi(x) (1,c)> in coordinates (n, d)."""
     for g in (f, f_prime):
         if g.d_noise != phi.d_noise:
             raise ValueError(f"noise dimension mismatch: generator {phi.d_noise}, "
@@ -203,8 +203,15 @@ def _pieces(phi, f, f_prime, t):
     chat[:, 1:] = c
     chat_p[:, 1:] = cp
     gammas = np.einsum("na,kab,nb->nk", np.conjugate(chat_p), phi.values, chat)
+    return pts, dts, c, cp, gammas
+
+
+def _pieces(phi, f, f_prime, t):
+    """:func:`_piece_generators` and the lifted d x d matrices (n, d, d) of
+    the generators."""
+    *head, gammas = _piece_generators(phi, f, f_prime, t)
     lifted = np.einsum("kij,nj->nik", phi.source.coproduct, gammas)
-    return pts, dts, c, cp, gammas, lifted
+    return (*head, gammas, lifted)
 
 
 def cocycle_functional(phi, f, f_prime, t, reverse=False):
@@ -212,9 +219,11 @@ def cocycle_functional(phi, f, f_prime, t, reverse=False):
 
     The inner-product prefactor over [0, t] is included.  ``reverse=True``
     composes the per-interval semigroup factors in reverse interval order,
-    which is the opposite cocycle.  All pieces are refined, lifted and
-    exponentiated in a few array calls; the factors are then multiplied left
-    to right, one d x d product per piece.  Raises :class:`NonFiniteCocycle`
+    which is the opposite cocycle.  Each factor expm(d_i R gamma_i) is block
+    diagonal in the basis of ``source.dual_blocks()``: one product
+    ``gammas @ table`` gives the blocks of every piece, which are
+    exponentiated and multiplied per block, O(d E) per piece for E block
+    entries, in O(log pieces) array calls.  Raises :class:`NonFiniteCocycle`
     when the result overflows.
     """
     phi = as_generator(phi)
@@ -223,36 +232,35 @@ def cocycle_functional(phi, f, f_prime, t, reverse=False):
         raise ValueError("time must be nonnegative")
     if t == 0:
         return src.counit.astype(complex).copy()
-    pts, dts, c, cp, _, lifted = _pieces(phi, f, f_prime, t)
-    order = range(dts.size - 1, -1, -1) if reverse else range(dts.size)
-    # an overflow is reported once, by the NonFiniteCocycle raised below
+    pts, dts, c, cp, gammas = _piece_generators(phi, f, f_prime, t)
+    blocks = src.dual_blocks()
+    order = slice(None, None, -1) if reverse else slice(None)
+    # an overflow is reported once, by the NonFiniteCocycle raised below;
+    # a non-finite prefactor makes the coordinates non-finite too
     with np.errstate(over="ignore", invalid="ignore"):
-        factors = _expm_stack(dts[:, None, None] * lifted)
+        factors = block_exponentials(blocks, (gammas @ blocks.table) * dts[:, None])
         scalars = np.exp(dts * _inner_products(c, cp))
-        lift = np.eye(src.dim, dtype=complex)
-        pref = 1.0 + 0.0j
-        for i in order:
-            lift = lift @ factors[i]
-            pref *= scalars[i]
-        coords = pref * (src.counit @ lift)
-        if not np.isfinite(coords).all() or not np.isfinite(pref):
-            _raise_non_finite(src, pts, factors, scalars, order)
+        coords = np.prod(scalars[order]) * counit_of_product(blocks, factors[order])
+        if not np.isfinite(coords).all():
+            _raise_non_finite(pts, group_blocks(blocks, factors), scalars,
+                              range(dts.size)[order])
     return coords
 
 
-def _raise_non_finite(src, pts, factors, scalars, order):
+def _raise_non_finite(pts, factors, scalars, order):
     """Walk the pieces again in product order and name the first one whose
-    factor, running product or running prefactor is not finite."""
-    lift = np.eye(src.dim, dtype=complex)
+    factor (its blocks, per group), running product or running prefactor is
+    not finite."""
+    lift = [np.eye(g.shape[-1], dtype=complex) for g in factors]
     pref = 1.0 + 0.0j
     for i in order:
-        lift = lift @ factors[i]
+        lift = [p @ g[i] for p, g in zip(lift, factors)]
         pref *= scalars[i]
-        for what, value in (("semigroup factor", factors[i]),
-                            ("prefactor", scalars[i]),
-                            ("product of factors", lift),
-                            ("running prefactor", pref)):
-            if not np.all(np.isfinite(value)):
+        for what, values in (("semigroup factor", [g[i] for g in factors]),
+                             ("prefactor", [scalars[i]]),
+                             ("product of factors", lift),
+                             ("running prefactor", [pref])):
+            if not all(np.isfinite(v).all() for v in values):
                 raise NonFiniteCocycle(
                     f"{what} not finite at piece {i} on "
                     f"[{float(pts[i])!r}, {float(pts[i + 1])!r})")
@@ -334,8 +342,9 @@ def simplex_series_oracle(phi, x, f, f_prime, t, n_max, apply_order_reversal=Tru
     phi = as_generator(phi)
     src = phi.source
     d = src.dim
-    _, dts, c, cp, gammas, taus = _pieces(phi, f, f_prime, t)
-    pref = np.exp(sum(dts * _inner_products(c, cp)))
+    pieces = _pieces(phi, f, f_prime, t)
+    _, dts, _, _, gammas, _ = pieces
+    pref, (tail,) = _tail_bounds(src, x, t, pieces, [n_max])
     # H_{k-1} attached in the earlier (flipped) or the later convolution slot
     spec = "kij,ni,j->nk" if apply_order_reversal else "kij,nj,i->nk"
     eps = src.counit.astype(complex)
@@ -355,10 +364,24 @@ def simplex_series_oracle(phi, x, f, f_prime, t, n_max, apply_order_reversal=Tru
         total = total + boundary
         prev_nodes = cur_nodes
     value = complex(pref * (total @ x.coords))
-    m = max((opnorm(tau) for tau in taus), default=0.0)
-    tail = _exp_tail(m * t, n_max) * float(np.linalg.norm(src.counit)) \
-        * float(np.linalg.norm(x.coords)) * abs(pref)
     return value, tail
+
+
+def simplex_tail_bounds(phi, x, f, f_prime, t, orders):
+    """The bound on the tail that :func:`simplex_series_oracle` drops at each
+    order in ``orders``, found without summing the series."""
+    phi = as_generator(phi)
+    return _tail_bounds(phi.source, x, t, _pieces(phi, f, f_prime, t), orders)[1]
+
+
+def _tail_bounds(src, x, t, pieces, orders):
+    """The prefactor <eps(f'), eps(f)> of the pieces, and per order n the tail
+    bound exp-tail(m t, n) ||eps|| ||x|| |prefactor|, m the largest lifted norm."""
+    _, dts, c, cp, _, taus = pieces
+    pref = np.exp(sum(dts * _inner_products(c, cp)))
+    m = max((opnorm(tau) for tau in taus), default=0.0)
+    return pref, [_exp_tail(m * t, n) * float(np.linalg.norm(src.counit))
+                  * float(np.linalg.norm(x.coords)) * abs(pref) for n in orders]
 
 
 def constant_collapse(phi, x, c, c_prime, t, n_max):

@@ -17,9 +17,9 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .algebra import Bialgebra, ParseError, _j2mat, _mat2j, _parse_file
+from .blocks import block_exponentials, counit_of_product
 from .linalg import maxabs, opnorm
 
 
@@ -239,35 +239,23 @@ class NonFiniteCocycle(ValueError):
     prefactor is not finite."""
 
 
-def _expm_stack(a):
-    """expm of every slice of an (n, d, d) stack, the one exponential of lifted
-    generators.  A stack of diagonal matrices (every group algebra) is
-    exponentiated entrywise, the branch ``scipy.linalg.expm`` takes for each."""
-    n, d, _ = a.shape
-    # row i of this view holds the d entries that follow a[:, i, i] in C order;
-    # together the rows hold every off-diagonal entry
-    if a.reshape(n, d * d)[:, :-1].reshape(n, d - 1, d + 1)[:, :, 1:].any():
-        return expm(a)
-    out = np.zeros_like(a)
-    idx = np.arange(d)
-    out[:, idx, idx] = np.exp(a[:, idx, idx])
-    return out
-
-
 class ConvolutionSemigroup:
-    """lambda_t = exp_*(t gamma), with the lifted generator cached."""
+    """lambda_t = exp_*(t gamma), with the blocks of its lifted generator
+    cached."""
 
     def __init__(self, gamma):
         if not gamma.is_functional:
             raise ValueError("semigroup generator must be a functional")
         self.generator = gamma
         self.source = gamma.source
-        self.lifted_generator = lifted_matrix(gamma)
+        self._blocks = self.source.dual_blocks()
+        self._entries = gamma.as_vector()[None, :] @ self._blocks.table
 
     def at(self, t):
         """lambda_t; raises :class:`NonFiniteCocycle` when it overflows."""
         with np.errstate(over="ignore", invalid="ignore"):
-            coords = self.source.counit @ _expm_stack(float(t) * self.lifted_generator[None])[0]
+            factors = block_exponentials(self._blocks, float(t) * self._entries)
+            coords = counit_of_product(self._blocks, factors)
         if not np.isfinite(coords).all():
             raise NonFiniteCocycle(f"semigroup value not finite at t = {float(t)!r}")
         return functional(self.source, coords)

@@ -139,6 +139,23 @@ def test_cocycle_eval_oracle_checks_long_times(flat_z3_generator, capsys):
     assert checks["oracle_gap"] <= checks["oracle_tail_bound"]
 
 
+def test_cocycle_eval_runs_the_oracle_once(flat_z3_generator, monkeypatch, capsys):
+    # the order comes from the tail bound alone; the series is summed once
+    import qlevy.cli
+    orders = []
+    oracle = qlevy.cli.simplex_series_oracle
+
+    def counted(*args, **kw):
+        orders.append(kw["n_max"])
+        return oracle(*args, **kw)
+
+    monkeypatch.setattr(qlevy.cli, "simplex_series_oracle", counted)
+    assert main(["cocycle-eval", "fixture:C(Z3)", flat_z3_generator, "--x", "d1",
+                 "--t", "20"]) == 0
+    assert orders == [32]
+    assert json.loads(capsys.readouterr().out)["oracle_n_max"] == 32
+
+
 def test_cocycle_eval_fails_on_oracle_gap(flat_z3_generator, monkeypatch, capsys):
     import qlevy.cli
     exact = qlevy.cli.matrix_element

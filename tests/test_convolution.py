@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from qlevy.algebra import ParseError
+from qlevy.blocks import _expm_2x2
 from qlevy.convolution import (ConvolutionSemigroup, NonFiniteCocycle, OperatorMap,
                                amplified_norm, amplified_norm_profile,
                                conv_exp, convolve, counit_map, e_map,
@@ -13,6 +14,8 @@ from qlevy.generators import make_structure_map
 from qlevy.linalg import maxabs, opnorm
 
 from conftest import random_generator, random_operator_map
+
+EPS = np.finfo(float).eps
 
 
 def test_counit_is_convolution_unit(all_fixtures):
@@ -166,17 +169,93 @@ def test_semigroup_law(all_fixtures):
             assert maxabs(lhs - rhs) < 1e-10
 
 
-def test_semigroup_is_the_2d_expm_bit_for_bit(all_fixtures):
+def test_semigroup_matches_the_2d_expm(all_fixtures):
     # the reference is the 2-D expm that ConvolutionSemigroup.at called before
-    # it shared the cocycle engine's stacked exponential
+    # it shared the cocycle engine's block exponentials; they agree to
+    # 8 (1 + |t| ||R gamma||) eps cond(V) max(1, |want|)
     rng = np.random.default_rng(12)
     for b in all_fixtures.values():
+        cond = b.dual_blocks().cond
         for _ in range(4):
             gamma = random_operator_map(rng, b, 1)
             sg = ConvolutionSemigroup(gamma)
+            lifted = lifted_matrix(gamma)
             for t in (0.0, -0.7, 0.3, 1.0, 2.5):
-                ref = b.counit @ expm(t * lifted_matrix(gamma))
-                assert np.array_equal(sg.at(t).as_vector(), ref)
+                ref = b.counit @ expm(t * lifted)
+                bound = 8 * (1 + abs(t) * opnorm(lifted)) * EPS * cond * max(1.0, maxabs(ref))
+                assert maxabs(sg.at(t).as_vector() - ref) <= bound
+
+
+def closed_form_expm(a):
+    """The closed-form exponential of a stack (n, 2, 2) of matrices."""
+    tau = 0.5 * (a[:, 0, 0] + a[:, 1, 1])
+    x = (a - tau[:, None, None] * np.eye(2)).reshape(-1, 4, 1)
+    out = np.empty(x.shape, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _expm_2x2(tau[:, None], x, out)
+    return out.reshape(-1, 2, 2)
+
+
+def assert_close_to(got, want, a, factor=16):
+    """Agreement within factor * eps * (1 + ||A||_1) * max(1, |want|) per matrix."""
+    err = np.abs(got - want).max(axis=(1, 2))
+    norm = np.abs(a).sum(axis=1).max(axis=1)
+    scale = np.maximum(1.0, np.abs(want).max(axis=(1, 2)))
+    assert np.all(err <= factor * EPS * (1 + norm) * scale), (err / (EPS * (1 + norm) * scale)).max()
+
+
+def test_closed_form_2x2_matches_scipy_on_stiff_inputs():
+    rng = np.random.default_rng(20)
+    for scale in (1e-3, 1.0, 30.0, 800.0):
+        a = scale * (rng.standard_normal((300, 2, 2)) + 1j * rng.standard_normal((300, 2, 2)))
+        a[:100] = a[:100].real
+        got = closed_form_expm(a)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = expm(a)
+        finite = np.isfinite(want).all(axis=(1, 2))
+        assert finite.sum() >= 100
+        assert np.isfinite(got[finite]).all()
+        assert_close_to(got[finite], want[finite], a[finite])
+
+
+def test_closed_form_2x2_near_defective_inputs():
+    # tau I + N + (tiny): delta -> 0, where sinh(delta) / delta needs expm1
+    rng = np.random.default_rng(21)
+    n = 300
+    nil = np.zeros((n, 2, 2), dtype=complex)
+    nil[:, 0, 1] = 10.0 ** rng.uniform(-3, 3, n)
+    tau = rng.uniform(-5, 5, n)[:, None, None] * np.eye(2)
+    tiny = 10.0 ** rng.uniform(-17, -6, n)[:, None, None] \
+        * (rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2)))
+    a = tau + nil + tiny
+    assert_close_to(closed_form_expm(a), expm(a), a)
+    # exactly defective: delta = 0, e^A = e^tau (I + N)
+    a = tau + nil
+    assert_close_to(closed_form_expm(a), np.exp(tau[:, :1, :1]) * (np.eye(2) + nil), a, 4)
+
+
+def test_closed_form_2x2_at_the_overflow_edge():
+    # tr A / 2 = -800 and delta = 800: e^tau cosh(delta) would be 0 * inf
+    got = closed_form_expm(np.array([[[0.0, 0.0], [0.0, -1600.0]]], dtype=complex))
+    assert np.array_equal(got[0], np.diag([1.0, 0.0]))
+    # triangular inputs with e^A near the largest double: the exact value is
+    # e^tau [[e^eta, sinh(eta) / eta], [0, e^-eta]]; scipy's expm agrees with
+    # it only to ~1e-8 at eta = 1e-8 and tau = 355
+    taus, etas = np.meshgrid([-800.0, 300.0, 354.85, 354.9, 355.0, 700.0, 705.0],
+                             [0.0, 1e-8, 0.5, 5.0, 9.0])
+    taus, etas = taus.ravel(), etas.ravel()
+    a = np.zeros((taus.size, 2, 2), dtype=complex)
+    a[:, 0, 0], a[:, 0, 1], a[:, 1, 1] = taus + etas, 1.0, taus - etas
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.exp(taus)[:, None, None] * np.array(
+            [[np.exp(etas), np.sinh(etas) / np.where(etas == 0, 1.0, etas) + (etas == 0)],
+             [np.zeros_like(etas), np.exp(-etas)]]).transpose(2, 0, 1)
+        scipy_value = expm(a)
+    got = closed_form_expm(a)
+    finite = np.isfinite(want).all(axis=(1, 2))
+    assert np.isfinite(got[np.isfinite(scipy_value).all(axis=(1, 2))]).all()
+    assert_close_to(got[finite], want[finite], a[finite])
+    assert (~finite).any() and not np.isfinite(got[~finite]).all(axis=(1, 2)).any()
 
 
 def test_overflowing_semigroup_names_the_time(all_fixtures):
