@@ -127,8 +127,7 @@ class Bialgebra:
         return self is other or self.structural_hash() == other.structural_hash()
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
+        _write_json(path, self.to_dict())
 
     def dual_blocks(self):
         """The :class:`~qlevy.blocks.DualBlocks` of this bialgebra, computed
@@ -592,6 +591,13 @@ def bialgebra_and_rep2(data):
     b = bialgebra_from_dict(data)
     return b, (bialgebra_from_dict({**data, "rep": data["rep2"]})
                if "rep2" in data else None)
+
+
+def _write_json(path, data):
+    """Write data to a file as compact JSON.  json.dumps takes the C encoder;
+    json.dump never does."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(data))
 
 
 def _parse_file(path, what, parse):

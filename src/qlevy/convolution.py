@@ -13,14 +13,13 @@ identities, which is how semigroups are evolved here (matrix exponential
 of the lifted generator).
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Bialgebra, ParseError, _j2mat, _mat2j, _parse_file
+from .algebra import Bialgebra, ParseError, _j2mat, _mat2j, _parse_file, _write_json
 from .blocks import block_exponentials, counit_of_product
-from .linalg import maxabs, opnorm
+from .linalg import dagger, maxabs, opnorm
 
 
 @dataclass(frozen=True)
@@ -76,8 +75,7 @@ class OperatorMap:
                 "values": [_mat2j(m) for m in self.values]}
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
+        _write_json(path, self.to_dict())
 
 
 def functional(source, vector):
@@ -289,21 +287,27 @@ def amplified_norm(phi, n, n_starts=32, n_iters=300, seed=7, warm_starts=None,
 
     Maximizes ||sum_i phi(e_i) (x) C_i|| / ||sum_i rho0(e_i) (x) C_i|| by
     projected gradient ascent from ``n_starts`` random seeds (plus any
-    supplied warm starts).  The reported value is always a certified lower
-    bound for the amplified norm; exact equality is never asserted.
+    supplied warm starts, each of shape (d, n, n)), all ascended as one
+    stack.  The reported value is always a certified lower bound for the
+    amplified norm; exact equality is never asserted.
     """
     src = phi.source
     d = src.dim
-    rng = np.random.default_rng(seed)
-    starts = [rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
-              for _ in range(n_starts)]
-    if warm_starts:
-        starts = list(warm_starts) + starts
+    shape = (d, n, n)
+    warm = [np.asarray(w, dtype=complex) for w in warm_starts or ()]
+    for k, w in enumerate(warm):
+        if w.shape != shape:
+            raise ValueError(f"warm start {k} has shape {w.shape}, "
+                             f"expected (d, n, n) = {shape}")
+    draws = np.random.default_rng(seed).standard_normal((n_starts, 2) + shape)
+    starts = np.concatenate([np.reshape(warm, (-1,) + shape),
+                             draws[:, 0] + 1j * draws[:, 1]])
     best_val, best_c = 0.0, None
-    for c0 in starts:
-        val, c = _ratio_ascent(phi.values, src.rep_images, c0, n_iters)
-        if val > best_val:
-            best_val, best_c = val, c
+    if len(starts):
+        vals, points = _ratio_ascent(phi.values, src.rep_images, starts, n_iters)
+        k = int(np.argmax(vals))
+        if vals[k] > 0.0:
+            best_val, best_c = float(vals[k]), points[k]
     if return_point:
         return best_val, best_c
     return best_val
@@ -328,49 +332,65 @@ def amplified_norm_profile(phi, n_max, **kw):
 
 
 def _assemble(values, coeffs):
-    # sum_i values[i] (x) coeffs[i]
+    # sum_i values[i] (x) coeffs[s, i] for each start s
     p, q = values.shape[1:]
-    n = coeffs.shape[1]
-    m = np.einsum("iab,icd->acbd", values, coeffs)
-    return m.reshape(p * n, q * n)
+    s, _, n, _ = coeffs.shape
+    m = np.tensordot(coeffs, values, axes=(1, 0))  # (s, n, n, p, q)
+    return m.transpose(0, 3, 1, 4, 2).reshape(s, p * n, q * n)
+
+
+def _maxabs_each(c):
+    # max |entry| of each start, shaped (s, 1, 1, 1) to broadcast over c
+    return np.abs(c).max(axis=(1, 2, 3), keepdims=True)
 
 
 def _ratio_ascent(values, rep, c, iters):
+    """Projected gradient ascent of the ratio from every start of the stack
+    c (s, d, n, n) at once; each start keeps its own step and stops on its
+    own.  Returns the ratios reached (s,) and the points (s, d, n, n)."""
     # an accepted point keeps its gradient, rescaled with c: ratio(s c) = ratio(c)
-    c = c / max(1e-300, maxabs(c))
-    step = 0.5
+    c = c / np.maximum(1e-300, _maxabs_each(c))
     val, g = _ratio_and_grad(values, rep, c)
+    step = np.full((len(c), 1, 1, 1), 0.5)
+    active = np.ones(len(c), dtype=bool)
     for _ in range(iters):
-        gn = maxabs(g)
-        if gn < 1e-14:
+        gn = _maxabs_each(g)
+        active &= gn[:, 0, 0, 0] >= 1e-14
+        idx = np.flatnonzero(active)
+        if not idx.size:
             break
-        c_new = c + step * g / gn
+        c_new = c[idx] + step[idx] * g[idx] / gn[idx]
         v_new, g_new = _ratio_and_grad(values, rep, c_new)
-        if v_new > val:
-            s = max(1e-300, maxabs(c_new))
-            c, val, g = c_new / s, v_new, g_new * s
-            step = min(step * 1.3, 2.0)
-        else:
-            step *= 0.5
-            if step < 1e-12:
-                break
+        up = v_new > val[idx]
+        acc, rej = idx[up], idx[~up]
+        s = np.maximum(1e-300, _maxabs_each(c_new[up]))
+        c[acc], val[acc], g[acc] = c_new[up] / s, v_new[up], g_new[up] * s
+        step[acc] = np.minimum(step[acc] * 1.3, 2.0)
+        step[rej] *= 0.5
+        active[rej] = step[rej, 0, 0, 0] >= 1e-12
     return val, c
 
 
 def _ratio_and_grad(values, rep, c):
-    """The ratio sigma_max(a) / sigma_max(r) of the values and rep matrices
-    assembled at c, with its ascent direction in c; (0, 0) when r vanishes."""
+    """The ratios sigma_max(a) / sigma_max(r) of the values and rep matrices
+    assembled at each start of c, with their ascent directions in c; (0, 0)
+    where r vanishes."""
     sa, ga = _top_singular(values, c)
     sr, gr = _top_singular(rep, c)
-    if sr < 1e-300:
-        return 0.0, np.zeros_like(c)
-    return float(sa / sr), np.conjugate((ga * sr - sa * gr) / sr ** 2)
+    live = sr >= 1e-300
+    sr = np.where(live, sr, 1.0)
+    sa4, sr4 = sa[:, None, None, None], sr[:, None, None, None]
+    grad = np.conjugate((ga * sr4 - sa4 * gr) / sr4 ** 2)
+    return np.where(live, sa / sr, 0.0), np.where(live[:, None, None, None], grad, 0.0)
 
 
 def _top_singular(values, c):
-    """sigma_max of a = sum_i values[i] (x) c[i], from one SVD, and its
-    derivative u^dagger (values[i] (x) E_nm) v along each entry of c."""
-    u, s, vh = np.linalg.svd(_assemble(values, c))
-    umat = u[:, 0].reshape(-1, c.shape[1])
-    wmat = vh[0].conj().reshape(-1, c.shape[1])
-    return s[0], np.einsum("an,iab,bm->inm", np.conjugate(umat), values, wmat)
+    """sigma_max of a_s = sum_i values[i] (x) c[s, i] for each start s, from
+    one stacked SVD, and its derivative u^dagger (values[i] (x) E_nm) v along
+    each entry of c[s]."""
+    u, sv, vh = np.linalg.svd(_assemble(values, c))
+    s, n = len(c), c.shape[2]
+    umat = u[:, :, 0].reshape(s, -1, n)
+    wmat = vh[:, 0].conj().reshape(s, -1, n)
+    grad = dagger(umat)[:, None] @ values @ wmat[:, None]
+    return sv[:, 0], grad

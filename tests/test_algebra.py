@@ -113,6 +113,8 @@ def test_save_load_round_trip(tmp_path):
     assert b2.structural_hash() == b.structural_hash()
     assert maxabs(b2.coproduct - b.coproduct) == 0.0
     assert maxabs(b2.rep_images - b.rep_images) < 1e-15
+    # compact JSON, so that the C encoder writes it
+    assert path.read_text(encoding="utf-8") == json.dumps(b.to_dict())
 
 
 def test_load_names_broken_coassociativity(tmp_path):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -362,38 +364,150 @@ def test_amplified_norm_submultiplicative(all_fixtures):
             assert lhs <= r1 * r2 + 1e-6
 
 
+def _ratio_at(phi, c):
+    n = c.shape[1]
+    num = np.einsum("kab,kcd->acbd", phi.values, c).reshape(phi.p * n, phi.q * n)
+    rep = phi.source.rep_images
+    den = np.einsum("kab,kcd->acbd", rep, c).reshape(rep.shape[1] * n, -1)
+    return np.linalg.norm(num, 2) / np.linalg.norm(den, 2)
+
+
 @pytest.mark.parametrize("name", ["C(Z3)", "Alg(Z4)", "Hyper(S3-classes)"])
 @pytest.mark.parametrize("n", [1, 2])
 def test_amplified_norm_is_ratio_at_returned_point(all_fixtures, name, n):
     b = all_fixtures[name]
     phi = random_operator_map(np.random.default_rng(20 + n), b, 2)
     value, c = amplified_norm(phi, n, n_starts=4, n_iters=75, return_point=True)
-    num = np.einsum("kab,kcd->acbd", phi.values, c).reshape(phi.p * n, phi.q * n)
-    den = np.einsum("kab,kcd->acbd", b.rep_images, c).reshape(b.rep_dim * n, -1)
-    ratio = np.linalg.norm(num, 2) / np.linalg.norm(den, 2)
-    assert value > 0 and abs(ratio - value) <= 1e-12 * value
+    assert value > 0 and abs(_ratio_at(phi, c) - value) <= 1e-12 * value
 
 
 def test_amplified_norm_assembles_each_point_once(all_fixtures, monkeypatch):
     import qlevy.convolution as conv
-    calls = []
+    points = []
     assemble = conv._assemble
     monkeypatch.setattr(conv, "_assemble",
-                        lambda values, c: calls.append(1) or assemble(values, c))
+                        lambda values, c: points.append(c.shape[0]) or assemble(values, c))
     phi = random_operator_map(np.random.default_rng(22), all_fixtures["C(Z3)"], 2)
     n_starts, n_iters = 3, 20
     amplified_norm(phi, 2, n_starts=n_starts, n_iters=n_iters)
-    # one numerator and one denominator per evaluated point: the start and
-    # at most one trial point per iteration
-    assert 0 < len(calls) <= n_starts * 2 * (n_iters + 1)
+    # one numerator and one denominator per evaluated point: each start and
+    # at most one trial point per start and iteration
+    assert 0 < sum(points) <= n_starts * 2 * (n_iters + 1)
+
+
+# The per-start ascent: the reference for amplified_norm's stacked ascent.
+
+def _reference_amplified_norm(phi, n, n_starts, n_iters, seed=7, warm_starts=None):
+    d = phi.source.dim
+    rng = np.random.default_rng(seed)
+    starts = [rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
+              for _ in range(n_starts)]
+    if warm_starts:
+        starts = list(warm_starts) + starts
+    best_val, best_c = 0.0, None
+    for c0 in starts:
+        val, c = _reference_ascent(phi.values, phi.source.rep_images, c0, n_iters)
+        if val > best_val:
+            best_val, best_c = val, c
+    return best_val, best_c
+
+
+def _reference_ascent(values, rep, c, iters):
+    c = c / max(1e-300, maxabs(c))
+    step = 0.5
+    val, g = _reference_ratio_and_grad(values, rep, c)
+    for _ in range(iters):
+        gn = maxabs(g)
+        if gn < 1e-14:
+            break
+        c_new = c + step * g / gn
+        v_new, g_new = _reference_ratio_and_grad(values, rep, c_new)
+        if v_new > val:
+            s = max(1e-300, maxabs(c_new))
+            c, val, g = c_new / s, v_new, g_new * s
+            step = min(step * 1.3, 2.0)
+        else:
+            step *= 0.5
+            if step < 1e-12:
+                break
+    return val, c
+
+
+def _reference_ratio_and_grad(values, rep, c):
+    sa, ga = _reference_top_singular(values, c)
+    sr, gr = _reference_top_singular(rep, c)
+    if sr < 1e-300:
+        return 0.0, np.zeros_like(c)
+    return float(sa / sr), np.conjugate((ga * sr - sa * gr) / sr ** 2)
+
+
+def _reference_top_singular(values, c):
+    p, q = values.shape[1:]
+    n = c.shape[1]
+    a = np.einsum("iab,icd->acbd", values, c).reshape(p * n, q * n)
+    u, s, vh = np.linalg.svd(a)
+    umat = u[:, 0].reshape(-1, n)
+    wmat = vh[0].conj().reshape(-1, n)
+    return s[0], np.einsum("an,iab,bm->inm", np.conjugate(umat), values, wmat)
+
+
+@pytest.mark.parametrize("name", ["C(Z3)", "Alg(Z4)", "Hyper(S3-classes)", "Alg(S3)"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_batched_ascent_matches_per_start_reference(all_fixtures, name, n):
+    b = all_fixtures[name]
+    phi = random_operator_map(np.random.default_rng(30 + n), b, 2)
+    rng = np.random.default_rng(40 + n)
+    warm = rng.standard_normal((b.dim, n, n)) + 1j * rng.standard_normal((b.dim, n, n))
+    for kw in (dict(n_starts=6, n_iters=60),
+               dict(n_starts=3, n_iters=40, seed=11, warm_starts=[warm])):
+        want, c_want = _reference_amplified_norm(phi, n, **kw)
+        got, c = amplified_norm(phi, n, return_point=True, **kw)
+        assert type(got) is float and want > 0
+        assert abs(got - want) <= 1e-12 * want
+        assert abs(_ratio_at(phi, c) - got) <= 1e-12 * got
+        # the same start's trajectory, not only the same local maximum
+        assert maxabs(c - c_want) <= 1e-10
 
 
 def test_amplified_norm_zero_start_has_ratio_zero(all_fixtures):
     # the denominator vanishes at c = 0: ratio 0 and no ascent direction
     b = all_fixtures["C(Z3)"]
     phi = random_operator_map(np.random.default_rng(23), b, 2)
-    assert amplified_norm(phi, 2, n_starts=0,
-                          warm_starts=[np.zeros((b.dim, 2, 2))]) == 0.0
+    zero = [np.zeros((b.dim, 2, 2))]
+    assert amplified_norm(phi, 2, n_starts=0, warm_starts=zero) == 0.0
+    assert amplified_norm(phi, 2, n_starts=0, warm_starts=zero,
+                          return_point=True) == (0.0, None)
+    assert amplified_norm(phi, 2, n_starts=0, return_point=True) == (0.0, None)
+    # a zero start beside live ones stays at ratio 0 and does not win
+    got, c = amplified_norm(phi, 2, n_starts=3, n_iters=30, warm_starts=zero,
+                            return_point=True)
+    want, _ = _reference_amplified_norm(phi, 2, 3, 30, warm_starts=zero)
+    assert abs(got - want) <= 1e-12 * want and maxabs(c) > 0
+
+
+def test_amplified_norm_first_maximal_start_wins(all_fixtures, monkeypatch):
+    import qlevy.convolution as conv
+    b = all_fixtures["C(Z3)"]
+    phi = random_operator_map(np.random.default_rng(25), b, 2)
+
+    def fixed(values, rep, c, iters):
+        points = np.arange(len(c))[:, None, None, None] * np.ones(c.shape[1:])
+        return vals[:len(c)].copy(), points
+    monkeypatch.setattr(conv, "_ratio_ascent", fixed)
+    vals = np.array([1.0, 3.0, 2.0, 3.0])
+    value, c = amplified_norm(phi, 2, n_starts=4, return_point=True)
+    assert value == 3.0 and np.all(c == 1)
+    vals = np.zeros(4)
+    assert amplified_norm(phi, 2, n_starts=4, return_point=True) == (0.0, None)
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 3), (3, 3, 3), (2, 2, 2), (3, 4)])
+def test_amplified_norm_rejects_misshapen_warm_start(all_fixtures, shape):
+    b = all_fixtures["C(Z3)"]
+    phi = random_operator_map(np.random.default_rng(26), b, 2)
+    good = np.ones((b.dim, 2, 2))
+    with pytest.raises(ValueError, match=r"warm start 1 .*expected \(d, n, n\) = \(3, 2, 2\)"):
+        amplified_norm(phi, 2, n_starts=1, warm_starts=[good, np.ones(shape)])
 
 
 # -- files ---------------------------------------------------------------------
@@ -406,6 +520,7 @@ def test_operator_map_round_trip(tmp_path, all_fixtures):
     phi.save(path)
     phi2 = load_operator_map(path, b)
     assert maxabs(phi2.values - phi.values) < 1e-15
+    assert path.read_text(encoding="utf-8") == json.dumps(phi.to_dict())
 
 
 def test_operator_map_hash_mismatch(tmp_path, all_fixtures):
