@@ -1,14 +1,20 @@
-"""The block basis of the lifted generators, and exponentials taken in it.
+"""The Fourier form of the lifted generators, and exponentials taken in it.
 
 A lifted generator R_gamma = (id (x) gamma) Delta, the d x d matrix
 L[i, k] = sum_j Delta[k, i, j] gamma_j acting on coordinate rows, maps every
 subcoalgebra into itself.  A cosemisimple coalgebra is the direct sum of its
-simple subcoalgebras (Sweedler, "Hopf Algebras", 1969; Peter-Weyl for
-compact quantum groups, Woronowicz, "Compact quantum groups", 1998), so in
-one basis V of coordinate space every R_gamma is block diagonal.
-:func:`decompose` finds V; :func:`block_exponentials` and
-:func:`counit_of_product` evaluate eps o expm(A_1) ... expm(A_n) block by
-block, O(d E) a factor for E block entries instead of a dense O(d^3).
+simple subcoalgebras C_sigma, one per irreducible sigma (Sweedler, "Hopf
+Algebras", 1969; Peter-Weyl for compact quantum groups, Woronowicz, "Compact
+quantum groups", 1998), so in one basis V of coordinate space every R_gamma
+is block diagonal, with n_sigma similar blocks of size n_sigma on C_sigma.
+:func:`decompose` finds V and chooses it so that the n_sigma copies of each
+sigma carry one and the same block: the Fourier transform, in which
+convolution is one matrix product per sigma.  The 1 x 1 blocks (the
+characters) commute, so an ordered product of their exponentials is the
+exponential of the summed exponents.  :func:`counit_of_exponentials`
+evaluates eps o expm(A_1) ... expm(A_n) that way: one exponential per
+character, and per sigma of dimension >= 2 one exponential a factor and the
+product of the n blocks, in O(log n) batched calls.
 """
 
 from dataclasses import dataclass
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .linalg import SPECTRAL_TOL, maxabs
+from .linalg import SPECTRAL_TOL, commutator_system, maxabs
 
 
 @dataclass(frozen=True)
@@ -25,28 +31,39 @@ class DualBlocks:
     diagonal, found by :func:`decompose`, with the tables that the block
     exponentials read and write.
 
-    Both tables list a group of m blocks of size k entry by entry: entry
-    (0, 0) of each of the m blocks, then entry (0, 1), and so on in
-    row-major order, so that every entry is one contiguous run.  ``table``
-    lists a group of 2 x 2 blocks as the half trace tau of each block and
-    then the entries of each block minus tau I, the form that the
-    closed-form exponential reads.
+    The columns of V run sigma by sigma, and within a sigma copy after copy;
+    all copies of a sigma carry the same block, so the tables list one block
+    per sigma.  Both tables list a group of m sigma of dimension k entry by
+    entry: entry (0, 0) of each of the m blocks, then entry (0, 1), and so
+    on in row-major order, so that every entry is one contiguous run.
+    ``table`` lists a group of 2 x 2 blocks as the half trace tau of each
+    block and then the entries of each block minus tau I, the form that the
+    closed-form exponential reads.  The characters, if any, are the first
+    group, so they are the first ``characters`` columns of ``table``.
     """
 
-    basis: np.ndarray       # (d, d) V, columns grouped by block size
+    basis: np.ndarray       # (d, d) V, columns grouped by sigma, then by copy
     inverse: np.ndarray     # (d, d) V^-1
-    groups: tuple           # ((k, m), ...): m blocks of size k, in column order
+    groups: tuple           # ((k, m), ...): m sigma of dimension k, k ascending
+    copies: tuple           # (n, ...): the copies of each sigma, in column order
     table: np.ndarray       # (d, E'): row j lists the blocks of V^-1 L(e_j) V
     counit_table: np.ndarray  # (E, d): eps V P V^-1 = (blocks of P) @ counit_table
     cond: float             # cond(V)
 
     @property
     def sizes(self):
-        """The block sizes, in column order."""
-        return tuple(k for k, m in self.groups for _ in range(m))
+        """The diagonal block sizes of V^-1 L V, in column order."""
+        dims = [k for k, m in self.groups for _ in range(m)]
+        return tuple(k for k, n in zip(dims, self.copies) for _ in range(n))
+
+    @property
+    def characters(self):
+        """The number of 1 x 1 blocks, the first group of the tables."""
+        k, m = self.groups[0]
+        return m if k == 1 else 0
 
 
-BLOCK_COND_LIMIT = 1e4   # largest cond(V) accepted: rounding grows with it
+BLOCK_COND_LIMIT = 1e4   # largest cond(V) or cond(S) accepted: rounding grows with it
 
 
 def decompose(b):
@@ -55,45 +72,53 @@ def decompose(b):
     The blocks are the eigenspaces of one generic left multiplication
     eta -> a * eta of the dual, M[j, k] = sum_i Delta[k, i, j] a_i, which
     commutes with every right multiplication R_gamma; they are checked on
-    all d basis lifts.  When the eigenvectors do not block-diagonalize the
-    lifts to rounding, or cond(V) exceeds ``BLOCK_COND_LIMIT`` (the dual is
-    not semisimple), V is the identity with one block of size d."""
+    all d basis lifts.  Each block of size k >= 2 is then compared with the
+    earlier representatives of that size by :func:`_intertwiner`; a copy of
+    one of them is folded onto it.  When the eigenvectors do not
+    block-diagonalize the lifts to rounding, or cond(V) exceeds
+    ``BLOCK_COND_LIMIT`` (the dual is not semisimple), V is the identity
+    with one block of size d."""
     d = b.dim
     lifts = np.transpose(b.coproduct, (2, 1, 0))   # lifts[j] = L(e_j)
+    tol = SPECTRAL_TOL * maxabs(b.coproduct)
     try:
         v, label = _eigenspaces(b)
-        inverse = np.linalg.inv(v)
-        cond = float(np.linalg.cond(v))
-        blocks = inverse @ lifts @ v
-        split = (cond <= BLOCK_COND_LIMIT and maxabs(blocks[:, label[:, None] != label])
-                 <= SPECTRAL_TOL * maxabs(b.coproduct))
+        blocks = np.linalg.inv(v) @ lifts @ v
+        split = (np.linalg.cond(v) <= BLOCK_COND_LIMIT
+                 and maxabs(blocks[:, label[:, None] != label]) <= tol)
     except np.linalg.LinAlgError:
         split = False
     if split:
-        size = np.bincount(label)[label]
+        v, sigmas = _fold(v, label, blocks)
     else:
-        v = inverse = np.eye(d, dtype=complex)
-        blocks, size, cond = lifts.astype(complex), np.full(d, d), 1.0
-    groups, table, counit_table = [], [], []
+        v, sigmas = np.eye(d, dtype=complex), [(d, 1)]
+    inverse = np.linalg.inv(v)
+    blocks = inverse @ lifts @ v
     counit_v = b.counit @ v
-    ofs = 0
-    for k in np.unique(size):
-        k = int(k)
-        m = int(np.sum(size == k)) // k
-        cut = slice(ofs, ofs + m * k)
-        part = np.einsum("jakal->jkla", blocks[:, cut, cut].reshape(d, m, k, m, k))
+    # the columns of every sigma as (copies, k), the first copy representing it
+    cols, ofs = [], 0
+    for k, n in sigmas:
+        cols.append(ofs + np.arange(n * k).reshape(n, k))
+        ofs += n * k
+    groups, table, counit_table = [], [], []
+    for k in dict.fromkeys(k for k, _ in sigmas):
+        mine = [c for c in cols if c.shape[1] == k]
+        m = len(mine)
+        rep = np.array([c[0] for c in mine])
+        part = blocks[:, rep[:, :, None], rep[:, None, :]].transpose(0, 2, 3, 1)
         if k == 2:
             tau = 0.5 * (part[:, 0, 0] + part[:, 1, 1])
             table.append(tau)
             part = part - np.eye(2)[:, :, None] * tau[:, None, None]
         table.append(part.reshape(d, k * k * m))
-        # entry (k, l) of block a of P contributes (eps V)[a, k] (V^-1)[a, l, :]
-        counit_table.append(np.einsum("ak,ald->klad", counit_v[cut].reshape(m, k),
-                                      inverse[cut].reshape(m, k, d)).reshape(k * k * m, d))
+        # entry (k, l) of a sigma's block of P contributes, summed over its
+        # copies c, (eps V)[c, k] (V^-1)[c, l, :]
+        counit_table.append(np.stack([np.einsum("ck,cld->kld", counit_v[c], inverse[c])
+                                      for c in mine], axis=2).reshape(k * k * m, d))
         groups.append((k, m))
-        ofs += m * k
-    return DualBlocks(v, inverse, tuple(groups), np.concatenate(table, axis=1),
-                      np.concatenate(counit_table), cond)
+    return DualBlocks(v, inverse, tuple(groups), tuple(n for _, n in sigmas),
+                      np.concatenate(table, axis=1), np.concatenate(counit_table),
+                      float(np.linalg.cond(v)))
 
 
 def _eigenspaces(b):
@@ -113,6 +138,47 @@ def _eigenspaces(b):
             break
     cols = np.lexsort((label, np.bincount(label, minlength=d)[label]))
     return v[:, cols], label[cols]
+
+
+def _fold(v, label, blocks):
+    """Fold the copies of every sigma onto its first block: a block a of size
+    k >= 2 with an intertwiner S onto an earlier representative r,
+    B_a(e_j) S = S B_r(e_j) for all j, gets the columns V_a S, scaled to the
+    norm of V_a, so that its block becomes B_r.  Returns V with its columns
+    sigma by sigma, copy after copy, and the (k, copies) of every sigma in
+    that order, k ascending.  A block with no intertwiner is its own sigma."""
+    v = v.copy()
+    sigmas = []   # per sigma, the columns of each copy
+    for lab in dict.fromkeys(label):
+        cols = np.flatnonzero(label == lab)
+        k = cols.size
+        for copies in sigmas:
+            rep = copies[0]
+            s = None if k == 1 or rep.size != k else _intertwiner(
+                blocks[:, cols[:, None], cols], blocks[:, rep[:, None], rep])
+            if s is not None:
+                folded = v[:, cols] @ s
+                v[:, cols] = folded * (np.linalg.norm(v[:, cols]) / np.linalg.norm(folded))
+                copies.append(cols)
+                break
+        else:
+            sigmas.append([cols])
+    order = np.concatenate([c for copies in sigmas for c in copies])
+    return v[:, order], [(copies[0].size, len(copies)) for copies in sigmas]
+
+
+def _intertwiner(left, right):
+    """The S with left[j] S = S right[j] for every j of the stacks (d, k, k),
+    when their solutions are one line spanned by an S with cond(S) at most
+    ``BLOCK_COND_LIMIT``; else None (Schur: no solution but 0 when the
+    blocks are inequivalent irreducibles)."""
+    k = right.shape[-1]
+    _, sv, vh = np.linalg.svd(commutator_system(left, right))
+    cut = SPECTRAL_TOL * sv[0]
+    if not (sv[-1] <= cut < sv[-2]):
+        return None
+    s = vh[-1].conj().reshape(k, k).T   # vec(S) is column-stacked
+    return s if np.linalg.cond(s) <= BLOCK_COND_LIMIT else None
 
 
 _EYE2 = np.array([1.0, 0.0, 0.0, 1.0])[:, None]   # I, entry by entry
@@ -141,15 +207,16 @@ def _expm_2x2(tau, x, out):
                 _EYE2 + em[:, None] * _HALF_EYE2 + (em / two)[:, None] * x, out=out)
 
 
-def block_exponentials(blocks, entries):
+def block_exponentials(groups, entries):
     """The blocks of expm(A) for every row of ``entries`` (n, E'), the blocks
-    of A as :class:`DualBlocks` lists them in ``table``; returns (n, E), each
-    row the blocks of one exponential, laid out as ``counit_table`` reads
-    them.  Blocks of size 1 take ``np.exp``, of size 2 the closed form,
-    larger ones scipy's ``expm``."""
-    out = np.empty((entries.shape[0], blocks.counit_table.shape[0]), dtype=complex)
+    of A for the ``groups`` ((k, m), ...) laid out as :class:`DualBlocks`
+    lists them in ``table``; returns (n, E), each row the blocks of one
+    exponential, laid out as ``counit_table`` reads them.  Blocks of size 1
+    take ``np.exp``, of size 2 the closed form, larger ones scipy's
+    ``expm``."""
+    out = np.empty((entries.shape[0], sum(k * k * m for k, m in groups)), dtype=complex)
     src = dst = 0
-    for k, m in blocks.groups:
+    for k, m in groups:
         width = k * k * m
         if k == 1:
             np.exp(entries[:, src:src + m], out=out[:, dst:dst + m])
@@ -171,32 +238,42 @@ def _group_view(cols, k, m):
     return cols.reshape(-1, k, k, m).transpose(0, 3, 1, 2)
 
 
-def group_blocks(blocks, flat):
+def group_blocks(groups, flat):
     """The blocks in rows of (n, E) as one array (n, m, k, k) per group."""
     out, ofs = [], 0
-    for k, m in blocks.groups:
+    for k, m in groups:
         out.append(_group_view(flat[:, ofs:ofs + k * k * m], k, m))
         ofs += k * k * m
     return out
 
 
-def counit_of_product(blocks, factors):
-    """Coordinates of eps o (F_0 F_1 ... F_{n-1}), the rows of ``factors``
-    (n, E) holding the blocks of each F_i in product order: the blocks are
-    multiplied per block, then sent through eps V (.) V^-1."""
-    if factors.shape[0] > 1:
-        factors = np.concatenate([_ordered_product(f).transpose(1, 2, 0).reshape(1, -1)
-                                  for f in group_blocks(blocks, factors)], axis=1)
-    return factors[0] @ blocks.counit_table
+def counit_of_exponentials(blocks, characters, pieces):
+    """Coordinates of eps o (expm(A_0) expm(A_1) ... expm(A_{n-1})) for
+    exponents A_i in the layout of ``table``: ``characters`` (m_1,) is the
+    sum over i of their 1 x 1 blocks, whose exponentials commute, and the
+    rows of ``pieces`` (n, E' - m_1) hold their larger blocks in product
+    order.  The blocks of the product are sent through eps V (.) V^-1."""
+    out = [np.exp(characters)]
+    rest = blocks.groups[1:] if blocks.characters else blocks.groups
+    if rest:
+        factors = block_exponentials(rest, pieces)
+        if factors.shape[0] > 1:
+            factors = np.concatenate([_ordered_product(g).transpose(1, 2, 0).reshape(1, -1)
+                                      for g in group_blocks(rest, factors)], axis=1)
+        out.append(factors[0])
+    return np.concatenate(out) @ blocks.counit_table
 
 
 def _ordered_product(f):
     """f[0] @ f[1] @ ... @ f[n-1] over the leading axis of a stack
-    (n, m, k, k): entrywise for k = 1, else by pairwise products in
-    ceil(log2 n) batched calls."""
-    if f.shape[-1] == 1:
-        return f.prod(axis=0)
+    (n, m, k, k), by pairwise products in ceil(log2 n) rounds.  A round
+    sums k broadcast outer products of columns by rows, which on small
+    blocks avoids a stacked matmul's one BLAS call per block."""
+    k = f.shape[-1]
     while f.shape[0] > 1:
-        pairs = f[:-1:2] @ f[1::2]
+        a, b = f[:-1:2], f[1::2]
+        pairs = a[..., :, :1] * b[..., :1, :]
+        for j in range(1, k):
+            pairs += a[..., :, j:j + 1] * b[..., j:j + 1, :]
         f = np.concatenate((pairs, f[-1:])) if f.shape[0] % 2 else pairs
     return f[0]

@@ -16,7 +16,7 @@ from .algebra import (ParseError, _c2j, _j2c, _j2mat, _mat2j, _parse_file,
                       bialgebra_and_rep2, build_function_algebra,
                       load_bialgebra, validate_bialgebra)
 from .cocycle import (HORIZON_SLACK, Generator, StepFunction, matrix_element,
-                      check_cocycle_identity, simplex_series_oracle,
+                      check_cocycle_identity, refine, simplex_series_oracle,
                       simplex_tail_bounds)
 from .convolution import (ConvolutionSemigroup, OperatorMap, functional,
                           load_operator_map)
@@ -228,15 +228,16 @@ def cmd_cocycle_eval(args):
                              f"{g.horizon}, before --t {args.t}")
     f = args.f or StepFunction.zero(dn, args.t)
     fp = args.fp or StepFunction.zero(dn, args.t)
-    value = matrix_element(phi, x, f, fp, args.t)
+    pieces = refine(f, fp, args.t)
+    value = matrix_element(phi, x, f, fp, args.t, pieces)
     s = 0.5 * args.t
     checks = {"cocycle_identity": check_cocycle_identity(phi, s, args.t - s, f, fp)}
     slack = args.tol * max(1.0, abs(value))
     # the lowest order whose tail bound fits the slack, else the highest
-    tails = simplex_tail_bounds(phi, x, f, fp, args.t, ORACLE_ORDERS)
+    tails = simplex_tail_bounds(phi, x, f, fp, args.t, ORACLE_ORDERS, pieces=pieces)
     n_max = next((n for n, tail in zip(ORACLE_ORDERS, tails) if tail <= slack),
                  ORACLE_ORDERS[-1])
-    orc, tail = simplex_series_oracle(phi, x, f, fp, args.t, n_max=n_max)
+    orc, tail = simplex_series_oracle(phi, x, f, fp, args.t, n_max=n_max, pieces=pieces)
     checks.update(oracle_gap=abs(value - orc), oracle_tail_bound=tail)
     _emit(args, {"value": _c2j(value), "method": "semigroup-factorization",
                  "oracle_n_max": n_max, "residual_checks": checks})

@@ -14,11 +14,12 @@ appears only in the toy-Fock random-walk evolver.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import legendre
 
-from .blocks import block_exponentials, counit_of_product, group_blocks
+from .blocks import block_exponentials, counit_of_exponentials, group_blocks
 from .convolution import (ConvolutionSemigroup, NonFiniteCocycle, OperatorMap, _exp_tail,
                           conv_exp, convolve, functional, lifted_matrix,
                           semigroup_generator, star_power)
@@ -109,11 +110,20 @@ class StepFunction:
         return StepFunction(np.concatenate(([0.0], shifted[inside], [b - a])), vals)
 
 
-def _refine(f, f_prime, t):
-    """Common refinement of f, f' over [0, t] as arrays: the points (n + 1,)
-    bounding the n pieces, their durations (n,), and the values (n, d_noise)
-    of f and of f' on each piece.  A point within 1e-12 of the last one kept
-    is merged into it.
+class Pieces(NamedTuple):
+    """The common refinement of two step functions, as :func:`refine` gives it."""
+
+    points: np.ndarray      # (n + 1,) bounding the n pieces
+    durations: np.ndarray   # (n,)
+    c: np.ndarray           # (n, d_noise) the value of f on each piece
+    c_prime: np.ndarray     # (n, d_noise) the value of f' on each piece
+
+
+def refine(f, f_prime, t):
+    """Common refinement of f, f' over [0, t] as :class:`Pieces`.  A point
+    within 1e-12 of the last one kept is merged into it.  The cocycle
+    routines take it as ``pieces=``, so that a caller evaluating several of
+    them on one pair refines it once.
     """
     if f.d_noise != f_prime.d_noise:
         raise ValueError("step functions live in different noise spaces")
@@ -132,7 +142,7 @@ def _refine(f, f_prime, t):
         pts = np.array(merged)
         dts = pts[1:] - pts[:-1]
     mids = 0.5 * (pts[:-1] + pts[1:])
-    return pts, dts, f._values_at(mids), f_prime._values_at(mids)
+    return Pieces(pts, dts, f._values_at(mids), f_prime._values_at(mids))
 
 
 def refine_pair(f, f_prime, t):
@@ -141,7 +151,7 @@ def refine_pair(f, f_prime, t):
     Returns a list of (duration, c, c') triples; near-coincident breakpoints
     (within 1e-12) are merged.
     """
-    _, dts, c, cp = _refine(f, f_prime, t)
+    _, dts, c, cp = refine(f, f_prime, t)
     return list(zip(dts, c, cp))
 
 
@@ -152,7 +162,7 @@ def _inner_products(c, c_prime):
 
 def exp_inner_product(f, g, t):
     """< eps(f), eps(g) > = exp of the integral of <f(s), g(s)> over [0, t]."""
-    _, dts, cf, cg = _refine(f, g, t)
+    _, dts, cf, cg = refine(f, g, t)
     total = 0.0 + 0.0j
     for term in dts * _inner_products(cg, cf):
         total += term
@@ -189,42 +199,48 @@ def as_generator(phi):
 
 # -- matrix elements via semigroup factorization -----------------------------
 
-def _piece_generators(phi, f, f_prime, t):
-    """The common refinement of f, f' over [0, t] (see :func:`_refine`) and
-    per piece the generator x -> <(1,c'), phi(x) (1,c)> in coordinates (n, d)."""
+def _hats(phi, f, f_prime, t, pieces=None):
+    """The common refinement of f, f' over [0, t] (``pieces`` when given,
+    else :func:`refine`) and the vectors (1, c) and (1, c') of every piece,
+    (n, p) each."""
     for g in (f, f_prime):
         if g.d_noise != phi.d_noise:
             raise ValueError(f"noise dimension mismatch: generator {phi.d_noise}, "
                              f"step function {g.d_noise}")
-    pts, dts, c, cp = _refine(f, f_prime, t)
-    chat = np.empty((dts.size, phi.p), dtype=complex)
-    chat_p = np.empty_like(chat)
-    chat[:, 0] = chat_p[:, 0] = 1.0
-    chat[:, 1:] = c
-    chat_p[:, 1:] = cp
+    if pieces is None:
+        pieces = refine(f, f_prime, t)
+    hats = np.ones((2, pieces.durations.size, phi.p), dtype=complex)
+    hats[0, :, 1:] = pieces.c
+    hats[1, :, 1:] = pieces.c_prime
+    return pieces, hats[0], hats[1]
+
+
+def _pieces(phi, f, f_prime, t, pieces=None):
+    """The refinement (see :func:`_hats`), per piece the generator
+    x -> <(1,c'), phi(x) (1,c)> in coordinates (n, d), and its lifted d x d
+    matrix (n, d, d)."""
+    pieces, chat, chat_p = _hats(phi, f, f_prime, t, pieces)
     gammas = np.einsum("na,kab,nb->nk", np.conjugate(chat_p), phi.values, chat)
-    return pts, dts, c, cp, gammas
-
-
-def _pieces(phi, f, f_prime, t):
-    """:func:`_piece_generators` and the lifted d x d matrices (n, d, d) of
-    the generators."""
-    *head, gammas = _piece_generators(phi, f, f_prime, t)
     lifted = np.einsum("kij,nj->nik", phi.source.coproduct, gammas)
-    return (*head, gammas, lifted)
+    return (*pieces, gammas, lifted)
 
 
-def cocycle_functional(phi, f, f_prime, t, reverse=False):
+def cocycle_functional(phi, f, f_prime, t, reverse=False, pieces=None):
     """Coordinates of the functional x -> < eps(f'), l_t(x) eps(f) >.
 
     The inner-product prefactor over [0, t] is included.  ``reverse=True``
     composes the per-interval semigroup factors in reverse interval order,
-    which is the opposite cocycle.  Each factor expm(d_i R gamma_i) is block
-    diagonal in the basis of ``source.dual_blocks()``: one product
-    ``gammas @ table`` gives the blocks of every piece, which are
-    exponentiated and multiplied per block, O(d E) per piece for E block
-    entries, in O(log pieces) array calls.  Raises :class:`NonFiniteCocycle`
-    when the result overflows.
+    which is the opposite cocycle.  ``pieces`` is :func:`refine` (f, f', t)
+    when the caller has it.  Each factor expm(d_i R gamma_i) is block
+    diagonal in the Fourier basis of ``source.dual_blocks()``.  The
+    characters commute, so their blocks are the exponentials of the
+    integrated generator sum_i d_i gamma_i = vec(phi) . vec(M), with
+    M = sum_i d_i (1, c'_i)^* (1, c_i)^T one p x p product, and the
+    prefactor is exp(tr M[1:, 1:]): O(p^2) a piece.  Only a sigma of
+    dimension >= 2 is exponentiated per piece, its entries one product
+    (d_i (1, c'_i)^* (x) (1, c_i)) @ (vec phi)^T @ table, and the blocks
+    multiplied in O(log pieces) array calls.  Raises
+    :class:`NonFiniteCocycle` when the result overflows.
     """
     phi = as_generator(phi)
     src = phi.source
@@ -232,44 +248,60 @@ def cocycle_functional(phi, f, f_prime, t, reverse=False):
         raise ValueError("time must be nonnegative")
     if t == 0:
         return src.counit.astype(complex).copy()
-    pts, dts, c, cp, gammas = _piece_generators(phi, f, f_prime, t)
+    (pts, dts, _, _), chat, chat_p = _hats(phi, f, f_prime, t, pieces)
     blocks = src.dual_blocks()
+    m = blocks.characters
+    p = phi.p
+    values = phi.values.reshape(src.dim, p * p)
     order = slice(None, None, -1) if reverse else slice(None)
+    rest = blocks.table[:, m:]
     # an overflow is reported once, by the NonFiniteCocycle raised below;
     # a non-finite prefactor makes the coordinates non-finite too
     with np.errstate(over="ignore", invalid="ignore"):
-        factors = block_exponentials(blocks, (gammas @ blocks.table) * dts[:, None])
-        scalars = np.exp(dts * _inner_products(c, cp))
-        coords = np.prod(scalars[order]) * counit_of_product(blocks, factors[order])
+        weighted = dts[:, None] * chat
+        integrated = np.conjugate(chat_p).T @ weighted
+        entries = None
+        if rest.shape[1]:
+            outer = np.conjugate(chat_p)[:, :, None] * weighted[:, None, :]
+            entries = outer.reshape(-1, p * p)[order] @ (values.T @ rest)
+        characters = values @ integrated.reshape(-1) @ blocks.table[:, :m]
+        coords = (np.exp(np.trace(integrated[1:, 1:]))
+                  * counit_of_exponentials(blocks, characters, entries))
         if not np.isfinite(coords).all():
-            _raise_non_finite(pts, group_blocks(blocks, factors), scalars,
+            _raise_non_finite(blocks, values, pts, dts, chat, chat_p,
                               range(dts.size)[order])
     return coords
 
 
-def _raise_non_finite(pts, factors, scalars, order):
-    """Walk the pieces again in product order and name the first one whose
-    factor (its blocks, per group), running product or running prefactor is
-    not finite."""
+def _raise_non_finite(blocks, values, pts, dts, chat, chat_p, order):
+    """Build every piece's factor (its blocks, per group) and prefactor, walk
+    the pieces in product order and name the first one whose factor, running
+    product or running prefactor is not finite."""
+    gammas = (np.conjugate(chat_p)[:, :, None] * chat[:, None, :]).reshape(dts.size, -1) \
+        @ values.T
+    factors = group_blocks(blocks.groups, block_exponentials(
+        blocks.groups, (gammas @ blocks.table) * dts[:, None]))
+    scalars = np.exp(dts * _inner_products(chat[:, 1:], chat_p[:, 1:]))
     lift = [np.eye(g.shape[-1], dtype=complex) for g in factors]
     pref = 1.0 + 0.0j
     for i in order:
         lift = [p @ g[i] for p, g in zip(lift, factors)]
         pref *= scalars[i]
-        for what, values in (("semigroup factor", [g[i] for g in factors]),
-                             ("prefactor", [scalars[i]]),
-                             ("product of factors", lift),
-                             ("running prefactor", [pref])):
-            if not all(np.isfinite(v).all() for v in values):
+        for what, parts in (("semigroup factor", [g[i] for g in factors]),
+                            ("prefactor", [scalars[i]]),
+                            ("product of factors", lift),
+                            ("running prefactor", [pref])):
+            if not all(np.isfinite(v).all() for v in parts):
                 raise NonFiniteCocycle(
                     f"{what} not finite at piece {i} on "
                     f"[{float(pts[i])!r}, {float(pts[i + 1])!r})")
     raise NonFiniteCocycle("cocycle coordinates not finite")
 
 
-def matrix_element(phi, x, f, f_prime, t):
-    """< eps(f'_{[0,t[}), l_t(x) eps(f_{[0,t[}) > for the cocycle generated by phi."""
-    coords = cocycle_functional(phi, f, f_prime, t)
+def matrix_element(phi, x, f, f_prime, t, pieces=None):
+    """< eps(f'_{[0,t[}), l_t(x) eps(f_{[0,t[}) > for the cocycle generated by
+    phi; ``pieces`` is :func:`refine` (f, f', t) when the caller has it."""
+    coords = cocycle_functional(phi, f, f_prime, t, pieces=pieces)
     return complex(coords @ x.coords)
 
 
@@ -323,7 +355,8 @@ _GLX, _ = legendre.leggauss(_GL_NODES)
 _GLS, _GLW = _legendre_integration(_GLX)
 
 
-def simplex_series_oracle(phi, x, f, f_prime, t, n_max, apply_order_reversal=True):
+def simplex_series_oracle(phi, x, f, f_prime, t, n_max, apply_order_reversal=True,
+                          pieces=None):
     """Truncated simplex-integral expansion of the matrix element.
 
     The n-th term integrates, over the ordered simplex 0 < s_1 < ... < s_n < t,
@@ -338,11 +371,12 @@ def simplex_series_oracle(phi, x, f, f_prime, t, n_max, apply_order_reversal=Tru
     Integration is piecewise Gauss-Legendre (16 nodes per dimension) split at
     the step-function breakpoints, so each smooth piece is integrated exactly.
     Returns ``(value, tail_bound)`` with a rigorous bound on the dropped tail.
+    ``pieces`` is :func:`refine` (f, f', t) when the caller has it.
     """
     phi = as_generator(phi)
     src = phi.source
     d = src.dim
-    pieces = _pieces(phi, f, f_prime, t)
+    pieces = _pieces(phi, f, f_prime, t, pieces)
     _, dts, _, _, gammas, _ = pieces
     pref, (tail,) = _tail_bounds(src, x, t, pieces, [n_max])
     # H_{k-1} attached in the earlier (flipped) or the later convolution slot
@@ -367,11 +401,12 @@ def simplex_series_oracle(phi, x, f, f_prime, t, n_max, apply_order_reversal=Tru
     return value, tail
 
 
-def simplex_tail_bounds(phi, x, f, f_prime, t, orders):
+def simplex_tail_bounds(phi, x, f, f_prime, t, orders, pieces=None):
     """The bound on the tail that :func:`simplex_series_oracle` drops at each
-    order in ``orders``, found without summing the series."""
+    order in ``orders``, found without summing the series; ``pieces`` is
+    :func:`refine` (f, f', t) when the caller has it."""
     phi = as_generator(phi)
-    return _tail_bounds(phi.source, x, t, _pieces(phi, f, f_prime, t), orders)[1]
+    return _tail_bounds(phi.source, x, t, _pieces(phi, f, f_prime, t, pieces), orders)[1]
 
 
 def _tail_bounds(src, x, t, pieces, orders):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Bialgebra, ParseError, _j2mat, _mat2j, _parse_file, _write_json
-from .blocks import block_exponentials, counit_of_product
+from .blocks import counit_of_exponentials
 from .linalg import dagger, maxabs, opnorm
 
 
@@ -247,13 +247,14 @@ class ConvolutionSemigroup:
         self.generator = gamma
         self.source = gamma.source
         self._blocks = self.source.dual_blocks()
-        self._entries = gamma.as_vector()[None, :] @ self._blocks.table
+        self._entries = gamma.as_vector() @ self._blocks.table
 
     def at(self, t):
         """lambda_t; raises :class:`NonFiniteCocycle` when it overflows."""
+        m = self._blocks.characters
         with np.errstate(over="ignore", invalid="ignore"):
-            factors = block_exponentials(self._blocks, float(t) * self._entries)
-            coords = counit_of_product(self._blocks, factors)
+            entries = float(t) * self._entries
+            coords = counit_of_exponentials(self._blocks, entries[:m], entries[None, m:])
         if not np.isfinite(coords).all():
             raise NonFiniteCocycle(f"semigroup value not finite at t = {float(t)!r}")
         return functional(self.source, coords)

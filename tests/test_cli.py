@@ -156,6 +156,38 @@ def test_cocycle_eval_runs_the_oracle_once(flat_z3_generator, monkeypatch, capsy
     assert json.loads(capsys.readouterr().out)["oracle_n_max"] == 32
 
 
+def test_cocycle_eval_refines_once(tmp_path, monkeypatch, capsys):
+    # one refinement serves the value, the tail bounds and the oracle; the
+    # increment identity keeps its three independent evaluations
+    import qlevy.cli
+    import qlevy.cocycle
+    b = bundled_fixtures()["C(S3)"]
+    rng = np.random.default_rng(4)
+    phi = Generator(b, 0.4 * (rng.standard_normal((6, 2, 2))
+                              + 1j * rng.standard_normal((6, 2, 2))))
+    gpath = tmp_path / "phi.json"
+    phi.save(gpath)
+    f = "0.3:[[0.5,0.1]],0.7:[[-0.2,0.4]],1.1:[[0.3,0.0]]"
+    fp = "0.5:[[0.1,0.2]],1.1:[[0.4,-0.3]]"
+    calls = []
+    refine = qlevy.cocycle.refine
+
+    def counted(*args):
+        calls.append(args[2])
+        return refine(*args)
+    monkeypatch.setattr(qlevy.cocycle, "refine", counted)
+    monkeypatch.setattr(qlevy.cli, "refine", counted)
+    assert main(["cocycle-eval", "fixture:C(S3)", str(gpath), "--x", "d1",
+                 "--f", f, "--fp", fp, "--t", "1.1"]) == 0
+    assert calls == [1.1, 1.1, 0.55, 0.55]
+    payload = json.loads(capsys.readouterr().out)
+    steps = [parse_steps(s) for s in (f, fp)]
+    want = qlevy.cocycle.matrix_element(phi, b.basis_element(1), *steps, 1.1)
+    assert complex(*payload["value"]) == want
+    checks = payload["residual_checks"]
+    assert checks["oracle_gap"] <= checks["oracle_tail_bound"] + 1e-9 * abs(want)
+
+
 def test_cocycle_eval_fails_on_oracle_gap(flat_z3_generator, monkeypatch, capsys):
     import qlevy.cli
     exact = qlevy.cli.matrix_element

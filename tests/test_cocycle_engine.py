@@ -1,12 +1,13 @@
-"""The block-diagonal cocycle engine against the per-piece loop it replaced.
+"""The Fourier-form cocycle engine against the per-piece loop it replaced.
 
 The reference below refines, builds each semigroup generator, lifts it and
 exponentiates it one piece at a time with scipy's dense ``expm``.  The engine
 exponentiates the same factors block by block in the basis of
-``Bialgebra.dual_blocks()`` and multiplies them in another order, so the two
-agree to rounding, not bit for bit: within 8 (n + h) eps cond(V)
-max(1, |want|), for n pieces whose exponents d_i R gamma_i have summed norm h.
-The refinement itself must still match the reference exactly.
+``Bialgebra.dual_blocks()``, one exponential of the summed exponents for the
+characters, and multiplies them in another order, so the two agree to
+rounding, not bit for bit: within 8 (n + h) eps cond(V) max(1, |want|), for
+n pieces whose exponents d_i R gamma_i have summed norm h.  The refinement
+itself must still match the reference exactly.
 """
 
 import numpy as np
@@ -22,7 +23,7 @@ from qlevy.cocycle import (Generator, HorizonMismatch, NonFiniteCocycle,
                            simplex_series_oracle)
 from qlevy.convolution import (convolve, functional, lifted_matrix,
                                semigroup_generator)
-from qlevy.fixtures import cyclic_table, s3_table
+from qlevy.fixtures import cyclic_table, d4_table, s3_table
 from qlevy.linalg import maxabs, opnorm
 
 from conftest import random_element, random_generator
@@ -220,23 +221,142 @@ def test_engine_sweep_over_rescaled_bases(all_fixtures, name, seed, pieces, reve
     assert_engine_matches(phi, f, fp, t, pieces, reverse)
 
 
+# -- the character route ---------------------------------------------------------------
+
+def lifts_commute(b):
+    """Whether the basis lifts L(e_j) commute, i.e. the dual is commutative;
+    decided without blocks.py."""
+    lifts = np.transpose(b.coproduct, (2, 1, 0))
+    return maxabs(lifts[:, None] @ lifts[None] - lifts[None] @ lifts[:, None]) \
+        <= 64 * b.dim * EPS * maxabs(b.coproduct) ** 2
+
+
+def ref_integrated(phi, f, f_prime, t):
+    """<eps(f'), eps(f)> eps o expm(sum_i d_i L(gamma_i)): the cocycle when
+    the lifts commute, as one dense exponential."""
+    total = np.zeros((phi.source.dim,) * 2, dtype=complex)
+    pref = 0.0 + 0.0j
+    for dt, c, cp in ref_refine_pair(f, f_prime, t):
+        total += dt * lifted_matrix(semigroup_generator(phi, cp, c))
+        pref += dt * np.vdot(cp, c)
+    return np.exp(pref) * (phi.source.counit @ expm(total))
+
+
+@pytest.mark.parametrize("pieces", [1, 3, 32, 256])
+def test_character_route_is_one_exponential(all_fixtures, fixture_names, pieces):
+    commutative = [name for name in fixture_names if lifts_commute(all_fixtures[name])]
+    assert sorted(set(fixture_names) - set(commutative)) == ["C(S3)"]
+    rng = np.random.default_rng([pieces, 16])
+    for name in commutative:
+        b = all_fixtures[name]
+        assert b.dual_blocks().groups == ((1, b.dim),), name
+        for d_noise in (1, 2, 3):
+            phi = random_generator(rng, b, d_noise)
+            t = float(rng.uniform(0.5, 1.5))
+            f, fp = step_pair(rng, d_noise, t, pieces)
+            want = ref_integrated(phi, f, fp, t)
+            bound = engine_bound(b, pieces, exponent_norm(phi, f, fp, t), want)
+            for reverse in (False, True):
+                got = cocycle_functional(phi, f, fp, t, reverse=reverse)
+                assert maxabs(got - want) <= bound, (name, maxabs(got - want), bound)
+
+
+def test_cancelling_exponents_stay_finite(all_fixtures):
+    # exponents of about +800 on [0, 1) and -800 on [1, 2): a product of
+    # per-piece exponentials overflows at the first factor, exp(800) = inf,
+    # while the summed exponent is of order 1
+    b = all_fixtures["Alg(Z3)"]
+    rng = np.random.default_rng(17)
+    values = 0.3 * (rng.standard_normal((b.dim, 2, 2)) + 1j * rng.standard_normal((b.dim, 2, 2)))
+    values[:, 1, 1] += 800.0
+    phi = Generator(b, values)
+    f = StepFunction(np.array([0.0, 1.0, 2.0]), np.array([[1.0], [1.0]]))
+    fp = StepFunction(np.array([0.0, 1.0, 2.0]), np.array([[1.0], [-1.0]]))
+    first = lifted_matrix(semigroup_generator(phi, [1.0], [1.0]))
+    assert np.linalg.eigvals(first).real.max() > 790.0
+    want = ref_integrated(phi, f, fp, 2.0)
+    assert np.isfinite(want).all()
+    bound = engine_bound(b, 2, exponent_norm(phi, f, fp, 2.0), want)
+    for reverse in (False, True):
+        got = cocycle_functional(phi, f, fp, 2.0, reverse=reverse)
+        assert maxabs(got - want) <= bound, (maxabs(got - want), bound)
+
+
 # -- the block decomposition -----------------------------------------------------------
 
-BLOCK_SIZES = {"C(S3)": (1, 1, 2, 2)}   # every other bundled fixture: all 1 x 1
+# (groups, copies) of the bundled fixtures; every other one: d characters
+BLOCK_LAYOUT = {"C(S3)": (((1, 2), (2, 1)), (1, 1, 2))}
+
+
+def copy_blocks(b):
+    """The diagonal blocks of V^-1 L(e_j) V, recomputed from V: per sigma,
+    the (d, k, k) stack of each of its copies."""
+    blocks = b.dual_blocks()
+    full = blocks.inverse @ np.transpose(b.coproduct, (2, 1, 0)) @ blocks.basis
+    dims = [k for k, m in blocks.groups for _ in range(m)]
+    out, ofs = [], 0
+    for k, n in zip(dims, blocks.copies):
+        out.append([full[:, ofs + a * k:ofs + (a + 1) * k, ofs + a * k:ofs + (a + 1) * k]
+                    for a in range(n)])
+        ofs += n * k
+    return out
+
+
+def assert_folded(b):
+    """Block diagonal to rounding, and every copy of a sigma carries the
+    block of its first copy."""
+    blocks = b.dual_blocks()
+    tol = 64 * b.dim * EPS * blocks.cond * maxabs(b.coproduct)
+    ids = np.repeat(np.arange(len(blocks.sizes)), blocks.sizes)
+    lifts = np.transpose(b.coproduct, (2, 1, 0))
+    off = maxabs((blocks.inverse @ lifts @ blocks.basis)[:, ids[:, None] != ids])
+    assert off <= tol
+    for copies in copy_blocks(b):
+        for other in copies[1:]:
+            assert maxabs(other - copies[0]) <= tol
+    assert np.allclose(blocks.basis @ blocks.inverse, np.eye(b.dim))
+    assert blocks.table.shape == (b.dim, sum(k * k * m + (m if k == 2 else 0)
+                                             for k, m in blocks.groups))
+    assert blocks.counit_table.shape == (sum(k * k * m for k, m in blocks.groups), b.dim)
 
 
 def test_block_decomposition_of_every_fixture(all_fixtures):
     for name, b in all_fixtures.items():
         blocks = b.dual_blocks()
         assert blocks is b.dual_blocks()
-        assert blocks.sizes == BLOCK_SIZES.get(name, (1,) * b.dim), name
-        # the off-block mass of every basis lift, recomputed from V
-        ids = np.repeat(np.arange(len(blocks.sizes)), blocks.sizes)
-        lifts = np.transpose(b.coproduct, (2, 1, 0))
-        off = maxabs((blocks.inverse @ lifts @ blocks.basis)[:, ids[:, None] != ids])
-        assert off <= 64 * b.dim * EPS * blocks.cond * maxabs(b.coproduct), name
-        assert np.allclose(blocks.basis @ blocks.inverse, np.eye(b.dim))
+        groups, copies = BLOCK_LAYOUT.get(name, (((1, b.dim),), (1,) * b.dim))
+        assert (blocks.groups, blocks.copies) == (groups, copies), name
+        assert blocks.characters == groups[0][1]
+        assert_folded(b)
         assert blocks.cond <= 2.0, name
+
+
+def dihedral_table(n):
+    """The dihedral group of order 2n: elements r^a s^b, s r s = r^-1."""
+    elems = [(a, c) for c in range(2) for a in range(n)]
+    idx = {e: i for i, e in enumerate(elems)}
+    return np.array([[idx[((a + (-1) ** c * a2) % n, (c + c2) % 2)] for a2, c2 in elems]
+                     for a, c in elems])
+
+
+@pytest.mark.parametrize("table, groups, copies", [
+    # D4 has one 2-dimensional irrep: its two 2 x 2 blocks are copies of one
+    # sigma, held once in the table, the counit table summing their rows
+    (d4_table(), ((1, 4), (2, 1)), (1, 1, 1, 1, 2)),
+    # D5 has two distinct ones: four 2 x 2 blocks fold into two sigma, not one
+    (dihedral_table(5), ((1, 2), (2, 2)), (1, 1, 2, 2)),
+])
+def test_dihedral_duals_fold_per_sigma(table, groups, copies):
+    b = build_function_algebra(table)
+    blocks = b.dual_blocks()
+    assert (blocks.groups, blocks.copies) == (groups, copies)
+    assert_folded(b)
+    rng = np.random.default_rng(18)
+    for pieces in (1, 2, 9, 64):
+        phi = random_generator(rng, b, 2)
+        f, fp = step_pair(rng, 2, 1.0, pieces)
+        for reverse in (False, True):
+            assert_engine_matches(phi, f, fp, 1.0, pieces, reverse)
 
 
 @pytest.mark.parametrize("n", [3, 5, 8])

@@ -501,6 +501,25 @@ def test_amplified_norm_first_maximal_start_wins(all_fixtures, monkeypatch):
     assert amplified_norm(phi, 2, n_starts=4, return_point=True) == (0.0, None)
 
 
+def test_ratio_ascent_step_saturates_at_its_cap(monkeypatch):
+    # every trial point improves, so each accepted step is 1.3 times the last,
+    # 0.5, 0.65, ..., 1.86, until it stays at the cap 2.0 from the seventh on
+    import qlevy.convolution as conv
+    steps = []
+
+    def improving(values, rep, c):
+        # the starts and accepted points are all-ones after rescaling, and the
+        # unit gradient moves every entry by the step
+        steps.append(np.abs(c).max(axis=(1, 2, 3)) - 1.0)
+        return np.full(len(c), float(len(steps))), np.ones(c.shape, dtype=complex)
+    monkeypatch.setattr(conv, "_ratio_and_grad", improving)
+    conv._ratio_ascent(None, None, np.ones((2, 3, 2, 2), dtype=complex), 12)
+    taken = np.array(steps[1:])   # the first call evaluates the starts
+    want = np.minimum(0.5 * 1.3 ** np.arange(12), 2.0)
+    assert want[5] < 2.0 == want[6]
+    assert np.allclose(taken, want[:, None], rtol=0.0, atol=1e-12), taken[:, 0]
+
+
 @pytest.mark.parametrize("shape", [(3, 2, 3), (3, 3, 3), (2, 2, 2), (3, 4)])
 def test_amplified_norm_rejects_misshapen_warm_start(all_fixtures, shape):
     b = all_fixtures["C(Z3)"]
