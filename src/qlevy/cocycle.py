@@ -21,9 +21,9 @@ from numpy.polynomial import legendre
 
 from .blocks import block_exponentials, counit_of_exponentials, group_blocks
 from .convolution import (ConvolutionSemigroup, NonFiniteCocycle, OperatorMap, _exp_tail,
-                          conv_exp, convolve, functional, lifted_matrix,
-                          semigroup_generator, star_power)
-from .linalg import SPECTRAL_TOL, maxabs, opnorm
+                          convolve, functional, lifted_matrix, semigroup_generator,
+                          series_exp, star_power)
+from .linalg import SPECTRAL_TOL, maxabs
 
 HORIZON_SLACK = 1e-9   # a step function ending this close before a time covers it
 TOY_FOCK_CAP_BYTES = 2 ** 28   # largest full toy-Fock map, checked before allocating
@@ -115,24 +115,33 @@ class Pieces(NamedTuple):
 
     points: np.ndarray      # (n + 1,) bounding the n pieces
     durations: np.ndarray   # (n,)
-    c: np.ndarray           # (n, d_noise) the value of f on each piece
-    c_prime: np.ndarray     # (n, d_noise) the value of f' on each piece
+    hats: np.ndarray        # (n, 1 + d_noise) the rows (1, c_i), c_i the value of f
+    hats_prime: np.ndarray  # (n, 1 + d_noise) the rows (1, c'_i), c'_i the value of f'
+
+    def inner_products(self):
+        """<c'_i, c_i> for every piece."""
+        return np.einsum("na,na->n", np.conjugate(self.hats_prime[:, 1:]), self.hats[:, 1:])
+
+    def prefactor(self):
+        """<eps(f'), eps(f)> over the pieces."""
+        return np.exp(sum(self.durations * self.inner_products()))
 
 
 def refine(f, f_prime, t):
-    """Common refinement of f, f' over [0, t] as :class:`Pieces`.  A point
-    within 1e-12 of the last one kept is merged into it.  The cocycle
-    routines take it as ``pieces=``, so that a caller evaluating several of
-    them on one pair refines it once.
+    """Common refinement of f, f' over [0, t] as :class:`Pieces`; t = 0 gives
+    no pieces.  A point within 1e-12 of the last one kept is merged into it.
+    The cocycle routines take it as ``pieces=``, so that a caller evaluating
+    several of them on one pair refines it once.
     """
+    if t < 0:
+        raise ValueError("time must be nonnegative")
     if f.d_noise != f_prime.d_noise:
         raise ValueError("step functions live in different noise spaces")
     if f.horizon < t - HORIZON_SLACK or f_prime.horizon < t - HORIZON_SLACK:
         raise HorizonMismatch(f"step functions must cover [0, {t}]")
     pts = np.concatenate([[0.0, t], f.breakpoints, f_prime.breakpoints])
     pts = np.unique(pts[(pts >= 0.0) & (pts <= t)])
-    dts = pts[1:] - pts[:-1]
-    if dts.min() <= 1e-12:
+    if (pts[1:] - pts[:-1] <= 1e-12).any():
         merged = [pts[0]]
         for p in pts[1:]:
             if p - merged[-1] > 1e-12:
@@ -140,9 +149,14 @@ def refine(f, f_prime, t):
         if abs(merged[-1] - t) > 1e-12:
             merged.append(t)
         pts = np.array(merged)
-        dts = pts[1:] - pts[:-1]
+    dts = pts[1:] - pts[:-1]
     mids = 0.5 * (pts[:-1] + pts[1:])
-    return Pieces(pts, dts, f._values_at(mids), f_prime._values_at(mids))
+    hats = np.ones((2, mids.size, 1 + f.d_noise), dtype=complex)
+    for hat, g in zip(hats, (f, f_prime)):
+        # searched without the horizon, a piece past it (within
+        # HORIZON_SLACK) takes the last value
+        hat[:, 1:] = g.values[g.breakpoints[:-1].searchsorted(mids, side="right") - 1]
+    return Pieces(pts, dts, *hats)
 
 
 def refine_pair(f, f_prime, t):
@@ -151,22 +165,13 @@ def refine_pair(f, f_prime, t):
     Returns a list of (duration, c, c') triples; near-coincident breakpoints
     (within 1e-12) are merged.
     """
-    _, dts, c, cp = refine(f, f_prime, t)
-    return list(zip(dts, c, cp))
-
-
-def _inner_products(c, c_prime):
-    """<c'_i, c_i> for every piece (the rows of c and c')."""
-    return np.einsum("na,na->n", np.conjugate(c_prime), c)
+    _, dts, chat, chat_p = refine(f, f_prime, t)
+    return list(zip(dts, chat[:, 1:], chat_p[:, 1:]))
 
 
 def exp_inner_product(f, g, t):
     """< eps(f), eps(g) > = exp of the integral of <f(s), g(s)> over [0, t]."""
-    _, dts, cf, cg = refine(f, g, t)
-    total = 0.0 + 0.0j
-    for term in dts * _inner_products(cg, cf):
-        total += term
-    return complex(np.exp(total))
+    return complex(refine(g, f, t).prefactor())
 
 
 # -- stochastic generators ----------------------------------------------------
@@ -199,30 +204,21 @@ def as_generator(phi):
 
 # -- matrix elements via semigroup factorization -----------------------------
 
-def _hats(phi, f, f_prime, t, pieces=None):
-    """The common refinement of f, f' over [0, t] (``pieces`` when given,
-    else :func:`refine`) and the vectors (1, c) and (1, c') of every piece,
-    (n, p) each."""
+def _refined(phi, f, f_prime, t, pieces):
+    """``pieces`` when given, else :func:`refine` (f, f', t), once f and f'
+    are checked to live in the generator's noise space."""
     for g in (f, f_prime):
         if g.d_noise != phi.d_noise:
             raise ValueError(f"noise dimension mismatch: generator {phi.d_noise}, "
                              f"step function {g.d_noise}")
-    if pieces is None:
-        pieces = refine(f, f_prime, t)
-    hats = np.ones((2, pieces.durations.size, phi.p), dtype=complex)
-    hats[0, :, 1:] = pieces.c
-    hats[1, :, 1:] = pieces.c_prime
-    return pieces, hats[0], hats[1]
+    return refine(f, f_prime, t) if pieces is None else pieces
 
 
-def _pieces(phi, f, f_prime, t, pieces=None):
-    """The refinement (see :func:`_hats`), per piece the generator
-    x -> <(1,c'), phi(x) (1,c)> in coordinates (n, d), and its lifted d x d
-    matrix (n, d, d)."""
-    pieces, chat, chat_p = _hats(phi, f, f_prime, t, pieces)
-    gammas = np.einsum("na,kab,nb->nk", np.conjugate(chat_p), phi.values, chat)
-    lifted = np.einsum("kij,nj->nik", phi.source.coproduct, gammas)
-    return (*pieces, gammas, lifted)
+def _gammas(phi, pieces):
+    """Per piece the generator x -> <(1, c'_i), phi(x) (1, c_i)>, in
+    coordinates (n, d)."""
+    return np.einsum("na,kab,nb->nk", np.conjugate(pieces.hats_prime), phi.values,
+                     pieces.hats)
 
 
 def cocycle_functional(phi, f, f_prime, t, reverse=False, pieces=None):
@@ -244,11 +240,10 @@ def cocycle_functional(phi, f, f_prime, t, reverse=False, pieces=None):
     """
     phi = as_generator(phi)
     src = phi.source
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    if t == 0:
+    pieces = _refined(phi, f, f_prime, t, pieces)
+    _, dts, chat, chat_p = pieces
+    if not dts.size:   # t = 0, or t within the 1e-12 merge of 0
         return src.counit.astype(complex).copy()
-    (pts, dts, _, _), chat, chat_p = _hats(phi, f, f_prime, t, pieces)
     blocks = src.dual_blocks()
     m = blocks.characters
     p = phi.p
@@ -268,20 +263,18 @@ def cocycle_functional(phi, f, f_prime, t, reverse=False, pieces=None):
         coords = (np.exp(np.trace(integrated[1:, 1:]))
                   * counit_of_exponentials(blocks, characters, entries))
         if not np.isfinite(coords).all():
-            _raise_non_finite(blocks, values, pts, dts, chat, chat_p,
-                              range(dts.size)[order])
+            _raise_non_finite(phi, blocks, pieces, range(dts.size)[order])
     return coords
 
 
-def _raise_non_finite(blocks, values, pts, dts, chat, chat_p, order):
+def _raise_non_finite(phi, blocks, pieces, order):
     """Build every piece's factor (its blocks, per group) and prefactor, walk
     the pieces in product order and name the first one whose factor, running
     product or running prefactor is not finite."""
-    gammas = (np.conjugate(chat_p)[:, :, None] * chat[:, None, :]).reshape(dts.size, -1) \
-        @ values.T
+    pts, dts, _, _ = pieces
     factors = group_blocks(blocks.groups, block_exponentials(
-        blocks.groups, (gammas @ blocks.table) * dts[:, None]))
-    scalars = np.exp(dts * _inner_products(chat[:, 1:], chat_p[:, 1:]))
+        blocks.groups, (_gammas(phi, pieces) @ blocks.table) * dts[:, None]))
+    scalars = np.exp(dts * pieces.inner_products())
     lift = [np.eye(g.shape[-1], dtype=complex) for g in factors]
     pref = 1.0 + 0.0j
     for i in order:
@@ -337,22 +330,22 @@ def check_cocycle_identity(phi, s, t, f, f_prime):
 _GL_NODES = 16
 
 
-def _legendre_integration(nodes):
-    """S[j, l] = integral of the l-th Lagrange basis polynomial (on the GL
-    nodes, over [-1, 1]) from -1 to nodes[j]; w[l] = integral over [-1, 1].
+def _legendre_integration(n):
+    """The (n + 1, n) quadrature of Gauss-Legendre node values over [-1, 1]:
+    row j < n integrates the Lagrange interpolant from -1 to the j-th node,
+    row n over all of [-1, 1].
 
     Lagrange polynomials are expanded in Legendre polynomials, whose
     antiderivatives are closed-form; this keeps the matrix well conditioned.
     """
-    n = nodes.size
-    _, gl_w = legendre.leggauss(n)
+    nodes, gl_w = legendre.leggauss(n)
     # column l: the Legendre coefficients of the l-th Lagrange polynomial
     lagrange = (gl_w[:, None] * legendre.legvander(nodes, n - 1) * (np.arange(n) + 0.5)).T
-    return legendre.legvander(nodes, n) @ legendre.legint(lagrange, lbnd=-1), gl_w
+    return np.vstack((legendre.legvander(nodes, n) @ legendre.legint(lagrange, lbnd=-1),
+                      gl_w))
 
 
-_GLX, _ = legendre.leggauss(_GL_NODES)
-_GLS, _GLW = _legendre_integration(_GLX)
+_GL_QUAD = _legendre_integration(_GL_NODES)
 
 
 def simplex_series_oracle(phi, x, f, f_prime, t, n_max, apply_order_reversal=True,
@@ -376,29 +369,23 @@ def simplex_series_oracle(phi, x, f, f_prime, t, n_max, apply_order_reversal=Tru
     phi = as_generator(phi)
     src = phi.source
     d = src.dim
-    pieces = _pieces(phi, f, f_prime, t, pieces)
-    _, dts, _, _, gammas, _ = pieces
-    pref, (tail,) = _tail_bounds(src, x, t, pieces, [n_max])
-    # H_{k-1} attached in the earlier (flipped) or the later convolution slot
-    spec = "kij,ni,j->nk" if apply_order_reversal else "kij,nj,i->nk"
+    pieces = _refined(phi, f, f_prime, t, pieces)
+    gammas, pref, (tail,) = _tail_bounds(phi, x, t, pieces, [n_max])
+    # per piece H_{k-1} -> integrand, H_{k-1} in the earlier (flipped) or later slot
+    spec = "kij,pj->pik" if apply_order_reversal else "kij,pi->pjk"
+    attach = np.einsum(spec, src.coproduct, gammas)
     eps = src.counit.astype(complex)
+    half = 0.5 * pieces.durations[:, None, None]
+    # per level: H_k at the GL nodes of every piece (pieces, nodes, d), each
+    # piece starting from the running value at its left boundary
+    nodes = np.broadcast_to(eps, (gammas.shape[0], _GL_NODES, d))
     total = eps.copy()
-    # per level: values of H_k at the GL nodes of every piece, plus the
-    # running value at each piece boundary
-    prev_nodes = [np.tile(eps, (_GL_NODES, 1)) for _ in dts]
-    for _level in range(1, n_max + 1):
-        cur_nodes = []
-        boundary = np.zeros(d, dtype=complex)
-        for idx, dt in enumerate(dts):
-            integrand = np.einsum(spec, src.coproduct, prev_nodes[idx], gammas[idx])
-            half = dt / 2.0
-            node_vals = boundary[None, :] + half * (_GLS @ integrand)
-            boundary = boundary + half * (_GLW @ integrand)
-            cur_nodes.append(node_vals)
-        total = total + boundary
-        prev_nodes = cur_nodes
-    value = complex(pref * (total @ x.coords))
-    return value, tail
+    for _level in range(n_max):
+        quad = half * (_GL_QUAD @ (nodes @ attach))
+        bounds = np.cumsum(np.concatenate((np.zeros((1, d)), quad[:, -1])), axis=0)
+        nodes = bounds[:-1, None] + quad[:, :-1]
+        total = total + bounds[-1]
+    return complex(pref * (total @ x.coords)), tail
 
 
 def simplex_tail_bounds(phi, x, f, f_prime, t, orders, pieces=None):
@@ -406,24 +393,27 @@ def simplex_tail_bounds(phi, x, f, f_prime, t, orders, pieces=None):
     order in ``orders``, found without summing the series; ``pieces`` is
     :func:`refine` (f, f', t) when the caller has it."""
     phi = as_generator(phi)
-    return _tail_bounds(phi.source, x, t, _pieces(phi, f, f_prime, t, pieces), orders)[1]
+    return _tail_bounds(phi, x, t, _refined(phi, f, f_prime, t, pieces), orders)[-1]
 
 
-def _tail_bounds(src, x, t, pieces, orders):
-    """The prefactor <eps(f'), eps(f)> of the pieces, and per order n the tail
-    bound exp-tail(m t, n) ||eps|| ||x|| |prefactor|, m the largest lifted norm."""
-    _, dts, c, cp, _, taus = pieces
-    pref = np.exp(sum(dts * _inner_products(c, cp)))
-    m = max((opnorm(tau) for tau in taus), default=0.0)
-    return pref, [_exp_tail(m * t, n) * float(np.linalg.norm(src.counit))
-                  * float(np.linalg.norm(x.coords)) * abs(pref) for n in orders]
+def _tail_bounds(phi, x, t, pieces, orders):
+    """The pieces' generators gamma_i, their prefactor, and per order n the
+    tail bound exp-tail(m t, n) ||eps|| ||x|| |prefactor|, m the largest
+    2-norm of the lifted generators, all taken in one stacked call."""
+    src = phi.source
+    gammas = _gammas(phi, pieces)
+    pref = pieces.prefactor()
+    lifted = np.einsum("kij,nj->nik", src.coproduct, gammas)
+    m = float(np.linalg.norm(lifted, 2, axis=(1, 2)).max(initial=0.0))
+    eps_norm, x_norm = float(np.linalg.norm(src.counit)), float(np.linalg.norm(x.coords))
+    return gammas, pref, [_exp_tail(m * t, n) * eps_norm * x_norm * abs(pref) for n in orders]
 
 
 def constant_collapse(phi, x, c, c_prime, t, n_max):
     """Sum_{n<=n_max} t^n/n! (omega_{c',c} o phi)^{*n}(x): the collapsed form
     of the simplex series for constant step data."""
     gamma = semigroup_generator(as_generator(phi), c_prime, c)
-    total = conv_exp(gamma, t, method="series", n_max=n_max)(x)
+    total = series_exp(gamma, t, n_max=n_max)(x)
     return complex(np.exp(t * np.vdot(np.asarray(c_prime), np.asarray(c))) * total)
 
 

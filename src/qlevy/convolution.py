@@ -183,20 +183,20 @@ def lifted_matrix(gamma):
 
 # -- convolution semigroups ---------------------------------------------------
 
-def conv_exp(gamma, t, method="expm", n_max=None):
-    """The convolution exponential exp_* (t gamma) as a functional.
+def conv_exp(gamma, t):
+    """The convolution exponential exp_* (t gamma) as a functional:
+    :meth:`ConvolutionSemigroup.at`, eps o expm(t R_* gamma) on the lifted
+    d x d generator.  Negative t is accepted and evaluates the same formula
+    (a formal reverse-time value)."""
+    return ConvolutionSemigroup(gamma).at(t)
 
-    Default route: :meth:`ConvolutionSemigroup.at`, eps o expm(t R_* gamma)
-    on the lifted d x d generator.  ``method="series"`` retains the
-    truncated *-power series as an oracle; terms are added until the tail
-    bound sum_{n>N} |t|^n ||tau||^n / n! falls below 1e-14 (or n_max is
-    reached).  Negative t is accepted and evaluates the same formulas (a
-    formal reverse-time value).
+
+def series_exp(gamma, t, n_max=None):
+    """The truncated *-power series of exp_* (t gamma), kept as an oracle for
+    :func:`conv_exp`: terms are added until the tail bound
+    sum_{n>N} |t|^n ||tau||^n / n! falls below 1e-14, or up to n_max terms
+    (80 when None).
     """
-    if method == "expm":
-        return ConvolutionSemigroup(gamma).at(t)
-    if method != "series":
-        raise ValueError(f"unknown method {method!r}")
     src = gamma.source
     tau_norm = opnorm(lifted_matrix(gamma))
     coords = src.counit.astype(complex).copy()

@@ -139,6 +139,14 @@ def test_cocycle_eval_oracle_checks_long_times(flat_z3_generator, capsys):
     assert checks["oracle_gap"] <= checks["oracle_tail_bound"]
 
 
+def test_cocycle_eval_step_function_ending_within_the_slack(flat_z3_generator, capsys):
+    # --f ends 5e-10 before --t: the last piece's midpoint lies past its horizon
+    assert main(["cocycle-eval", "fixture:C(Z3)", flat_z3_generator, "--x", "d1",
+                 "--t", "1.0000000005", "--f", "0.4:[[0.3,0]],1.0:[[0.5,0]]"]) == 0
+    checks = json.loads(capsys.readouterr().out)["residual_checks"]
+    assert checks["cocycle_identity"] <= 1e-9
+
+
 def test_cocycle_eval_runs_the_oracle_once(flat_z3_generator, monkeypatch, capsys):
     # the order comes from the tail bound alone; the series is summed once
     import qlevy.cli

@@ -5,9 +5,9 @@ from qlevy.cocycle import (HORIZON_SLACK, HorizonMismatch, MemoryCapExceeded,
                            OverlappingIntervals, StepFunction,
                            check_cocycle_identity, cocycle_functional,
                            constant_collapse, delta_qs, exp_inner_product,
-                           matrix_element, opposite_matrix_element,
-                           simplex_series_oracle, toy_fock_evolve,
-                           vacuum_semigroup, weak_qlp_moments)
+                           matrix_element, opposite_matrix_element, refine_pair,
+                           simplex_series_oracle, simplex_tail_bounds,
+                           toy_fock_evolve, vacuum_semigroup, weak_qlp_moments)
 from qlevy.convolution import (ConvolutionSemigroup, OperatorMap, conv_exp,
                                functional, semigroup_generator)
 from qlevy.generators import make_structure_map
@@ -81,6 +81,58 @@ def test_exp_inner_product_horizon_mismatch():
     g = StepFunction.zero(1, 1.0)
     with pytest.raises(HorizonMismatch):
         exp_inner_product(f, g, 1.0)
+
+
+@pytest.mark.parametrize("t", [0.0, 5e-13])
+def test_time_zero_is_the_empty_refinement(all_fixtures, t):
+    # t = 5e-13 merges into the point 0, so it has no pieces either; C(S3)
+    # has a 2 x 2 block, whose ordered product needs at least one piece
+    rng = np.random.default_rng(31)
+    b = all_fixtures["C(S3)"]
+    phi = random_generator(rng, b, 2)
+    f, fp = random_step(rng, 2, 1.0), random_step(rng, 2, 1.0)
+    x = random_element(rng, b)
+    eps_x = complex(b.counit @ x.coords)
+    assert refine_pair(f, fp, t) == []
+    assert exp_inner_product(f, fp, t) == 1.0
+    assert matrix_element(phi, x, f, fp, t) == eps_x
+    for n_max in (0, 4):
+        assert simplex_series_oracle(phi, x, f, fp, t, n_max) == (eps_x, 0.0)
+    assert simplex_tail_bounds(phi, x, f, fp, t, [0, 4]) == [0.0, 0.0]
+
+
+def test_negative_time_is_rejected(all_fixtures):
+    rng = np.random.default_rng(32)
+    b = all_fixtures["C(S3)"]
+    phi = random_generator(rng, b, 1)
+    f = random_step(rng, 1, 1.0)
+    x = random_element(rng, b)
+    for call in (lambda: refine_pair(f, f, -0.5),
+                 lambda: exp_inner_product(f, f, -0.5),
+                 lambda: matrix_element(phi, x, f, f, -0.5),
+                 lambda: simplex_series_oracle(phi, x, f, f, -0.5, 4),
+                 lambda: simplex_tail_bounds(phi, x, f, f, -0.5, [4])):
+        with pytest.raises(ValueError, match="time must be nonnegative"):
+            call()
+
+
+@pytest.mark.parametrize("gap", [5e-12, 5e-10, 0.99 * HORIZON_SLACK])
+def test_refinement_covers_a_horizon_within_the_slack(all_fixtures, gap):
+    # f ends `gap` before t: its last value covers the piece past its horizon
+    b = all_fixtures["C(S3)"]
+    phi = random_generator(np.random.default_rng(33), b, 1)
+    x = b.basis_element(1)
+    vals = np.array([[0.3], [0.5j]])
+    short = StepFunction(np.array([0.0, 0.4, 1.0]), vals)
+    t = 1.0 + gap
+    full = StepFunction(np.array([0.0, 0.4, t]), vals)
+    pieces = refine_pair(short, full, t)
+    assert pieces[-1][1][0] == 0.5j and pieces[-1][2][0] == 0.5j
+    assert abs(exp_inner_product(short, full, t) - exp_inner_product(full, full, t)) < 1e-14
+    want = matrix_element(phi, x, full, full, t)
+    assert abs(matrix_element(phi, x, short, full, t) - want) < 1e-12 * max(1.0, abs(want))
+    got, tail = simplex_series_oracle(phi, x, short, short, t, 16)
+    assert abs(got - want) <= tail + 1e-12 * max(1.0, abs(want))
 
 
 # -- matrix elements -------------------------------------------------------------

@@ -17,11 +17,12 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from qlevy.algebra import build_function_algebra, build_group_algebra
-from qlevy.cocycle import (Generator, HorizonMismatch, NonFiniteCocycle,
-                           StepFunction, _pieces, check_cocycle_identity,
-                           cocycle_functional, exp_inner_product, refine_pair,
-                           simplex_series_oracle)
-from qlevy.convolution import (convolve, functional, lifted_matrix,
+from qlevy.cocycle import (_GL_NODES, _GL_QUAD, Generator, HorizonMismatch,
+                           NonFiniteCocycle, StepFunction, _gammas,
+                           check_cocycle_identity, cocycle_functional,
+                           exp_inner_product, refine, refine_pair,
+                           simplex_series_oracle, simplex_tail_bounds)
+from qlevy.convolution import (_exp_tail, convolve, functional, lifted_matrix,
                                semigroup_generator)
 from qlevy.fixtures import cyclic_table, d4_table, s3_table
 from qlevy.linalg import maxabs, opnorm
@@ -65,7 +66,9 @@ def ref_refine_pair(f, f_prime, t):
     out = []
     for a, b in zip(merged[:-1], merged[1:]):
         mid = 0.5 * (a + b)
-        out.append((b - a, ref_value_at(f, mid), ref_value_at(f_prime, mid)))
+        # a step function ending within the slack before t covers the last piece
+        out.append((b - a, ref_value_at(f, min(mid, np.nextafter(f.horizon, 0.0))),
+                    ref_value_at(f_prime, min(mid, np.nextafter(f_prime.horizon, 0.0)))))
     return out
 
 
@@ -396,17 +399,83 @@ def test_group_algebra_blocks_are_the_basis():
         assert (modulus.sum(axis=0) == 1.0).all()
 
 
+def ref_tail_bound(phi, x, f, f_prime, t, n_max):
+    """The prefactor and the tail bound of the simplex oracle, one piece at a
+    time: the largest lifted norm is one opnorm per piece."""
+    pieces = ref_refine_pair(f, f_prime, t)
+    pref = np.exp(sum(dt * np.einsum("a,a->", np.conjugate(cp), c) for dt, c, cp in pieces))
+    m = max((opnorm(lifted_matrix(semigroup_generator(phi, cp, c))) for _, c, cp in pieces),
+            default=0.0)
+    return pref, (_exp_tail(m * t, n_max) * float(np.linalg.norm(phi.source.counit))
+                  * float(np.linalg.norm(x.coords)) * abs(pref))
+
+
+def ref_simplex_series(phi, x, f, f_prime, t, orders, apply_order_reversal=True):
+    """The simplex series summed piece by piece, one node list per piece; the
+    (value, tail bound) at each order in ``orders``."""
+    src = phi.source
+    gls, glw = _GL_QUAD[:-1], _GL_QUAD[-1]
+    pieces = ref_refine_pair(f, f_prime, t)
+    gammas = [semigroup_generator(phi, cp, c).as_vector() for _, c, cp in pieces]
+    spec = "kij,ni,j->nk" if apply_order_reversal else "kij,nj,i->nk"
+    eps = src.counit.astype(complex)
+    total = eps.copy()
+    prev_nodes = [np.tile(eps, (_GL_NODES, 1)) for _ in pieces]
+    out = {}
+    for level in range(max(orders) + 1):
+        if level:
+            cur_nodes = []
+            boundary = np.zeros(src.dim, dtype=complex)
+            for (dt, _, _), nodes, gamma in zip(pieces, prev_nodes, gammas):
+                integrand = np.einsum(spec, src.coproduct, nodes, gamma)
+                half = dt / 2.0
+                cur_nodes.append(boundary[None, :] + half * (gls @ integrand))
+                boundary = boundary + half * (glw @ integrand)
+            total = total + boundary
+            prev_nodes = cur_nodes
+        if level in orders:
+            pref, tail = ref_tail_bound(phi, x, f, f_prime, t, level)
+            out[level] = (complex(pref * (total @ x.coords)), tail)
+    return [out[n] for n in orders]
+
+
+ORACLE_ORDERS = (0, 1, 4, 16)
+
+
+def test_stacked_oracle_matches_the_per_piece_loop(all_fixtures, fixture_names):
+    rng = np.random.default_rng(19)
+    for name in fixture_names:
+        b = all_fixtures[name]
+        for pieces in range(1, 9):
+            d_noise = int(rng.integers(1, 3))
+            phi = random_generator(rng, b, d_noise)
+            x = random_element(rng, b)
+            t = float(rng.uniform(0.3, 1.2))
+            f, fp = step_pair(rng, d_noise, t, pieces)
+            assert len(refine_pair(f, fp, t)) == pieces
+            for flip in (True, False):
+                want = ref_simplex_series(phi, x, f, fp, t, ORACLE_ORDERS, flip)
+                for n_max, (value, tail) in zip(ORACLE_ORDERS, want):
+                    got, got_tail = simplex_series_oracle(phi, x, f, fp, t, n_max, flip)
+                    assert abs(got - value) <= 1e-13 * max(1.0, abs(value)), \
+                        (name, pieces, flip, n_max, abs(got - value))
+                    assert got_tail == tail, (name, pieces, n_max)
+
+
 def test_batched_pieces_match_the_one_piece_helpers(all_fixtures):
-    # the simplex oracle reads its generators and lifted matrices from here
+    # the simplex oracle reads its generators from _gammas and its tail bound
+    # from their lifted matrices
     rng = np.random.default_rng(14)
     for name in ("Alg(S3)", "C(S3)", "Hyper(S3-classes)"):
-        phi = random_generator(rng, all_fixtures[name], 3)
+        b = all_fixtures[name]
+        phi = random_generator(rng, b, 3)
         f, fp = step_pair(rng, 3, 1.0, 20)
-        *_, gammas, lifted = _pieces(phi, f, fp, 1.0)
+        gammas = _gammas(phi, refine(f, fp, 1.0))
         for k, (_, c, cp) in enumerate(ref_refine_pair(f, fp, 1.0)):
-            gamma = semigroup_generator(phi, cp, c)
-            assert np.array_equal(gammas[k], gamma.as_vector())
-            assert np.array_equal(lifted[k], lifted_matrix(gamma))
+            assert np.array_equal(gammas[k], semigroup_generator(phi, cp, c).as_vector())
+        x = random_element(rng, b)
+        want = [ref_tail_bound(phi, x, f, fp, 1.0, n)[1] for n in ORACLE_ORDERS]
+        assert simplex_tail_bounds(phi, x, f, fp, 1.0, ORACLE_ORDERS) == want
 
 
 @pytest.mark.parametrize("gap", [1e-13, 1e-11])
