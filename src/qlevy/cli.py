@@ -16,8 +16,7 @@ from .algebra import (ParseError, _c2j, _j2c, _j2mat, _mat2j, _parse_file,
                       bialgebra_and_rep2, build_function_algebra,
                       load_bialgebra, validate_bialgebra)
 from .cocycle import (HORIZON_SLACK, Generator, StepFunction, matrix_element,
-                      check_cocycle_identity, refine, simplex_series_oracle,
-                      simplex_tail_bounds)
+                      check_cocycle_identity, refine, simplex_series_within)
 from .convolution import (ConvolutionSemigroup, OperatorMap, functional,
                           load_operator_map)
 from .derivations import DerivationProblem, implement_chi_structure, solve_inner
@@ -233,11 +232,8 @@ def cmd_cocycle_eval(args):
     s = 0.5 * args.t
     checks = {"cocycle_identity": check_cocycle_identity(phi, s, args.t - s, f, fp)}
     slack = args.tol * max(1.0, abs(value))
-    # the lowest order whose tail bound fits the slack, else the highest
-    tails = simplex_tail_bounds(phi, x, f, fp, args.t, ORACLE_ORDERS, pieces=pieces)
-    n_max = next((n for n, tail in zip(ORACLE_ORDERS, tails) if tail <= slack),
-                 ORACLE_ORDERS[-1])
-    orc, tail = simplex_series_oracle(phi, x, f, fp, args.t, n_max=n_max, pieces=pieces)
+    orc, n_max, tail = simplex_series_within(phi, x, f, fp, args.t, slack, ORACLE_ORDERS,
+                                             pieces=pieces)
     checks.update(oracle_gap=abs(value - orc), oracle_tail_bound=tail)
     _emit(args, {"value": _c2j(value), "method": "semigroup-factorization",
                  "oracle_n_max": n_max, "residual_checks": checks})

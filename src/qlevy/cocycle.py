@@ -58,13 +58,14 @@ class StepFunction:
     def __post_init__(self):
         bp = np.asarray(self.breakpoints, dtype=float)
         vals = np.atleast_2d(np.asarray(self.values, dtype=complex))
-        if bp.ndim != 1 or bp.size < 2 or abs(bp[0]) > 1e-15:
+        if bp.ndim != 1 or bp.size < 2 or not abs(bp[0]) <= 1e-15:
             raise ValueError("breakpoints must start at 0 with at least one piece")
-        if np.any(np.diff(bp) <= 0):
-            raise ValueError("breakpoints must be strictly increasing")
+        # a nan fails every comparison, and +inf can only be the last point
+        if not ((bp[1:] > bp[:-1]).all() and bp[-1] < np.inf):
+            raise ValueError("breakpoints must be finite and strictly increasing")
         if vals.shape[0] != bp.size - 1:
             raise ValueError("need one value row per piece")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("step values must be finite")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
@@ -87,27 +88,23 @@ class StepFunction:
         return float(self.breakpoints[-1])
 
     def value_at(self, s):
-        return self._values_at(np.array([s], dtype=float))[0]
-
-    def _values_at(self, s):
-        """Values at nondecreasing times s, one row per time."""
-        if s.size and not (s[0] >= 0 and s[-1] < self.horizon):
-            bad = s[~((s >= 0) & (s < self.horizon))][0]
-            raise HorizonMismatch(f"time {bad} outside [0, {self.horizon})")
-        return self.values[self.breakpoints.searchsorted(s, side="right") - 1]
+        if not 0.0 <= s < self.horizon:
+            raise HorizonMismatch(f"time {s} outside [0, {self.horizon})")
+        return self.values[self.breakpoints[1:-1].searchsorted(s, side="right")].copy()
 
     def shifted_restriction(self, a, b):
         """The step function u -> f(a + u) on [0, b - a)."""
-        if a < -1e-12 or b > self.horizon + HORIZON_SLACK or b <= a:
+        if not 0.0 <= a < b <= self.horizon + HORIZON_SLACK:
             raise HorizonMismatch(f"[{a}, {b}) not inside [0, {self.horizon})")
-        # breakpoints are kept by their shifted value, so that none
-        # rounds onto the new horizon b - a
-        bp = self.breakpoints
-        shifted = bp - a
-        inside = (shifted > 0.0) & (shifted < b - a)
-        starts = np.concatenate(([a], bp[inside]))
-        vals = self._values_at(np.minimum(starts, np.nextafter(self.horizon, 0.0)))
-        return StepFunction(np.concatenate(([0.0], shifted[inside], [b - a])), vals)
+        # the pieces from the one holding a on: the breakpoints past a, kept
+        # by their shifted value, so that none rounds onto the new horizon b - a
+        first = self.breakpoints.searchsorted(a, side="right") - 1
+        shifted = self.breakpoints[first + 1:] - a
+        inside = shifted[:shifted.searchsorted(b - a)]
+        # their values are one run, clipped to the pieces there are: a piece
+        # past the horizon (b within HORIZON_SLACK of it) takes the last value
+        vals = self.values.take(np.arange(first, first + inside.size + 1), axis=0, mode="clip")
+        return StepFunction(np.concatenate(([0.0], inside, [b - a])), vals)
 
 
 class Pieces(NamedTuple):
@@ -133,29 +130,36 @@ def refine(f, f_prime, t):
     The cocycle routines take it as ``pieces=``, so that a caller evaluating
     several of them on one pair refines it once.
     """
-    if t < 0:
+    if not t >= 0:   # a nan t fails this too
         raise ValueError("time must be nonnegative")
     if f.d_noise != f_prime.d_noise:
         raise ValueError("step functions live in different noise spaces")
     if f.horizon < t - HORIZON_SLACK or f_prime.horizon < t - HORIZON_SLACK:
         raise HorizonMismatch(f"step functions must cover [0, {t}]")
-    pts = np.concatenate([[0.0, t], f.breakpoints, f_prime.breakpoints])
-    pts = np.unique(pts[(pts >= 0.0) & (pts <= t)])
-    if (pts[1:] - pts[:-1] <= 1e-12).any():
-        merged = [pts[0]]
-        for p in pts[1:]:
-            if p - merged[-1] > 1e-12:
-                merged.append(p)
-        if abs(merged[-1] - t) > 1e-12:
-            merged.append(t)
-        pts = np.array(merged)
+    bps = np.concatenate((f.breakpoints, f_prime.breakpoints))
+    bps.sort()
+    # the points inside (0, t), framed by 0 and t
+    pts = np.concatenate(([0.0], bps[bps.searchsorted(0.0, side="right"):bps.searchsorted(t)],
+                          [t]))
     dts = pts[1:] - pts[:-1]
+    if dts.min() <= 1e-12:
+        pts = pts[np.concatenate(([True], dts > 0.0))]   # a point both share, once
+        dts = pts[1:] - pts[:-1]
+        if (dts <= 1e-12).any():
+            merged = [pts[0]]
+            for p in pts[1:]:
+                if p - merged[-1] > 1e-12:
+                    merged.append(p)
+            if abs(merged[-1] - t) > 1e-12:
+                merged.append(t)
+            pts = np.array(merged)
+            dts = pts[1:] - pts[:-1]
     mids = 0.5 * (pts[:-1] + pts[1:])
     hats = np.ones((2, mids.size, 1 + f.d_noise), dtype=complex)
     for hat, g in zip(hats, (f, f_prime)):
-        # searched without the horizon, a piece past it (within
+        # searched without the end points, a piece past the horizon (within
         # HORIZON_SLACK) takes the last value
-        hat[:, 1:] = g.values[g.breakpoints[:-1].searchsorted(mids, side="right") - 1]
+        hat[:, 1:] = g.values.take(g.breakpoints[1:-1].searchsorted(mids, side="right"), axis=0)
     return Pieces(pts, dts, *hats)
 
 
@@ -367,10 +371,29 @@ def simplex_series_oracle(phi, x, f, f_prime, t, n_max, apply_order_reversal=Tru
     ``pieces`` is :func:`refine` (f, f', t) when the caller has it.
     """
     phi = as_generator(phi)
-    src = phi.source
-    d = src.dim
     pieces = _refined(phi, f, f_prime, t, pieces)
     gammas, pref, (tail,) = _tail_bounds(phi, x, t, pieces, [n_max])
+    value = _simplex_series(phi, x, pieces, gammas, pref, n_max, apply_order_reversal)
+    return value, tail
+
+
+def simplex_series_within(phi, x, f, f_prime, t, slack, orders, pieces=None):
+    """:func:`simplex_series_oracle` at the first order in ``orders`` whose
+    tail bound is at most ``slack``, else at the last one, as ``(value,
+    n_max, tail_bound)``; the bounds of all orders are taken in one call.
+    ``pieces`` is :func:`refine` (f, f', t) when the caller has it."""
+    phi = as_generator(phi)
+    pieces = _refined(phi, f, f_prime, t, pieces)
+    gammas, pref, tails = _tail_bounds(phi, x, t, pieces, orders)
+    n_max, tail = next(((n, tail) for n, tail in zip(orders, tails) if tail <= slack),
+                       (orders[-1], tails[-1]))
+    return _simplex_series(phi, x, pieces, gammas, pref, n_max, True), n_max, tail
+
+
+def _simplex_series(phi, x, pieces, gammas, pref, n_max, apply_order_reversal):
+    """The simplex series summed to order n_max over the pieces."""
+    src = phi.source
+    d = src.dim
     # per piece H_{k-1} -> integrand, H_{k-1} in the earlier (flipped) or later slot
     spec = "kij,pj->pik" if apply_order_reversal else "kij,pi->pjk"
     attach = np.einsum(spec, src.coproduct, gammas)
@@ -385,7 +408,7 @@ def simplex_series_oracle(phi, x, f, f_prime, t, n_max, apply_order_reversal=Tru
         bounds = np.cumsum(np.concatenate((np.zeros((1, d)), quad[:, -1])), axis=0)
         nodes = bounds[:-1, None] + quad[:, :-1]
         total = total + bounds[-1]
-    return complex(pref * (total @ x.coords)), tail
+    return complex(pref * (total @ x.coords))
 
 
 def simplex_tail_bounds(phi, x, f, f_prime, t, orders, pieces=None):

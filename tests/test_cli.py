@@ -148,18 +148,26 @@ def test_cocycle_eval_step_function_ending_within_the_slack(flat_z3_generator, c
 
 
 def test_cocycle_eval_runs_the_oracle_once(flat_z3_generator, monkeypatch, capsys):
-    # the order comes from the tail bound alone; the series is summed once
+    # the order comes from the tail bounds alone, all taken in one call; the
+    # series is summed once
     import qlevy.cli
-    orders = []
-    oracle = qlevy.cli.simplex_series_oracle
+    import qlevy.cocycle
+    bounds, orders = [], []
+    tail_bounds, series = qlevy.cocycle._tail_bounds, qlevy.cocycle._simplex_series
 
-    def counted(*args, **kw):
-        orders.append(kw["n_max"])
-        return oracle(*args, **kw)
+    def counted_bounds(*args):
+        bounds.append(tuple(args[-1]))
+        return tail_bounds(*args)
 
-    monkeypatch.setattr(qlevy.cli, "simplex_series_oracle", counted)
+    def counted_series(*args):
+        orders.append(args[5])
+        return series(*args)
+
+    monkeypatch.setattr(qlevy.cocycle, "_tail_bounds", counted_bounds)
+    monkeypatch.setattr(qlevy.cocycle, "_simplex_series", counted_series)
     assert main(["cocycle-eval", "fixture:C(Z3)", flat_z3_generator, "--x", "d1",
                  "--t", "20"]) == 0
+    assert bounds == [qlevy.cli.ORACLE_ORDERS]
     assert orders == [32]
     assert json.loads(capsys.readouterr().out)["oracle_n_max"] == 32
 
@@ -210,7 +218,10 @@ def test_cocycle_eval_fails_on_oracle_gap(flat_z3_generator, monkeypatch, capsys
 @pytest.mark.parametrize("spec", ["garbage", "0.5", "0.5:[[0.3,", "x:[[0.3,0.1]]",
                                   "0.5:[[0.3,0.1]],0.2:[[0.1,0.0]]",
                                   "0.5:[[1,0]],0.9:[[1,0],[2,0]]", "0.5:%%%",
-                                  "0.5:[0.3]", "0.5:[{\"re\": 1}]"])
+                                  "0.5:[0.3]", "0.5:[{\"re\": 1}]",
+                                  "nan:[[0.5,0]],1.0:[[0.1,0]]",
+                                  "0.5:[[0.5,0]],nan:[[0.1,0]]",
+                                  "0.5:[[0.5,0]],inf:[[0.1,0]]"])
 def test_malformed_steps_are_usage_errors(z3_file, flag, spec, capsys):
     with pytest.raises(SystemExit) as err:
         main(["cocycle-eval", z3_file, "unused.json", "--x", "d1",

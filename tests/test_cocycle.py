@@ -44,6 +44,21 @@ def test_step_function_validation():
         f.value_at(1.0)
 
 
+@pytest.mark.parametrize("breakpoints", [[0.0, np.nan, 1.0], [0.0, np.inf],
+                                         [np.nan, 1.0], [0.0, 0.5, np.inf]])
+def test_non_finite_breakpoints_are_rejected(breakpoints):
+    with pytest.raises(ValueError, match="breakpoints must"):
+        StepFunction(np.array(breakpoints), np.zeros((len(breakpoints) - 1, 1)))
+
+
+@pytest.mark.parametrize("a", [-1e-13, -2e-12])
+def test_shifted_restriction_starts_at_zero_or_later(a):
+    # one rule, one message: the restriction must start inside [0, horizon)
+    f = StepFunction(np.array([0.0, 0.5, 1.0]), np.array([[1.0], [2.0]]))
+    with pytest.raises(HorizonMismatch, match=r"not inside \[0, 1\.0\)"):
+        f.shifted_restriction(a, 0.5)
+
+
 def test_exp_inner_product_vacuum():
     f = StepFunction.zero(2, 1.0)
     assert exp_inner_product(f, f, 1.0) == 1.0

@@ -21,7 +21,8 @@ from qlevy.cocycle import (_GL_NODES, _GL_QUAD, Generator, HorizonMismatch,
                            NonFiniteCocycle, StepFunction, _gammas,
                            check_cocycle_identity, cocycle_functional,
                            exp_inner_product, refine, refine_pair,
-                           simplex_series_oracle, simplex_tail_bounds)
+                           simplex_series_oracle, simplex_series_within,
+                           simplex_tail_bounds)
 from qlevy.convolution import (_exp_tail, convolve, functional, lifted_matrix,
                                semigroup_generator)
 from qlevy.fixtures import cyclic_table, d4_table, s3_table
@@ -476,6 +477,22 @@ def test_batched_pieces_match_the_one_piece_helpers(all_fixtures):
         x = random_element(rng, b)
         want = [ref_tail_bound(phi, x, f, fp, 1.0, n)[1] for n in ORACLE_ORDERS]
         assert simplex_tail_bounds(phi, x, f, fp, 1.0, ORACLE_ORDERS) == want
+
+
+def test_series_within_is_the_oracle_at_the_first_fitting_order(all_fixtures):
+    # cocycle-eval's one call: the order from the tail bounds, then the series
+    rng = np.random.default_rng(23)
+    orders = (4, 8, 16, 32, 64)
+    for name in ("C(Z3)", "C(S3)", "Alg(S3)"):
+        b = all_fixtures[name]
+        phi, x = random_generator(rng, b, 2), random_element(rng, b)
+        f, fp = step_pair(rng, 2, 1.3, 5)
+        tails = simplex_tail_bounds(phi, x, f, fp, 1.3, orders)
+        for slack in (1e-3, 1e-9, 1e-30, 0.0):
+            n_max = next((n for n, tail in zip(orders, tails) if tail <= slack), orders[-1])
+            want = simplex_series_oracle(phi, x, f, fp, 1.3, n_max)
+            got = simplex_series_within(phi, x, f, fp, 1.3, slack, orders)
+            assert got == (want[0], n_max, want[1]), (name, slack)
 
 
 @pytest.mark.parametrize("gap", [1e-13, 1e-11])
