@@ -1,8 +1,9 @@
 """The Fourier form of the lifted generators, and exponentials taken in it.
 
 A lifted generator R_gamma = (id (x) gamma) Delta, the d x d matrix
-L[i, k] = sum_j Delta[k, i, j] gamma_j acting on coordinate rows, maps every
-subcoalgebra into itself.  A cosemisimple coalgebra is the direct sum of its
+L[i, k] = sum_j Delta[k, i, j] gamma_j acting on coordinate rows (its one
+builder is ``Bialgebra.lift``), maps every subcoalgebra into itself.  A
+cosemisimple coalgebra is the direct sum of its
 simple subcoalgebras C_sigma, one per irreducible sigma (Sweedler, "Hopf
 Algebras", 1969; Peter-Weyl for compact quantum groups, Woronowicz, "Compact
 quantum groups", 1998), so in one basis V of coordinate space every R_gamma
@@ -70,7 +71,7 @@ def decompose(b):
     """The :class:`DualBlocks` of a bialgebra.
 
     The blocks are the eigenspaces of one generic left multiplication
-    eta -> a * eta of the dual, M[j, k] = sum_i Delta[k, i, j] a_i, which
+    eta -> a * eta of the dual (``Bialgebra.left_lift``), which
     commutes with every right multiplication R_gamma; they are checked on
     all d basis lifts.  Each block of size k >= 2 is then compared with the
     earlier representatives of that size by :func:`_intertwiner`; a copy of
@@ -79,7 +80,7 @@ def decompose(b):
     ``BLOCK_COND_LIMIT`` (the dual is not semisimple), V is the identity
     with one block of size d."""
     d = b.dim
-    lifts = np.transpose(b.coproduct, (2, 1, 0))   # lifts[j] = L(e_j)
+    lifts = b.lift(np.eye(d))   # lifts[j] = L(e_j)
     tol = SPECTRAL_TOL * maxabs(b.coproduct)
     try:
         v, label = _eigenspaces(b)
@@ -128,7 +129,7 @@ def _eigenspaces(b):
     d = b.dim
     rng = np.random.default_rng(0)
     a = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    mu, v = np.linalg.eig(np.einsum("kij,i->jk", b.coproduct, a))
+    mu, v = np.linalg.eig(b.left_lift(a))
     # clusters of equal eigenvalues: least-label propagation over closeness
     close = np.abs(mu[:, None] - mu[None, :]) <= SPECTRAL_TOL * max(1.0, maxabs(mu))
     label = np.arange(d)

@@ -21,7 +21,7 @@ from numpy.polynomial import legendre
 
 from .blocks import block_exponentials, counit_of_exponentials, group_blocks
 from .convolution import (ConvolutionSemigroup, NonFiniteCocycle, OperatorMap, _exp_tail,
-                          convolve, functional, lifted_matrix, semigroup_generator,
+                          convolve, functional, semigroup_generator,
                           series_exp, star_power)
 from .linalg import SPECTRAL_TOL, maxabs
 
@@ -352,8 +352,7 @@ def _legendre_integration(n):
 _GL_QUAD = _legendre_integration(_GL_NODES)
 
 
-def simplex_series_oracle(phi, x, f, f_prime, t, n_max, apply_order_reversal=True,
-                          pieces=None):
+def simplex_series_oracle(phi, x, f, f_prime, t, n_max, apply_order_reversal=True):
     """Truncated simplex-integral expansion of the matrix element.
 
     The n-th term integrates, over the ordered simplex 0 < s_1 < ... < s_n < t,
@@ -368,13 +367,15 @@ def simplex_series_oracle(phi, x, f, f_prime, t, n_max, apply_order_reversal=Tru
     Integration is piecewise Gauss-Legendre (16 nodes per dimension) split at
     the step-function breakpoints, so each smooth piece is integrated exactly.
     Returns ``(value, tail_bound)`` with a rigorous bound on the dropped tail.
-    ``pieces`` is :func:`refine` (f, f', t) when the caller has it.
     """
     phi = as_generator(phi)
-    pieces = _refined(phi, f, f_prime, t, pieces)
-    gammas, pref, (tail,) = _tail_bounds(phi, x, t, pieces, [n_max])
-    value = _simplex_series(phi, x, pieces, gammas, pref, n_max, apply_order_reversal)
-    return value, tail
+    pieces = _refined(phi, f, f_prime, t, None)
+    gammas = _gammas(phi, pieces)
+    # each level multiplies by gamma_i on the right (flipped) or on the left
+    lifts = phi.source.lift(gammas) if apply_order_reversal else phi.source.left_lift(gammas)
+    pref = pieces.prefactor()
+    (tail,) = _tail_bounds(phi, x, t, lifts, pref, [n_max])
+    return _simplex_series(phi, x, pieces, lifts, pref, n_max), tail
 
 
 def simplex_series_within(phi, x, f, f_prime, t, slack, orders, pieces=None):
@@ -384,52 +385,40 @@ def simplex_series_within(phi, x, f, f_prime, t, slack, orders, pieces=None):
     ``pieces`` is :func:`refine` (f, f', t) when the caller has it."""
     phi = as_generator(phi)
     pieces = _refined(phi, f, f_prime, t, pieces)
-    gammas, pref, tails = _tail_bounds(phi, x, t, pieces, orders)
+    lifts, pref = phi.source.lift(_gammas(phi, pieces)), pieces.prefactor()
+    tails = _tail_bounds(phi, x, t, lifts, pref, orders)
     n_max, tail = next(((n, tail) for n, tail in zip(orders, tails) if tail <= slack),
                        (orders[-1], tails[-1]))
-    return _simplex_series(phi, x, pieces, gammas, pref, n_max, True), n_max, tail
+    return _simplex_series(phi, x, pieces, lifts, pref, n_max), n_max, tail
 
 
-def _simplex_series(phi, x, pieces, gammas, pref, n_max, apply_order_reversal):
-    """The simplex series summed to order n_max over the pieces."""
+def _simplex_series(phi, x, pieces, lifts, pref, n_max):
+    """The simplex series summed to order n_max over the pieces, level k
+    taking H_k = integral of H_{k-1} @ lifts[i] over each piece i."""
     src = phi.source
     d = src.dim
-    # per piece H_{k-1} -> integrand, H_{k-1} in the earlier (flipped) or later slot
-    spec = "kij,pj->pik" if apply_order_reversal else "kij,pi->pjk"
-    attach = np.einsum(spec, src.coproduct, gammas)
     eps = src.counit.astype(complex)
     half = 0.5 * pieces.durations[:, None, None]
     # per level: H_k at the GL nodes of every piece (pieces, nodes, d), each
     # piece starting from the running value at its left boundary
-    nodes = np.broadcast_to(eps, (gammas.shape[0], _GL_NODES, d))
+    nodes = np.broadcast_to(eps, (lifts.shape[0], _GL_NODES, d))
     total = eps.copy()
     for _level in range(n_max):
-        quad = half * (_GL_QUAD @ (nodes @ attach))
+        quad = half * (_GL_QUAD @ (nodes @ lifts))
         bounds = np.cumsum(np.concatenate((np.zeros((1, d)), quad[:, -1])), axis=0)
         nodes = bounds[:-1, None] + quad[:, :-1]
         total = total + bounds[-1]
     return complex(pref * (total @ x.coords))
 
 
-def simplex_tail_bounds(phi, x, f, f_prime, t, orders, pieces=None):
-    """The bound on the tail that :func:`simplex_series_oracle` drops at each
-    order in ``orders``, found without summing the series; ``pieces`` is
-    :func:`refine` (f, f', t) when the caller has it."""
-    phi = as_generator(phi)
-    return _tail_bounds(phi, x, t, _refined(phi, f, f_prime, t, pieces), orders)[-1]
-
-
-def _tail_bounds(phi, x, t, pieces, orders):
-    """The pieces' generators gamma_i, their prefactor, and per order n the
-    tail bound exp-tail(m t, n) ||eps|| ||x|| |prefactor|, m the largest
-    2-norm of the lifted generators, all taken in one stacked call."""
-    src = phi.source
-    gammas = _gammas(phi, pieces)
-    pref = pieces.prefactor()
-    lifted = np.einsum("kij,nj->nik", src.coproduct, gammas)
-    m = float(np.linalg.norm(lifted, 2, axis=(1, 2)).max(initial=0.0))
-    eps_norm, x_norm = float(np.linalg.norm(src.counit)), float(np.linalg.norm(x.coords))
-    return gammas, pref, [_exp_tail(m * t, n) * eps_norm * x_norm * abs(pref) for n in orders]
+def _tail_bounds(phi, x, t, lifts, pref, orders):
+    """Per order n the bound exp-tail(m t, n) ||eps|| ||x|| |prefactor| on
+    the tail of the series summed over ``lifts``, m their largest 2-norm,
+    all taken in one stacked call."""
+    m = float(np.linalg.norm(lifts, 2, axis=(1, 2)).max(initial=0.0))
+    eps_norm = float(np.linalg.norm(phi.source.counit))
+    x_norm = float(np.linalg.norm(x.coords))
+    return [_exp_tail(m * t, n) * eps_norm * x_norm * abs(pref) for n in orders]
 
 
 def constant_collapse(phi, x, c, c_prime, t, n_max):
@@ -471,7 +460,7 @@ def toy_fock_evolve(phi, x, t, steps, mode="slice"):
     src = phi.source
     h = t / steps
     if mode == "slice":
-        m = np.eye(src.dim, dtype=complex) + h * lifted_matrix(phi.lam_block())
+        m = np.eye(src.dim, dtype=complex) + h * src.lift(phi.lam_block().as_vector())
         coords = src.counit @ np.linalg.matrix_power(m, steps)
         return ToyFockResult(vacuum=complex(coords @ x.coords))
     if mode != "full":

@@ -152,8 +152,8 @@ class LiftedMap:
 
 def r_map(phi):
     """R phi = (id (x) phi) o Delta, the convolution-operator lift of phi."""
-    t = np.einsum("kij,jab->kiab", phi.source.coproduct, phi.values)
-    return LiftedMap(phi.source, t)
+    t = phi.source.lift(phi.values.transpose(1, 2, 0))   # (p, q, i, k)
+    return LiftedMap(phi.source, t.transpose(3, 2, 0, 1))
 
 
 def e_map(lifted):
@@ -174,13 +174,6 @@ def lifted_compose(lift1, lift2):
                                lift1.data.shape[3] * lift2.data.shape[3]))
 
 
-def lifted_matrix(gamma):
-    """The d x d matrix of R_* gamma acting on coordinate vectors."""
-    if not gamma.is_functional:
-        raise ValueError("lifted_matrix expects a functional")
-    return np.einsum("kij,j->ik", gamma.source.coproduct, gamma.as_vector())
-
-
 # -- convolution semigroups ---------------------------------------------------
 
 def conv_exp(gamma, t):
@@ -198,7 +191,7 @@ def series_exp(gamma, t, n_max=None):
     (80 when None).
     """
     src = gamma.source
-    tau_norm = opnorm(lifted_matrix(gamma))
+    tau_norm = opnorm(src.lift(gamma.as_vector()))
     coords = src.counit.astype(complex).copy()
     power = functional(src, src.counit)
     coef = 1.0
@@ -282,29 +275,20 @@ def semigroup_generator(phi, c_prime, c):
 
 # -- amplified norm (lower-bound estimation) ---------------------------------
 
-def amplified_norm(phi, n, n_starts=32, n_iters=300, seed=7, warm_starts=None,
-                   return_point=False):
+def amplified_norm(phi, n, n_starts=32, n_iters=300, seed=7, return_point=False):
     """Lower estimate of ||phi^{(n)}|| over the represented unit ball.
 
     Maximizes ||sum_i phi(e_i) (x) C_i|| / ||sum_i rho0(e_i) (x) C_i|| by
-    projected gradient ascent from ``n_starts`` random seeds (plus any
-    supplied warm starts, each of shape (d, n, n)), all ascended as one
-    stack.  The reported value is always a certified lower bound for the
-    amplified norm; exact equality is never asserted.
+    projected gradient ascent from ``n_starts`` random seeds, all ascended
+    as one stack.  The reported value is always a certified lower bound for
+    the amplified norm; exact equality is never asserted.  For maps into
+    M_p, ||phi^{(p)}|| is the cb norm (Smith's lemma).
     """
     src = phi.source
-    d = src.dim
-    shape = (d, n, n)
-    warm = [np.asarray(w, dtype=complex) for w in warm_starts or ()]
-    for k, w in enumerate(warm):
-        if w.shape != shape:
-            raise ValueError(f"warm start {k} has shape {w.shape}, "
-                             f"expected (d, n, n) = {shape}")
-    draws = np.random.default_rng(seed).standard_normal((n_starts, 2) + shape)
-    starts = np.concatenate([np.reshape(warm, (-1,) + shape),
-                             draws[:, 0] + 1j * draws[:, 1]])
+    draws = np.random.default_rng(seed).standard_normal((n_starts, 2, src.dim, n, n))
+    starts = draws[:, 0] + 1j * draws[:, 1]
     best_val, best_c = 0.0, None
-    if len(starts):
+    if n_starts:
         vals, points = _ratio_ascent(phi.values, src.rep_images, starts, n_iters)
         k = int(np.argmax(vals))
         if vals[k] > 0.0:
@@ -312,24 +296,6 @@ def amplified_norm(phi, n, n_starts=32, n_iters=300, seed=7, warm_starts=None,
     if return_point:
         return best_val, best_c
     return best_val
-
-
-def amplified_norm_profile(phi, n_max, **kw):
-    """Estimates for levels 1..n_max, warm-starting each level with the
-    padded maximizer from the previous one (so the profile is nondecreasing
-    by construction)."""
-    out = []
-    prev_point = None
-    for n in range(1, n_max + 1):
-        warm = None
-        if prev_point is not None:
-            padded = np.zeros((phi.source.dim, n, n), dtype=complex)
-            padded[:, :n - 1, :n - 1] = prev_point
-            warm = [padded]
-        val, pt = amplified_norm(phi, n, warm_starts=warm, return_point=True, **kw)
-        out.append(val)
-        prev_point = pt
-    return out
 
 
 def _assemble(values, coeffs):

@@ -215,6 +215,21 @@ def test_s3_irrep_characters_match_character_table(all_fixtures):
         ofs += n
 
 
+@pytest.mark.parametrize("vals, message", [
+    # 0, 1, ..., 5 split the 2-dimensional eigenspaces of S3's commutant into
+    # lines that carry no representation; the least gap is 1 / 5 (relative)
+    (np.arange(6.0), r"representation residual .*; smallest eigen-gap between clusters 2\.00e-01"),
+    # one cluster: a single 6-dimensional block
+    (np.zeros(6), r"block sizes \[6\] inconsistent with \|G\|=6; "
+                  r"smallest eigen-gap between clusters inf"),
+], ids=["lines", "one-cluster"])
+def test_irrep_split_fails_loudly(monkeypatch, vals, message):
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda x: (vals, eigh(x)[1]))
+    with pytest.raises(RuntimeError, match="irrep decomposition failed: " + message):
+        build_group_algebra(s3_table())
+
+
 def test_rep2_field_validated(tmp_path, all_fixtures):
     b = all_fixtures["C(Z2)"]
     data = b.to_dict()

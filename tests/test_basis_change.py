@@ -29,13 +29,17 @@ def change_basis(b, t):
         rep_images=np.einsum("ia,iuv->auv", t, b.rep_images), kind=b.kind)
 
 
+def skew(b, seed):
+    """b through a random complex change of basis, validated."""
+    rng = np.random.default_rng(seed)
+    t = rng.standard_normal((b.dim, b.dim)) + 1j * rng.standard_normal((b.dim, b.dim))
+    t += 3.0 * np.eye(b.dim)  # keep it well conditioned
+    return assert_valid(change_basis(b, t), struct_tol=1e-10)
+
+
 @pytest.fixture(scope="module")
 def skewed():
-    rng = np.random.default_rng(77)
-    b = bundled_fixtures()["Alg(S3)"]
-    t = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    t += 3.0 * np.eye(6)  # keep it well conditioned
-    return assert_valid(change_basis(b, t), struct_tol=1e-10)
+    return skew(bundled_fixtures()["Alg(S3)"], 77)
 
 
 def test_skewed_axioms(skewed):

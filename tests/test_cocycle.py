@@ -6,7 +6,7 @@ from qlevy.cocycle import (HORIZON_SLACK, HorizonMismatch, MemoryCapExceeded,
                            check_cocycle_identity, cocycle_functional,
                            constant_collapse, delta_qs, exp_inner_product,
                            matrix_element, opposite_matrix_element, refine_pair,
-                           simplex_series_oracle, simplex_tail_bounds,
+                           simplex_series_oracle, simplex_series_within,
                            toy_fock_evolve, vacuum_semigroup, weak_qlp_moments)
 from qlevy.convolution import (ConvolutionSemigroup, OperatorMap, conv_exp,
                                functional, semigroup_generator)
@@ -113,7 +113,7 @@ def test_time_zero_is_the_empty_refinement(all_fixtures, t):
     assert matrix_element(phi, x, f, fp, t) == eps_x
     for n_max in (0, 4):
         assert simplex_series_oracle(phi, x, f, fp, t, n_max) == (eps_x, 0.0)
-    assert simplex_tail_bounds(phi, x, f, fp, t, [0, 4]) == [0.0, 0.0]
+    assert simplex_series_within(phi, x, f, fp, t, 0.0, [0, 4]) == (eps_x, 0, 0.0)
 
 
 def test_negative_time_is_rejected(all_fixtures):
@@ -126,7 +126,7 @@ def test_negative_time_is_rejected(all_fixtures):
                  lambda: exp_inner_product(f, f, -0.5),
                  lambda: matrix_element(phi, x, f, f, -0.5),
                  lambda: simplex_series_oracle(phi, x, f, f, -0.5, 4),
-                 lambda: simplex_tail_bounds(phi, x, f, f, -0.5, [4])):
+                 lambda: simplex_series_within(phi, x, f, f, -0.5, 0.0, [4])):
         with pytest.raises(ValueError, match="time must be nonnegative"):
             call()
 

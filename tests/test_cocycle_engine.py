@@ -21,20 +21,24 @@ from qlevy.cocycle import (_GL_NODES, _GL_QUAD, Generator, HorizonMismatch,
                            NonFiniteCocycle, StepFunction, _gammas,
                            check_cocycle_identity, cocycle_functional,
                            exp_inner_product, refine, refine_pair,
-                           simplex_series_oracle, simplex_series_within,
-                           simplex_tail_bounds)
-from qlevy.convolution import (_exp_tail, convolve, functional, lifted_matrix,
-                               semigroup_generator)
+                           opposite_matrix_element, simplex_series_oracle,
+                           simplex_series_within)
+from qlevy.convolution import _exp_tail, convolve, functional, semigroup_generator
 from qlevy.fixtures import cyclic_table, d4_table, s3_table
 from qlevy.linalg import maxabs, opnorm
 
 from conftest import random_element, random_generator
-from test_basis_change import change_basis
+from test_basis_change import change_basis, skew
 
 EPS = np.finfo(float).eps
 
 
 # -- the per-piece reference ------------------------------------------------------
+
+def lifted(gamma):
+    """R gamma of a functional: the d x d matrix eta -> eta * gamma."""
+    return gamma.source.lift(gamma.as_vector())
+
 
 def ref_value_at(f, s):
     if s < 0 or s >= f.horizon:
@@ -84,14 +88,14 @@ def ref_cocycle_functional(phi, f, f_prime, t, reverse=False):
     pref = 1.0 + 0.0j
     for dt, c, cp in pieces:
         gamma = semigroup_generator(phi, cp, c)
-        lift = lift @ expm(dt * lifted_matrix(gamma))
+        lift = lift @ expm(dt * lifted(gamma))
         pref *= np.exp(dt * np.vdot(cp, c))
     return pref * (src.counit @ lift)
 
 
 def exponent_norm(phi, f, f_prime, t):
     """h = sum_i d_i ||R gamma_i||, the summed norm of the pieces' exponents."""
-    return sum(dt * opnorm(lifted_matrix(semigroup_generator(phi, cp, c)))
+    return sum(dt * opnorm(lifted(semigroup_generator(phi, cp, c)))
                for dt, c, cp in ref_refine_pair(f, f_prime, t))
 
 
@@ -241,7 +245,7 @@ def ref_integrated(phi, f, f_prime, t):
     total = np.zeros((phi.source.dim,) * 2, dtype=complex)
     pref = 0.0 + 0.0j
     for dt, c, cp in ref_refine_pair(f, f_prime, t):
-        total += dt * lifted_matrix(semigroup_generator(phi, cp, c))
+        total += dt * lifted(semigroup_generator(phi, cp, c))
         pref += dt * np.vdot(cp, c)
     return np.exp(pref) * (phi.source.counit @ expm(total))
 
@@ -276,7 +280,7 @@ def test_cancelling_exponents_stay_finite(all_fixtures):
     phi = Generator(b, values)
     f = StepFunction(np.array([0.0, 1.0, 2.0]), np.array([[1.0], [1.0]]))
     fp = StepFunction(np.array([0.0, 1.0, 2.0]), np.array([[1.0], [-1.0]]))
-    first = lifted_matrix(semigroup_generator(phi, [1.0], [1.0]))
+    first = lifted(semigroup_generator(phi, [1.0], [1.0]))
     assert np.linalg.eigvals(first).real.max() > 790.0
     want = ref_integrated(phi, f, fp, 2.0)
     assert np.isfinite(want).all()
@@ -400,12 +404,16 @@ def test_group_algebra_blocks_are_the_basis():
         assert (modulus.sum(axis=0) == 1.0).all()
 
 
-def ref_tail_bound(phi, x, f, f_prime, t, n_max):
+def ref_tail_bound(phi, x, f, f_prime, t, n_max, apply_order_reversal=True):
     """The prefactor and the tail bound of the simplex oracle, one piece at a
-    time: the largest lifted norm is one opnorm per piece."""
+    time: the largest norm of the lifts its levels multiply by, right lifts
+    for the flipped pairing and left lifts for the unflipped one, is one
+    opnorm per piece."""
+    src = phi.source
+    lift = src.lift if apply_order_reversal else src.left_lift
     pieces = ref_refine_pair(f, f_prime, t)
     pref = np.exp(sum(dt * np.einsum("a,a->", np.conjugate(cp), c) for dt, c, cp in pieces))
-    m = max((opnorm(lifted_matrix(semigroup_generator(phi, cp, c))) for _, c, cp in pieces),
+    m = max((opnorm(lift(semigroup_generator(phi, cp, c).as_vector())) for _, c, cp in pieces),
             default=0.0)
     return pref, (_exp_tail(m * t, n_max) * float(np.linalg.norm(phi.source.counit))
                   * float(np.linalg.norm(x.coords)) * abs(pref))
@@ -435,7 +443,7 @@ def ref_simplex_series(phi, x, f, f_prime, t, orders, apply_order_reversal=True)
             total = total + boundary
             prev_nodes = cur_nodes
         if level in orders:
-            pref, tail = ref_tail_bound(phi, x, f, f_prime, t, level)
+            pref, tail = ref_tail_bound(phi, x, f, f_prime, t, level, apply_order_reversal)
             out[level] = (complex(pref * (total @ x.coords)), tail)
     return [out[n] for n in orders]
 
@@ -463,9 +471,27 @@ def test_stacked_oracle_matches_the_per_piece_loop(all_fixtures, fixture_names):
                     assert got_tail == tail, (name, pieces, n_max)
 
 
+def test_unflipped_oracle_is_bounded_by_its_left_lifts(all_fixtures):
+    # the unflipped series multiplies by left lifts; in a skewed basis of
+    # C(S3) their norms are not the right lifts', and the tail takes theirs
+    b = skew(all_fixtures["C(S3)"], 5)
+    rng = np.random.default_rng(34)
+    phi, x = random_generator(rng, b, 2), random_element(rng, b)
+    f, fp = step_pair(rng, 2, 1.0, 4)
+    gammas = _gammas(phi, refine(f, fp, 1.0))
+    left = np.linalg.norm(b.left_lift(gammas), 2, axis=(1, 2)).max()
+    right = np.linalg.norm(b.lift(gammas), 2, axis=(1, 2)).max()
+    assert left > 1.1 * right   # so a bound from the right lifts would be smaller
+    want = opposite_matrix_element(phi, x, f, fp, 1.0)
+    for n_max in (2, 4, 8, 16):
+        got, tail = simplex_series_oracle(phi, x, f, fp, 1.0, n_max, apply_order_reversal=False)
+        assert tail == ref_tail_bound(phi, x, f, fp, 1.0, n_max, apply_order_reversal=False)[1]
+        assert abs(got - want) <= tail + 64 * n_max * EPS * max(1.0, abs(want)), n_max
+
+
 def test_batched_pieces_match_the_one_piece_helpers(all_fixtures):
     # the simplex oracle reads its generators from _gammas and its tail bound
-    # from their lifted matrices
+    # from their lifts
     rng = np.random.default_rng(14)
     for name in ("Alg(S3)", "C(S3)", "Hyper(S3-classes)"):
         b = all_fixtures[name]
@@ -476,7 +502,7 @@ def test_batched_pieces_match_the_one_piece_helpers(all_fixtures):
             assert np.array_equal(gammas[k], semigroup_generator(phi, cp, c).as_vector())
         x = random_element(rng, b)
         want = [ref_tail_bound(phi, x, f, fp, 1.0, n)[1] for n in ORACLE_ORDERS]
-        assert simplex_tail_bounds(phi, x, f, fp, 1.0, ORACLE_ORDERS) == want
+        assert [simplex_series_oracle(phi, x, f, fp, 1.0, n)[1] for n in ORACLE_ORDERS] == want
 
 
 def test_series_within_is_the_oracle_at_the_first_fitting_order(all_fixtures):
@@ -487,7 +513,7 @@ def test_series_within_is_the_oracle_at_the_first_fitting_order(all_fixtures):
         b = all_fixtures[name]
         phi, x = random_generator(rng, b, 2), random_element(rng, b)
         f, fp = step_pair(rng, 2, 1.3, 5)
-        tails = simplex_tail_bounds(phi, x, f, fp, 1.3, orders)
+        tails = [simplex_series_oracle(phi, x, f, fp, 1.3, n)[1] for n in orders]
         for slack in (1e-3, 1e-9, 1e-30, 0.0):
             n_max = next((n for n, tail in zip(orders, tails) if tail <= slack), orders[-1])
             want = simplex_series_oracle(phi, x, f, fp, 1.3, n_max)

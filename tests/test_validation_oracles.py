@@ -391,7 +391,7 @@ def loop_two_point(theta):
     return loop_pointwise(coproduct, ("de", "dg"), "hyperbialgebra")
 
 
-def loop_group_irreps(table, seeds=(12345, 54321, 777)):
+def loop_group_irreps(table):
     """The irrep split of the regular representation with every table walk
     written as a loop; the eigen-decomposition steps are the builder's."""
     d = len(table)
@@ -399,36 +399,33 @@ def loop_group_irreps(table, seeds=(12345, 54321, 777)):
     for g in range(d):
         for h in range(d):
             regs[g, table[g, h], h] = 1.0
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        a = a + a.conj().T
-        x = sum(regs[g] @ a @ dagger(regs[g]) for g in range(d)) / d
-        vals, vecs = np.linalg.eigh(x)
-        cuts = [i for i in range(1, d)
-                if vals[i] - vals[i - 1] > 1e-6 * max(1.0, abs(vals[i]))]
-        reps = {}
-        for lo, hi in zip([0] + cuts, cuts + [d]):
-            v = vecs[:, lo:hi]
-            pi = np.array([dagger(v) @ regs[g] @ v for g in range(d)])
-            reps.setdefault(tuple(np.round(np.trace(pi[g]), 8) for g in range(d)), pi)
-        chosen = [pi for _, pi in sorted(
-            reps.items(), key=lambda kv: (kv[1].shape[1], [(-z.real, -z.imag) for z in kv[0]]))]
-        blocks = tuple(pi.shape[1] for pi in chosen)
-        if sum(n * n for n in blocks) != d:
-            continue
-        n = sum(blocks)
-        images = np.zeros((d, n, n), dtype=complex)
-        for g in range(d):
-            ofs = 0
-            for pi in chosen:
-                images[g, ofs:ofs + len(pi[g]), ofs:ofs + len(pi[g])] = pi[g]
-                ofs += len(pi[g])
-        resid = max(maxabs(images[table[g, h]] - images[g] @ images[h])
-                    for g in range(d) for h in range(d))
-        if resid < 1e-10:
-            return blocks, images
-    raise AssertionError("no seed splits the regular representation")
+    rng = np.random.default_rng(12345)
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    a = a + a.conj().T
+    x = sum(regs[g] @ a @ dagger(regs[g]) for g in range(d)) / d
+    vals, vecs = np.linalg.eigh(x)
+    cuts = [i for i in range(1, d)
+            if vals[i] - vals[i - 1] > 1e-6 * max(1.0, abs(vals[i]))]
+    reps = {}
+    for lo, hi in zip([0] + cuts, cuts + [d]):
+        v = vecs[:, lo:hi]
+        pi = np.array([dagger(v) @ regs[g] @ v for g in range(d)])
+        reps.setdefault(tuple(np.round(np.trace(pi[g]), 8) for g in range(d)), pi)
+    chosen = [pi for _, pi in sorted(
+        reps.items(), key=lambda kv: (kv[1].shape[1], [(-z.real, -z.imag) for z in kv[0]]))]
+    blocks = tuple(pi.shape[1] for pi in chosen)
+    assert sum(n * n for n in blocks) == d, blocks
+    n = sum(blocks)
+    images = np.zeros((d, n, n), dtype=complex)
+    for g in range(d):
+        ofs = 0
+        for pi in chosen:
+            images[g, ofs:ofs + len(pi[g]), ofs:ofs + len(pi[g])] = pi[g]
+            ofs += len(pi[g])
+    resid = max(maxabs(images[table[g, h]] - images[g] @ images[h])
+                for g in range(d) for h in range(d))
+    assert resid < 1e-10, resid
+    return blocks, images
 
 
 def loop_group_algebra(table):
