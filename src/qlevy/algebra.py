@@ -336,6 +336,8 @@ def representation_defect(src, images, blocks):
                            for x, m in zip(parts, sizes)], axis=1)
     mult = maxabs(prod - image_of_prod)
     starp = maxabs(np.einsum("mk,mab->kab", src.star_matrix, images) - dagger(images))
+    if len(blocks) == 1:   # one block has no off-block entries
+        return max(unital, mult, starp)
     ids = np.repeat(np.arange(len(blocks)), blocks)
     off_block = maxabs(images[:, ids[:, None] != ids[None, :]])
     return max(unital, mult, starp, off_block)

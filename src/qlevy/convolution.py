@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import Bialgebra, ParseError, _j2mat, _mat2j, _parse_file, _write_json
 from .blocks import counit_of_exponentials
-from .linalg import dagger, maxabs, opnorm
+from .linalg import maxabs, opnorm
 
 
 @dataclass(frozen=True)
@@ -282,15 +282,29 @@ def amplified_norm(phi, n, n_starts=32, n_iters=300, seed=7, return_point=False)
     projected gradient ascent from ``n_starts`` random seeds, all ascended
     as one stack.  The reported value is always a certified lower bound for
     the amplified norm; exact equality is never asserted.  For maps into
-    M_p, ||phi^{(p)}|| is the cb norm (Smith's lemma).
+    M_p, ||phi^{(p)}|| is the cb norm (Smith's lemma).  Raises ValueError
+    for n < 1, n_starts < 0, non-finite values of phi, and a ratio that
+    overflows.
     """
+    if n < 1:
+        raise ValueError(f"amplified_norm: n must be >= 1, got {n}")
+    if n_starts < 0:
+        raise ValueError(f"amplified_norm: n_starts must be >= 0, got {n_starts}")
+    if not np.isfinite(phi.values).all():
+        raise ValueError("amplified_norm: phi has non-finite values")
     src = phi.source
     draws = np.random.default_rng(seed).standard_normal((n_starts, 2, src.dim, n, n))
     starts = draws[:, 0] + 1j * draws[:, 1]
     best_val, best_c = 0.0, None
     if n_starts:
-        vals, points = _ratio_ascent(phi.values, src.rep_images, starts, n_iters)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals, points = _ratio_ascent(phi.values, src.rep_images, starts, n_iters)
+        except np.linalg.LinAlgError as e:   # an overflowed point reaches the SVD
+            raise ValueError(f"amplified_norm overflowed: {e}") from e
         k = int(np.argmax(vals))
+        if not np.isfinite(vals[k]):
+            raise ValueError(f"amplified_norm overflowed: the ratio reached is {vals[k]}")
         if vals[k] > 0.0:
             best_val, best_c = float(vals[k]), points[k]
     if return_point:
@@ -298,52 +312,41 @@ def amplified_norm(phi, n, n_starts=32, n_iters=300, seed=7, return_point=False)
     return best_val
 
 
-def _assemble(values, coeffs):
-    # sum_i values[i] (x) coeffs[s, i] for each start s
-    p, q = values.shape[1:]
-    s, _, n, _ = coeffs.shape
-    m = np.tensordot(coeffs, values, axes=(1, 0))  # (s, n, n, p, q)
-    return m.transpose(0, 3, 1, 4, 2).reshape(s, p * n, q * n)
-
-
-def _maxabs_each(c):
-    # max |entry| of each start, shaped (s, 1, 1, 1) to broadcast over c
-    return np.abs(c).max(axis=(1, 2, 3), keepdims=True)
-
-
 def _ratio_ascent(values, rep, c, iters):
     """Projected gradient ascent of the ratio from every start of the stack
     c (s, d, n, n) at once; each start keeps its own step and stops on its
     own.  Returns the ratios reached (s,) and the points (s, d, n, n)."""
+    sides = [(v.reshape(len(v), -1), *v.shape[1:]) for v in (values, rep)]
+    each = dict(axis=(1, 2, 3), keepdims=True)
     # an accepted point keeps its gradient, rescaled with c: ratio(s c) = ratio(c)
-    c = c / np.maximum(1e-300, _maxabs_each(c))
-    val, g = _ratio_and_grad(values, rep, c)
+    c = c / np.maximum(1e-300, np.abs(c).max(**each))
+    val, g = _ratio_and_grad(sides, c)
     step = np.full((len(c), 1, 1, 1), 0.5)
     active = np.ones(len(c), dtype=bool)
     for _ in range(iters):
-        gn = _maxabs_each(g)
+        gn = np.abs(g).max(**each)
         active &= gn[:, 0, 0, 0] >= 1e-14
-        idx = np.flatnonzero(active)
-        if not idx.size:
+        if not active.any():
             break
-        c_new = c[idx] + step[idx] * g[idx] / gn[idx]
-        v_new, g_new = _ratio_and_grad(values, rep, c_new)
-        up = v_new > val[idx]
-        acc, rej = idx[up], idx[~up]
-        s = np.maximum(1e-300, _maxabs_each(c_new[up]))
-        c[acc], val[acc], g[acc] = c_new[up] / s, v_new[up], g_new[up] * s
-        step[acc] = np.minimum(step[acc] * 1.3, 2.0)
-        step[rej] *= 0.5
-        active[rej] = step[rej, 0, 0, 0] >= 1e-12
+        # a stopped start is evaluated too, harmlessly, and never updated
+        c_new = c + step * g / np.maximum(gn, 1e-300)
+        v_new, g_new = _ratio_and_grad(sides, c_new)
+        up = active & (v_new > val)
+        up4 = up[:, None, None, None]
+        s = np.maximum(1e-300, np.abs(c_new).max(**each))
+        c, g = np.where(up4, c_new / s, c), np.where(up4, g_new * s, g)
+        val = np.where(up, v_new, val)
+        step = np.where(up4, np.minimum(step * 1.3, 2.0), step * 0.5)
+        active &= step[:, 0, 0, 0] >= 1e-12
     return val, c
 
 
-def _ratio_and_grad(values, rep, c):
+def _ratio_and_grad(sides, c):
     """The ratios sigma_max(a) / sigma_max(r) of the values and rep matrices
     assembled at each start of c, with their ascent directions in c; (0, 0)
-    where r vanishes."""
-    sa, ga = _top_singular(values, c)
-    sr, gr = _top_singular(rep, c)
+    where r vanishes.  ``sides`` holds each of values and rep flattened to
+    (d, p q), with its p and q."""
+    (sa, ga), (sr, gr) = (_top_singular(side, c) for side in sides)
     live = sr >= 1e-300
     sr = np.where(live, sr, 1.0)
     sa4, sr4 = sa[:, None, None, None], sr[:, None, None, None]
@@ -351,13 +354,16 @@ def _ratio_and_grad(values, rep, c):
     return np.where(live, sa / sr, 0.0), np.where(live[:, None, None, None], grad, 0.0)
 
 
-def _top_singular(values, c):
+def _top_singular(side, c):
     """sigma_max of a_s = sum_i values[i] (x) c[s, i] for each start s, from
     one stacked SVD, and its derivative u^dagger (values[i] (x) E_nm) v along
-    each entry of c[s]."""
-    u, sv, vh = np.linalg.svd(_assemble(values, c))
-    s, n = len(c), c.shape[2]
-    umat = u[:, :, 0].reshape(s, -1, n)
-    wmat = vh[:, 0].conj().reshape(s, -1, n)
-    grad = dagger(umat)[:, None] @ values @ wmat[:, None]
-    return sv[:, 0], grad
+    each entry of c[s]; ``side`` is values flattened to (d, p q) with its p, q."""
+    flat, p, q = side
+    s, d, n, _ = c.shape
+    a = (flat.T @ c.reshape(s, d, n * n)).reshape(s, p, q, n, n)
+    u, sv, vh = np.linalg.svd(a.transpose(0, 1, 3, 2, 4).reshape(s, p * n, q * n))
+    # with u and v read as (p, n) and (q, n) matrices, the derivative along
+    # c[s, i, n, m] is sum_ab conj(u[a, n]) values[i, a, b] v[b, m]
+    ubar, v = np.conjugate(u[:, :, 0]), np.conjugate(vh[:, 0])
+    outer = ubar.reshape(s, p, 1, n, 1) * v.reshape(s, 1, q, 1, n)
+    return sv[:, 0], (flat @ outer.reshape(s, p * q, n * n)).reshape(c.shape)
