@@ -102,15 +102,15 @@ class Bialgebra:
         return {
             "dim": self.dim,
             "basis": list(self.basis_labels),
-            "unit": [_c2j(z) for z in self.unit],
+            "unit": _encode(self.unit),
             "mult": _entries(self.mult, "ijk"),
-            "star_matrix": _mat2j(self.star_matrix),
-            "counit": [_c2j(z) for z in self.counit],
+            "star_matrix": _encode(self.star_matrix),
+            "counit": _encode(self.counit),
             "coproduct": _entries(self.coproduct, "kij"),
             "rep": {
                 "blocks": list(self.rep_blocks),
-                "images": [[_mat2j(b) for b in split_blocks(img, self.rep_blocks)]
-                           for img in self.rep_images],
+                "images": [list(per_basis) for per_basis in zip(*map(
+                    _encode, split_blocks(self.rep_images, self.rep_blocks)))],
             },
             "kind": self.kind,
         }
@@ -321,26 +321,38 @@ def representation_defect(src, images, blocks):
     of ``src`` by block-diagonal images (d, N, N) with the given block
     sizes, plus the mass of the images outside the diagonal blocks.
 
-    Products are taken block by block, O(d^2 sum_b n_b^3 + d^3 sum_b n_b^2);
-    that and the blockwise Choi test are exact only for block-diagonal
-    images, which the off-block term checks.  A single block of size N
-    gives the plain defect of an arbitrary representation.
+    Products are taken one stack of blocks of equal size at a time, at cost
+    O(d^2 sum_b n_b^3 + d^3 sum_b n_b^2); that and the blockwise Choi test
+    are exact only for block-diagonal images, which the off-block term checks.
+    A single block of size N gives the plain defect of any representation.
     """
     d, n = src.dim, images.shape[1]
     unital = maxabs(np.einsum("k,kab->ab", src.unit, images) - np.eye(n))
-    parts = split_blocks(images, blocks)
-    sizes = [x.shape[1] ** 2 for x in parts]
-    image_of_prod = src.mult.reshape(d * d, d) @ np.concatenate(
-        [x.reshape(d, m) for x, m in zip(parts, sizes)], axis=1)
-    prod = np.concatenate([np.einsum("iab,jbc->ijac", x, x).reshape(d * d, m)
-                           for x, m in zip(parts, sizes)], axis=1)
-    mult = maxabs(prod - image_of_prod)
+    mult = 0.0
+    for x in _blocks_by_size(images, blocks).values():
+        image_of_prod = src.mult.reshape(d * d, d) @ x.reshape(d, -1)
+        prod = np.einsum("iBab,jBbc->ijBac", x, x).reshape(d * d, -1)
+        mult = max(mult, maxabs(prod - image_of_prod))
     starp = maxabs(np.einsum("mk,mab->kab", src.star_matrix, images) - dagger(images))
     if len(blocks) == 1:   # one block has no off-block entries
         return max(unital, mult, starp)
+    return max(unital, mult, starp, maxabs(images[:, ~_same_block(blocks)]))
+
+
+def _same_block(blocks):
+    """The (N, N) mask of the entries inside the diagonal blocks."""
     ids = np.repeat(np.arange(len(blocks)), blocks)
-    off_block = maxabs(images[:, ids[:, None] != ids[None, :]])
-    return max(unital, mult, starp, off_block)
+    return ids[:, None] == ids[None, :]
+
+
+def _blocks_by_size(images, blocks):
+    """The diagonal blocks of images (d, N, N) as one stack (d, B, n, n) per nonzero size n."""
+    out, ofs = {}, 0
+    for n in blocks:
+        if n:
+            out.setdefault(n, []).append(images[:, ofs:ofs + n, ofs:ofs + n])
+        ofs += n
+    return {n: np.array(v).swapaxes(0, 1) for n, v in out.items()}
 
 
 def _coproduct_choi_min_eig(b):
@@ -363,27 +375,19 @@ def _coproduct_choi_min_eig(b):
     eigenvalues, plus O(D d^3 + D^3 d) for the contractions, where D is the
     sum of n_b^2 (D = d for irreducible blocks, so O(d^4)).
     """
-    d = b.dim
-    blocks = [x for x in split_blocks(b.rep_images, b.rep_blocks) if x.shape[1]]
-    if not blocks:
+    images = _blocks_by_size(b.rep_images, b.rep_blocks)     # [i, B, a, e]
+    if not images:
         return 0.0
-    flat = np.concatenate([r.reshape(d, -1) for r in blocks], axis=1)
-    pinv = np.linalg.pinv(flat, rcond=RCOND)      # block entries -> coords
-    units, images, ofs = {}, {}, 0                # stacked per block size
-    for r in blocks:
-        n = r.shape[1]
-        units.setdefault(n, []).append(pinv[ofs:ofs + n * n].reshape(n, n, d))
-        images.setdefault(n, []).append(r)
-        ofs += n * n
-    units = {n: np.array(v) for n, v in units.items()}      # [B, u, v, k]
-    images = {n: np.array(v) for n, v in images.items()}    # [B, i, a, e]
+    inside = _same_block(b.rep_blocks)
+    coords = np.zeros_like(b.rep_images)        # [k, u, v]: coordinates of E_uv
+    coords[:, inside] = np.linalg.pinv(b.rep_images[:, inside], rcond=RCOND).T
     lowest = np.inf
-    for n0, p in units.items():
-        q = np.tensordot(p, b.coproduct, axes=(3, 0))        # [B0, u, v, i, j]
+    for n0, p in _blocks_by_size(coords, b.rep_blocks).items():   # [k, B0, u, v]
+        q = np.tensordot(p, b.coproduct, axes=(0, 0))        # [B0, u, v, i, j]
         for n1, r1 in images.items():
-            t = np.tensordot(q, r1, axes=(3, 1))             # [B0, u, v, j, B1, a, e]
+            t = np.tensordot(q, r1, axes=(3, 0))             # [B0, u, v, j, B1, a, e]
             for n2, r2 in images.items():
-                c = np.tensordot(t, r2, axes=(3, 1))         # [B0,u,v,B1,a,e,B2,c,f]
+                c = np.tensordot(t, r2, axes=(3, 0))         # [B0,u,v,B1,a,e,B2,c,f]
                 size = n0 * n1 * n2
                 c = c.transpose(0, 3, 6, 1, 4, 7, 2, 5, 8).reshape(-1, size, size)
                 eigs = np.linalg.eigvalsh(0.5 * (c + dagger(c)))
@@ -483,13 +487,13 @@ def _group_irreps(table):
     rng = np.random.default_rng(12345)
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     a = a + a.conj().T
-    x = sum(a[inv[g]][:, inv[g]] for g in range(d)) / d
+    x = a[inv[:, :, None], inv[:, None, :]].sum(axis=0) / d
     vals, vecs = np.linalg.eigh(x)
     gaps = np.diff(vals) / np.maximum(1.0, np.abs(vals[1:]))
     cuts = np.flatnonzero(gaps > 1e-6) + 1
     reps = {}
     for v in np.split(vecs, cuts, axis=1):
-        pi = np.array([dagger(v)[:, table[g]] @ v for g in range(d)])
+        pi = dagger(v)[:, table].transpose(1, 0, 2) @ v
         reps.setdefault(tuple(np.round(np.trace(pi, axis1=1, axis2=2), 8)), pi)
     chosen = sorted(reps.items(),
                     key=lambda kv: (kv[1].shape[1], [(-z.real, -z.imag) for z in kv[0]]))
@@ -535,62 +539,75 @@ def class_hypergroup_algebra(cayley_table):
 
 # -- JSON format -------------------------------------------------------------
 
-def _c2j(z):
-    z = complex(z)
-    return [z.real, z.imag]
+def _encode(a):
+    """A complex array of any shape, or a scalar, as nested lists of [re, im] pairs."""
+    a = np.asarray(a)
+    return np.stack((a.real, a.imag), -1).tolist()
 
 
-def _j2c(pair):
-    if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-        raise ParseError(f"expected [re, im] pair, got {pair!r}")
-    return complex(pair[0], pair[1])
-
-
-def _mat2j(m):
-    return [[_c2j(z) for z in row] for row in np.asarray(m)]
-
-
-def _j2mat(rows):
-    return np.array([[_j2c(z) for z in row] for row in rows], dtype=complex)
+def _decode(x, ndim):
+    """The complex array of ``ndim`` axes that :func:`_encode` wrote as x."""
+    try:
+        a = np.array(x)
+    except ValueError as exc:
+        raise ParseError(f"expected nested lists of [re, im] pairs: {exc}") from None
+    if a.dtype.kind not in "biuf" or a.shape[ndim:] != (2,):
+        raise ParseError(f"expected {ndim} nested lists of [re, im] pairs, "
+                         f"got shape {a.shape} of {a.dtype}")
+    return a.astype(float, copy=False).view(complex)[..., 0]
 
 
 def _entries(t, axes):
     """The nonzero entries of a (d, d, d) tensor as {i, j, k, re, im} records;
     ``axes`` names the tensor's axes: "ijk" for ``mult[i, j, k]``, "kij" for
     ``coproduct[k, i, j]`` (the coefficient of e_i (x) e_j in Delta(e_k))."""
-    out = []
-    for idx in np.argwhere(t).tolist():
-        at = dict(zip(axes, idx))
-        v = t[tuple(idx)]
-        out.append({"i": at["i"], "j": at["j"], "k": at["k"], "re": v.real, "im": v.imag})
+    idx = np.argwhere(t)
+    at = dict(zip(axes, idx.T.tolist()))
+    v = t[tuple(idx.T)]
+    return [{"i": i, "j": j, "k": k, "re": re, "im": im} for i, j, k, re, im
+            in zip(at["i"], at["j"], at["k"], v.real.tolist(), v.imag.tolist())]
+
+
+def _tensor(entries, axes, d, field):
+    """The (d, d, d) tensor of the records of :func:`_entries`, which add up
+    at equal indices.  An index must be an int (not a bool) in 0..d-1."""
+    index = [[e[a] for e in entries] for a in axes]
+    for a, col in zip(axes, index):
+        if not (set(map(type, col)) <= {int} and 0 <= min(col, default=0)
+                and max(col, default=0) < d):
+            bad = next(v for v in col if type(v) is not int or not 0 <= v < d)
+            raise ParseError(f"{field} entry index {a!r} must be an integer "
+                             f"in 0..{d - 1}, got {bad!r}")
+    out = np.zeros((d, d, d), dtype=complex)
+    if entries:
+        np.add.at(out, tuple(np.array(index)),
+                  _decode([[e["re"], e["im"]] for e in entries], 1))
     return out
 
 
 def bialgebra_from_dict(data):
     d = int(data["dim"])
     labels = tuple(str(x) for x in data["basis"])
-    unit = np.array([_j2c(z) for z in data["unit"]], dtype=complex)
-    counit = np.array([_j2c(z) for z in data["counit"]], dtype=complex)
-    star_m = _j2mat(data["star_matrix"])
-    blocks = tuple(int(n) for n in data["rep"]["blocks"])
-    images = np.array([block_diag([_j2mat(bm) for bm in per_basis])
-                       for per_basis in data["rep"]["images"]])
+    unit, counit = _decode(data["unit"], 1), _decode(data["counit"], 1)
+    star_m = _decode(data["star_matrix"], 2)
+    blocks, raw = data["rep"]["blocks"], data["rep"]["images"]
     if len(labels) != d or unit.shape != (d,) or counit.shape != (d,):
         raise ParseError("field sizes inconsistent with dim")
-    if star_m.shape != (d, d) or images.shape[0] != d:
+    if star_m.shape != (d, d) or len(raw) != d:
         raise ParseError("matrix sizes inconsistent with dim")
-    n = sum(blocks)
-    if images.shape[1:] != (n, n):
+    if not (isinstance(blocks, list) and set(map(type, blocks)) <= {int}
+            and min(blocks, default=0) > 0):
+        raise ParseError(f"rep.blocks must be a list of positive integers, got {blocks!r}")
+    if any(len(per_basis) != len(blocks) for per_basis in raw):
         raise ParseError("representation images inconsistent with block sizes")
-    mult = np.zeros((d, d, d), dtype=complex)
-    for e in data["mult"]:
-        mult[e["i"], e["j"], e["k"]] += complex(e["re"], e["im"])
-    coproduct = np.zeros((d, d, d), dtype=complex)
-    for e in data["coproduct"]:
-        coproduct[e["k"], e["i"], e["j"]] += complex(e["re"], e["im"])
-    return Bialgebra(dim=d, basis_labels=labels, unit=unit, mult=mult,
-                     star_matrix=star_m, counit=counit, coproduct=coproduct,
-                     rep_blocks=blocks, rep_images=images,
+    parts = [_decode([per_basis[b] for per_basis in raw], 3) for b in range(len(blocks))]
+    if [x.shape for x in parts] != [(d, n, n) for n in blocks]:
+        raise ParseError("representation images inconsistent with block sizes")
+    return Bialgebra(dim=d, basis_labels=labels, unit=unit,
+                     mult=_tensor(data["mult"], "ijk", d, "mult"),
+                     star_matrix=star_m, counit=counit,
+                     coproduct=_tensor(data["coproduct"], "kij", d, "coproduct"),
+                     rep_blocks=tuple(blocks), rep_images=block_diag(parts),
                      kind=data.get("kind", "bialgebra"))
 
 

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import fixtures
-from .algebra import (ParseError, _c2j, _j2c, _j2mat, _mat2j, _parse_file,
+from .algebra import (ParseError, _decode, _encode, _parse_file,
                       bialgebra_and_rep2, build_function_algebra,
                       load_bialgebra, validate_bialgebra)
 from .cocycle import (HORIZON_SLACK, Generator, StepFunction, matrix_element,
@@ -82,7 +82,7 @@ def _parse_vector(token):
         import base64
         token = base64.b64decode(token).decode()
     data = json.loads(token)
-    return np.array([_j2c(p) for p in data])
+    return _decode(data, 1)
 
 
 def parse_steps(spec_text):
@@ -154,8 +154,8 @@ real_vector_arg = _arg(_real_vector, "a flat JSON list of numbers")
 def _load_group_data(path):
     return _parse_file(path, "group cocycle", lambda raw: GroupCocycleData(
         np.array(raw["table"], dtype=int),
-        np.array([_j2mat(m) for m in raw["U"]]),
-        _j2mat(raw["xi"]),
+        _decode(raw["U"], 3),
+        _decode(raw["xi"], 2),
         np.array(raw["lambda"], dtype=float)))
 
 
@@ -195,7 +195,7 @@ def cmd_semigroup(args):
     rows = []
     for t in grid:
         lam = sg.at(float(t)).as_vector()
-        rows.append([float(t)] + [v for z in lam for v in _c2j(z)])
+        rows.append([float(t)] + [v for z in _encode(lam) for v in z])
     if args.format == "json":
         _emit(args, {"t_grid": list(map(float, grid)),
                      "rows": rows, "basis": list(b.basis_labels)})
@@ -235,7 +235,7 @@ def cmd_cocycle_eval(args):
     orc, n_max, tail = simplex_series_within(phi, x, f, fp, args.t, slack, ORACLE_ORDERS,
                                              pieces=pieces)
     checks.update(oracle_gap=abs(value - orc), oracle_tail_bound=tail)
-    _emit(args, {"value": _c2j(value), "method": "semigroup-factorization",
+    _emit(args, {"value": _encode(value), "method": "semigroup-factorization",
                  "oracle_n_max": n_max, "residual_checks": checks})
     ok = checks["cocycle_identity"] <= args.tol and checks["oracle_gap"] <= tail + slack
     return 0 if ok else 1
@@ -251,10 +251,10 @@ def cmd_gns(args):
     triple, phi = gns_construct(gamma, check_tol=args.tol)
     payload = {
         "rank": triple.n,
-        "pi": [_mat2j(m) for m in triple.pi.values],
-        "delta": _mat2j(triple.delta.values[:, :, 0]),
-        "lambda": [_c2j(z) for z in triple.lam.as_vector()],
-        "phi": [_mat2j(m) for m in phi.values],
+        "pi": _encode(triple.pi.values),
+        "delta": _encode(triple.delta.values[:, :, 0]),
+        "lambda": _encode(triple.lam.as_vector()),
+        "phi": _encode(phi.values),
         "residuals": triple.residuals(),
     }
     _emit(args, payload)
@@ -293,10 +293,10 @@ def cmd_classify(args):
 def cmd_derivation_solve(args):
     b = _load_algebra(args.bialgebra)
     maps = _parse_file(args.problem, "derivation problem", lambda data: [
-        OperatorMap(b, np.array([_j2mat(m) for m in data[key]]))
+        OperatorMap(b, _decode(data[key], 3))
         for key in ("pi_prime", "pi", "delta")])
     t, residual = solve_inner(DerivationProblem(*maps))
-    _emit(args, {"T": _mat2j(t),
+    _emit(args, {"T": _encode(t),
                  "residual": residual})
     return 0 if residual <= args.tol else 1
 
@@ -306,9 +306,9 @@ def cmd_chi_structure(args):
     phi = load_operator_map(args.phi, b)
     chi = _functional_from_spec(b, args.chi)
     pi, xi, lam, residuals = implement_chi_structure(phi, chi)
-    _emit(args, {"pi": [_mat2j(m) for m in pi.values],
-                 "xi": [_c2j(z) for z in xi],
-                 "lambda": [_c2j(z) for z in lam.as_vector()],
+    _emit(args, {"pi": _encode(pi.values),
+                 "xi": _encode(xi),
+                 "lambda": _encode(lam.as_vector()),
                  "residuals": residuals})
     return 0 if max(residuals.values()) <= args.tol else 1
 
@@ -327,7 +327,7 @@ def cmd_coboundary(args):
     if eta is None:
         _emit(args, {"eta": None, "residuals": residuals})
         return 1
-    _emit(args, {"eta": [_c2j(z) for z in eta], "residuals": residuals})
+    _emit(args, {"eta": _encode(eta), "residuals": residuals})
     return 0
 
 

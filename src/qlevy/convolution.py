@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Bialgebra, ParseError, _j2mat, _mat2j, _parse_file, _write_json
+from .algebra import Bialgebra, ParseError, _decode, _encode, _parse_file, _write_json
 from .blocks import counit_of_exponentials
 from .linalg import maxabs, opnorm
 
@@ -72,7 +72,7 @@ class OperatorMap:
     def to_dict(self):
         return {"source_hash": self.source.structural_hash(),
                 "p": self.p, "q": self.q,
-                "values": [_mat2j(m) for m in self.values]}
+                "values": _encode(self.values)}
 
     def save(self, path):
         _write_json(path, self.to_dict())
@@ -88,7 +88,7 @@ def counit_map(source):
 
 def load_operator_map(path, source):
     def parse(data):
-        vals = np.array([_j2mat(m) for m in data["values"]])
+        vals = _decode(data["values"], 3)
         want = data.get("source_hash")
         if want and want != source.structural_hash():
             raise ParseError(f"operator map was saved for bialgebra {want}, "

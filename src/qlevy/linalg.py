@@ -35,10 +35,9 @@ def maxabs(a):
 
 def block_diag(blocks):
     """Assemble a block-diagonal complex matrix from square blocks; blocks
-    stacked along leading axes give the stack of block-diagonal matrices."""
+    stacked along equal leading axes give the stack of block-diagonal matrices."""
     n = sum(b.shape[-1] for b in blocks)
-    out = np.zeros(np.broadcast_shapes(*(b.shape[:-2] for b in blocks)) + (n, n),
-                   dtype=complex)
+    out = np.zeros(blocks[0].shape[:-2] + (n, n), dtype=complex)
     ofs = 0
     for b in blocks:
         k = b.shape[-1]

@@ -39,7 +39,8 @@ from qlevy.generators import (CPQuadruple, canonical_phi1, check_chi_structure,
 from qlevy.generators import representation_defect as single_block_defect
 from qlevy.harness import (GroupCocycleData, coboundary_data,
                            group_relation_residuals, psi_blocks)
-from qlevy.linalg import commutator_system, dagger, maxabs, min_eig_herm
+from qlevy.linalg import (block_diag, commutator_system, dagger, maxabs, min_eig_herm,
+                          split_blocks)
 
 from conftest import random_generator
 
@@ -91,14 +92,17 @@ def einsum_residuals(b):
     return out
 
 
-def einsum_representation_defect(src, images):
+def einsum_defects(src, images):
     """Unital, multiplicative and *-preserving defects of an arbitrary
     representation (d, n, n), each by one full ``einsum``."""
-    return max(
-        maxabs(np.einsum("k,kab->ab", src.unit, images) - np.eye(images.shape[1])),
-        maxabs(np.einsum("iab,jbc->ijac", images, images)
-               - np.einsum("ijk,kac->ijac", src.mult, images)),
-        maxabs(OperatorMap(src, images).conjugate_map().values - images))
+    return (maxabs(np.einsum("k,kab->ab", src.unit, images) - np.eye(images.shape[1])),
+            maxabs(np.einsum("iab,jbc->ijac", images, images)
+                   - np.einsum("ijk,kac->ijac", src.mult, images)),
+            maxabs(OperatorMap(src, images).conjugate_map().values - images))
+
+
+def einsum_representation_defect(src, images):
+    return max(einsum_defects(src, images))
 
 
 def elementwise_chi_relation(phi, chi):
@@ -316,6 +320,44 @@ def test_representation_defect_matches_einsum(name, seed, vec):
     assert abs(q.residuals()["representation"] - want) <= tol(rho.values)
 
 
+# the irreducible blocks of a group algebra, some repeated, in a mixed order
+# of sizes, so that a size has blocks on both sides of another size
+MIXED_LAYOUTS = [("Alg(S3)", (0, 1, 2)), ("Alg(S3)", (2, 0, 1, 2)),
+                 ("Alg(D4)", (4, 0, 1, 4, 2, 3))]
+
+
+@pytest.mark.parametrize("name, order", MIXED_LAYOUTS)
+@SWEEP
+@given(seed=st.integers(0, 2 ** 32 - 1), inblock=st.sampled_from([0.0, 1e-2]),
+       off=st.sampled_from([0.0, 1e-6, 1e-2]))
+def test_blockwise_defect_matches_einsum_on_mixed_layouts(name, order, seed, inblock, off):
+    b = CASES[name]
+    parts = split_blocks(b.rep_images, b.rep_blocks)
+    blocks = tuple(b.rep_blocks[i] for i in order)
+    ids = np.repeat(np.arange(len(blocks)), blocks)
+    inside = ids[:, None] == ids[None, :]
+    rng = np.random.default_rng(seed)
+    shape = (b.dim, len(ids), len(ids))
+    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    # in-block noise moves the defect far from 0; Hermitian off-block mass on
+    # one self-adjoint basis element leaves the unital and *-defects at
+    # rounding level, so that without in-block noise the off-block term decides
+    k = next(k for k in range(1, b.dim) if b.star_matrix[k, k] == 1)
+    mass = np.zeros(shape, dtype=complex)
+    mass[k] = off * (noise[k] + dagger(noise[k]))
+    images = block_diag([parts[i] for i in order]) + np.where(inside, inblock * noise, mass)
+    # the blockwise products are those of the block-diagonal part
+    unital, _, starp = einsum_defects(b, images)
+    _, mult, _ = einsum_defects(b, np.where(inside, images, 0))
+    want = max(unital, mult, starp, maxabs(images[:, ~inside]))
+    tol = 1e-12 * max(1.0, maxabs(images)) ** 2
+    assert abs(representation_defect(b, images, blocks) - want) <= tol
+    if inblock:
+        assert want > 1e-3
+    elif off:
+        assert want == maxabs(mass[:, ~inside]) > 1e-12
+
+
 # -- Cayley-table routines against their entry-by-entry loops -----------------
 # The builders and the group-cocycle residuals index the table with arrays;
 # the oracles below walk it one entry at a time, as the code once did.
@@ -452,7 +494,9 @@ def assert_same_structure(b, want):
     for field, value in want.items():
         got = getattr(b, field)
         if isinstance(value, np.ndarray):
-            assert got.dtype == value.dtype and np.array_equal(got, value), field
+            # bit for bit, signs of zeros included
+            assert got.dtype == value.dtype and got.shape == value.shape, field
+            assert got.tobytes() == value.tobytes(), field
         else:
             assert got == value, field
 
