@@ -586,8 +586,13 @@ def _tensor(entries, axes, d, field):
 
 
 def bialgebra_from_dict(data):
-    d = int(data["dim"])
-    labels = tuple(str(x) for x in data["basis"])
+    d, labels = data["dim"], data["basis"]
+    if type(d) is not int:
+        raise ParseError(f"dim must be an integer, got {d!r}")
+    if not (isinstance(labels, list) and set(map(type, labels)) <= {str}
+            and len(set(labels)) == len(labels)):
+        raise ParseError(f"basis must be a list of distinct strings, got {labels!r}")
+    labels = tuple(labels)
     unit, counit = _decode(data["unit"], 1), _decode(data["counit"], 1)
     star_m = _decode(data["star_matrix"], 2)
     blocks, raw = data["rep"]["blocks"], data["rep"]["images"]

@@ -6,6 +6,7 @@ Exit codes: 0 all checks pass, 1 any check fails, 2 usage error.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -356,7 +357,10 @@ def cmd_report(args):
     return 0 if report["all_pass"] else 1
 
 
+@functools.cache
 def build_parser():
+    """The qlevy argument parser, built once a process: parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(prog="qlevy")
     sub = parser.add_subparsers(dest="verb", required=True)
 

@@ -141,6 +141,23 @@ def solve_coboundary(data, tol=INPUT_TOL):
 
 # -- compound Poisson Monte Carlo -------------------------------------------------
 
+def _inverse_cdf(cdf, u):
+    """The index of each draw in ``u`` under the nondecreasing CDF ``cdf``:
+    the number of CDF values below it, with a draw above the last value
+    taking the last index; equal to ``np.searchsorted(cdf[:-1], u)``.  The
+    CDF values below every draw are counted once; only those between
+    ``u.min()`` and ``u.max()`` take a comparison pass over ``u``."""
+    edges = cdf[:-1]
+    dtype = np.min_scalar_type(cdf.size)
+    if not u.size:
+        return np.zeros(0, dtype)
+    below, top = np.searchsorted(edges, (u.min(), u.max()))
+    k = np.full(u.shape, below, dtype)
+    for c in edges[below:top]:
+        k += u > c
+    return k
+
+
 def _poisson_counts(rng, rate_t, size):
     """Poisson sampling by inversion of the exact CDF, tabulated in log space
     with ``math.lgamma`` on a +-40 sigma window (outside it the mass is
@@ -155,7 +172,7 @@ def _poisson_counts(rng, rate_t, size):
     lo = max(0, int(rate_t - 40.0 * np.sqrt(rate_t)))
     k = np.arange(lo, int(rate_t + 40.0 * np.sqrt(rate_t)) + 40)
     log_pmf = k * np.log(rate_t) - rate_t - np.array([math.lgamma(j + 1) for j in k])
-    return lo + np.searchsorted(np.cumsum(np.exp(log_pmf))[:-1], u)
+    return lo + _inverse_cdf(np.cumsum(np.exp(log_pmf)), u).astype(np.int64)
 
 
 @dataclass
@@ -173,7 +190,12 @@ class MonteCarloResult:
 
 def simulate_compound_poisson(table, rate, jump_measure, t, n_samples, seed):
     """Empirical law of X_t = j_1 ... j_N on the group, N ~ Poisson(rate t),
-    jumps iid from ``jump_measure``."""
+    jumps iid from ``jump_measure``.
+
+    Draw order: one uniform block for the counts, then one block per round
+    r = 1, 2, ..., over the samples with at least r jumps, in index order.
+    The samples still jumping are kept as an index array that shrinks after
+    each round, so the work is O(n_samples + total jumps)."""
     table = np.asarray(table, dtype=int)
     mu = np.asarray(jump_measure, dtype=float)
     if mu.ndim != 1 or mu.size != table.shape[0] or np.any(mu < 0) \
@@ -184,11 +206,13 @@ def simulate_compound_poisson(table, rate, jump_measure, t, n_samples, seed):
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     counts = _poisson_counts(rng, rate * t, n_samples)
     state = np.zeros(n_samples, dtype=np.int64)
-    cdf = np.cumsum(mu)
-    for round_idx in range(int(counts.max()) if n_samples else 0):
-        active = counts > round_idx
-        jumps = np.searchsorted(cdf, rng.random(int(active.sum())))
-        state[active] = table[state[active], jumps]
+    cdf, products, order = np.cumsum(mu), table.ravel(), table.shape[0]
+    live, rounds = np.flatnonzero(counts), 0
+    while live.size:
+        jumps = _inverse_cdf(cdf, rng.random(live.size))
+        state[live] = products[state[live] * order + jumps]
+        rounds += 1
+        live = live[counts[live] > rounds]
     freqs = np.bincount(state, minlength=table.shape[0]) / max(1, n_samples)
     ses = np.sqrt(freqs * (1.0 - freqs) / max(1, n_samples))
     return MonteCarloResult(freqs, ses, n_samples, int(seed))

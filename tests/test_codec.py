@@ -167,6 +167,11 @@ def _set(data, path, value):
 
 # each damage to a valid C(Z2) file, and the words the error must contain
 DAMAGES = {
+    "string dim": (("dim",), "2", "dim must be an integer"),
+    "float dim": (("dim",), 2.9, "dim must be an integer"),
+    "boolean dim": (("dim",), True, "dim must be an integer"),
+    "repeated label": (("basis",), ["a", "a"], "basis must be a list of distinct strings"),
+    "number label": (("basis", 1), 1, "basis must be a list of distinct strings"),
     "negative mult index": (("mult", 0, "i"), -1, "mult entry index 'i'"),
     "mult index = dim": (("mult", 1, "j"), 2, "mult entry index 'j'"),
     "negative coproduct index": (("coproduct", 0, "k"), -2, "coproduct entry index 'k'"),

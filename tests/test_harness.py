@@ -264,6 +264,15 @@ def test_poisson_counts_top_uniform_stays_in_window(rate_t):
     assert (counts > rate_t).all() and (counts < _window_end(rate_t)).all()
 
 
+def test_jump_draw_above_the_measures_total_takes_its_last_element(monkeypatch):
+    # the measure sums to 1 - 4e-13, within STRUCT_TOL of 1; a draw above
+    # that total jumps by the last element, not past the end of the table
+    monkeypatch.setattr(np.random, "Generator", lambda bit_generator: _TopUniform())
+    count = _poisson_counts(_TopUniform(), 1.0, 1)[0]
+    mc = simulate_compound_poisson(cyclic_table(2), 1.0, [0.5, 0.5 - 4e-13], 1.0, 3, 1)
+    assert mc.frequencies.tolist() == [1.0 - count % 2, count % 2]
+
+
 def test_sampling_leaves_scipy_special_unimported():
     import qlevy
     code = ("import sys; from qlevy.fixtures import cyclic_table; "
