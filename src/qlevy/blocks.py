@@ -254,27 +254,32 @@ def counit_of_exponentials(blocks, characters, pieces):
     sum over i of their 1 x 1 blocks, whose exponentials commute, and the
     rows of ``pieces`` (n, E' - m_1) hold their larger blocks in product
     order.  The blocks of the product are sent through eps V (.) V^-1."""
-    out = [np.exp(characters)]
     rest = blocks.groups[1:] if blocks.characters else blocks.groups
-    if rest:
-        factors = block_exponentials(rest, pieces)
-        if factors.shape[0] > 1:
-            factors = np.concatenate([_ordered_product(g).transpose(1, 2, 0).reshape(1, -1)
-                                      for g in group_blocks(rest, factors)], axis=1)
-        out.append(factors[0])
-    return np.concatenate(out) @ blocks.counit_table
+    if not rest:   # a dual of characters
+        return np.exp(characters) @ blocks.counit_table
+    factors = block_exponentials(rest, pieces)
+    if factors.shape[0] > 1:
+        factors = np.concatenate([_ordered_product(g.transpose(2, 3, 0, 1)).reshape(1, -1)
+                                  for g in group_blocks(rest, factors)], axis=1)
+    return np.concatenate((np.exp(characters), factors[0])) @ blocks.counit_table
 
 
 def _ordered_product(f):
-    """f[0] @ f[1] @ ... @ f[n-1] over the leading axis of a stack
-    (n, m, k, k), by pairwise products in ceil(log2 n) rounds.  A round
-    sums k broadcast outer products of columns by rows, which on small
-    blocks avoids a stacked matmul's one BLAS call per block."""
-    k = f.shape[-1]
-    while f.shape[0] > 1:
-        a, b = f[:-1:2], f[1::2]
-        pairs = a[..., :, :1] * b[..., :1, :]
-        for j in range(1, k):
-            pairs += a[..., :, j:j + 1] * b[..., j:j + 1, :]
-        f = np.concatenate((pairs, f[-1:])) if f.shape[0] % 2 else pairs
-    return f[0]
+    """The blocks of f[:, :, 0] @ f[:, :, 1] @ ... @ f[:, :, n-1] for a stack
+    of n blocks given entry by entry, f (k, k, n, m), as (k, k, m), by
+    pairwise products in ceil(log2 n) rounds.  The stack is copied once so
+    that the pieces run along its last axes: a round is then one broadcast
+    product of all k^3 entry pairs and k - 1 sums over the inner index, each
+    a loop over the pieces, where a stacked matmul makes one BLAS call per
+    block."""
+    k = f.shape[0]
+    f = np.ascontiguousarray(f)
+    while f.shape[2] > 1:
+        half = f.shape[2] // 2
+        # prod[i, j, l] = a[i, j] b[j, l] for the pairs (a, b) of neighbours
+        prod = f[:, :, None, :2 * half:2] * f[None, :, :, 1::2]
+        pairs = prod[:, 0] + prod[:, 1]
+        for j in range(2, k):
+            pairs += prod[:, j]
+        f = np.concatenate((pairs, f[:, :, -1:]), axis=2) if f.shape[2] % 2 else pairs
+    return f[:, :, 0]

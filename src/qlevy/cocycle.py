@@ -94,17 +94,29 @@ class StepFunction:
 
     def shifted_restriction(self, a, b):
         """The step function u -> f(a + u) on [0, b - a)."""
-        if not 0.0 <= a < b <= self.horizon + HORIZON_SLACK:
+        bp = self.breakpoints
+        if not 0.0 <= a < b <= bp[-1] + HORIZON_SLACK:
             raise HorizonMismatch(f"[{a}, {b}) not inside [0, {self.horizon})")
         # the pieces from the one holding a on: the breakpoints past a, kept
         # by their shifted value, so that none rounds onto the new horizon b - a
-        first = self.breakpoints.searchsorted(a, side="right") - 1
-        shifted = self.breakpoints[first + 1:] - a
+        first = bp.searchsorted(a, side="right") - 1
+        shifted = bp[first + 1:] - a
         inside = shifted[:shifted.searchsorted(b - a)]
+        # two breakpoints one ulp apart can round onto one shifted value; the
+        # rest of the data is cut from this checked function and needs no
+        # second pass through __post_init__
+        if not (inside[1:] > inside[:-1]).all():
+            raise ValueError("breakpoints must be finite and strictly increasing")
+        points = np.empty(inside.size + 2)
+        points[0] = 0.0
+        points[1:-1] = inside
+        points[-1] = b - a
         # their values are one run, clipped to the pieces there are: a piece
         # past the horizon (b within HORIZON_SLACK of it) takes the last value
         vals = self.values.take(np.arange(first, first + inside.size + 1), axis=0, mode="clip")
-        return StepFunction(np.concatenate(([0.0], inside, [b - a])), vals)
+        out = object.__new__(StepFunction)
+        out.__dict__.update(breakpoints=points, values=vals)
+        return out
 
 
 class Pieces(NamedTuple):
@@ -132,15 +144,20 @@ def refine(f, f_prime, t):
     """
     if not t >= 0:   # a nan t fails this too
         raise ValueError("time must be nonnegative")
-    if f.d_noise != f_prime.d_noise:
+    fb, fv, gb, gv = f.breakpoints, f.values, f_prime.breakpoints, f_prime.values
+    d_noise = fv.shape[1]
+    if gv.shape[1] != d_noise:
         raise ValueError("step functions live in different noise spaces")
-    if f.horizon < t - HORIZON_SLACK or f_prime.horizon < t - HORIZON_SLACK:
+    if fb[-1] < t - HORIZON_SLACK or gb[-1] < t - HORIZON_SLACK:
         raise HorizonMismatch(f"step functions must cover [0, {t}]")
-    bps = np.concatenate((f.breakpoints, f_prime.breakpoints))
+    bps = np.concatenate((fb, gb))
     bps.sort()
     # the points inside (0, t), framed by 0 and t
-    pts = np.concatenate(([0.0], bps[bps.searchsorted(0.0, side="right"):bps.searchsorted(t)],
-                          [t]))
+    inner = bps[bps.searchsorted(0.0, side="right"):bps.searchsorted(t)]
+    pts = np.empty(inner.size + 2)
+    pts[0] = 0.0
+    pts[1:-1] = inner
+    pts[-1] = t
     dts = pts[1:] - pts[:-1]
     if dts.min() <= 1e-12:
         pts = pts[np.concatenate(([True], dts > 0.0))]   # a point both share, once
@@ -155,12 +172,13 @@ def refine(f, f_prime, t):
             pts = np.array(merged)
             dts = pts[1:] - pts[:-1]
     mids = 0.5 * (pts[:-1] + pts[1:])
-    hats = np.ones((2, mids.size, 1 + f.d_noise), dtype=complex)
-    for hat, g in zip(hats, (f, f_prime)):
-        # searched without the end points, a piece past the horizon (within
-        # HORIZON_SLACK) takes the last value
-        hat[:, 1:] = g.values.take(g.breakpoints[1:-1].searchsorted(mids, side="right"), axis=0)
-    return Pieces(pts, dts, *hats)
+    hats = np.empty((2, mids.size, 1 + d_noise), dtype=complex)
+    hats[:, :, 0] = 1.0
+    # searched without the end points, a piece past the horizon (within
+    # HORIZON_SLACK) takes the last value
+    hats[0, :, 1:] = fv.take(fb[1:-1].searchsorted(mids, side="right"), axis=0)
+    hats[1, :, 1:] = gv.take(gb[1:-1].searchsorted(mids, side="right"), axis=0)
+    return Pieces(pts, dts, hats[0], hats[1])
 
 
 def refine_pair(f, f_prime, t):
@@ -211,10 +229,11 @@ def as_generator(phi):
 def _refined(phi, f, f_prime, t, pieces):
     """``pieces`` when given, else :func:`refine` (f, f', t), once f and f'
     are checked to live in the generator's noise space."""
+    d_noise = phi.values.shape[1] - 1
     for g in (f, f_prime):
-        if g.d_noise != phi.d_noise:
-            raise ValueError(f"noise dimension mismatch: generator {phi.d_noise}, "
-                             f"step function {g.d_noise}")
+        if g.values.shape[1] != d_noise:
+            raise ValueError(f"noise dimension mismatch: generator {d_noise}, "
+                             f"step function {g.values.shape[1]}")
     return refine(f, f_prime, t) if pieces is None else pieces
 
 
@@ -247,27 +266,28 @@ def cocycle_functional(phi, f, f_prime, t, reverse=False, pieces=None):
     pieces = _refined(phi, f, f_prime, t, pieces)
     _, dts, chat, chat_p = pieces
     if not dts.size:   # t = 0, or t within the 1e-12 merge of 0
-        return src.counit.astype(complex).copy()
+        return src.counit.astype(complex)
     blocks = src.dual_blocks()
+    table = blocks.table
     m = blocks.characters
-    p = phi.p
+    p = chat.shape[1]
     values = phi.values.reshape(src.dim, p * p)
-    order = slice(None, None, -1) if reverse else slice(None)
-    rest = blocks.table[:, m:]
+    conj = chat_p.conj()
     # an overflow is reported once, by the NonFiniteCocycle raised below;
     # a non-finite prefactor makes the coordinates non-finite too
     with np.errstate(over="ignore", invalid="ignore"):
         weighted = dts[:, None] * chat
-        integrated = np.conjugate(chat_p).T @ weighted
+        integrated = conj.T @ weighted
         entries = None
-        if rest.shape[1]:
-            outer = np.conjugate(chat_p)[:, :, None] * weighted[:, None, :]
-            entries = outer.reshape(-1, p * p)[order] @ (values.T @ rest)
-        characters = values @ integrated.reshape(-1) @ blocks.table[:, :m]
-        coords = (np.exp(np.trace(integrated[1:, 1:]))
+        if table.shape[1] > m:
+            outer = (conj[:, :, None] * weighted[:, None, :]).reshape(-1, p * p)
+            entries = (outer[::-1] if reverse else outer) @ (values.T @ table[:, m:])
+        characters = values @ integrated.reshape(-1) @ table[:, :m]
+        coords = (np.exp(integrated[1:, 1:].trace())
                   * counit_of_exponentials(blocks, characters, entries))
         if not np.isfinite(coords).all():
-            _raise_non_finite(phi, blocks, pieces, range(dts.size)[order])
+            order = range(dts.size)
+            _raise_non_finite(phi, blocks, pieces, order[::-1] if reverse else order)
     return coords
 
 
@@ -366,7 +386,8 @@ def simplex_series_oracle(phi, x, f, f_prime, t, n_max, apply_order_reversal=Tru
 
     Integration is piecewise Gauss-Legendre (16 nodes per dimension) split at
     the step-function breakpoints, so each smooth piece is integrated exactly.
-    Returns ``(value, tail_bound)`` with a rigorous bound on the dropped tail.
+    Returns ``(value, tail_bound)`` with a rigorous bound on the dropped tail;
+    raises :class:`NonFiniteCocycle` when either is not finite.
     """
     phi = as_generator(phi)
     pieces = _refined(phi, f, f_prime, t, None)
@@ -375,7 +396,7 @@ def simplex_series_oracle(phi, x, f, f_prime, t, n_max, apply_order_reversal=Tru
     lifts = phi.source.lift(gammas) if apply_order_reversal else phi.source.left_lift(gammas)
     pref = pieces.prefactor()
     (tail,) = _tail_bounds(phi, x, t, lifts, pref, [n_max])
-    return _simplex_series(phi, x, pieces, lifts, pref, n_max), tail
+    return _simplex_series(phi, x, pieces, lifts, pref, n_max, tail), tail
 
 
 def simplex_series_within(phi, x, f, f_prime, t, slack, orders, pieces=None):
@@ -389,12 +410,16 @@ def simplex_series_within(phi, x, f, f_prime, t, slack, orders, pieces=None):
     tails = _tail_bounds(phi, x, t, lifts, pref, orders)
     n_max, tail = next(((n, tail) for n, tail in zip(orders, tails) if tail <= slack),
                        (orders[-1], tails[-1]))
-    return _simplex_series(phi, x, pieces, lifts, pref, n_max), n_max, tail
+    return _simplex_series(phi, x, pieces, lifts, pref, n_max, tail), n_max, tail
 
 
-def _simplex_series(phi, x, pieces, lifts, pref, n_max):
+def _simplex_series(phi, x, pieces, lifts, pref, n_max, tail):
     """The simplex series summed to order n_max over the pieces, level k
-    taking H_k = integral of H_{k-1} @ lifts[i] over each piece i."""
+    taking H_k = integral of H_{k-1} @ lifts[i] over each piece i.  Raises
+    :class:`NonFiniteCocycle` when the bound ``tail`` on what it drops, or
+    the sum, is not finite: a gap checked against either certifies nothing."""
+    if not np.isfinite(tail):
+        raise NonFiniteCocycle(f"simplex series tail bound at order {n_max} not finite")
     src = phi.source
     d = src.dim
     eps = src.counit.astype(complex)
@@ -403,12 +428,20 @@ def _simplex_series(phi, x, pieces, lifts, pref, n_max):
     # piece starting from the running value at its left boundary
     nodes = np.broadcast_to(eps, (lifts.shape[0], _GL_NODES, d))
     total = eps.copy()
-    for _level in range(n_max):
-        quad = half * (_GL_QUAD @ (nodes @ lifts))
-        bounds = np.cumsum(np.concatenate((np.zeros((1, d)), quad[:, -1])), axis=0)
-        nodes = bounds[:-1, None] + quad[:, :-1]
-        total = total + bounds[-1]
-    return complex(pref * (total @ x.coords))
+    # an overflow is reported once, by the NonFiniteCocycle raised below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _level in range(n_max if lifts.shape[0] else 0):   # no pieces: the series is eps
+            quad = half * (_GL_QUAD @ (nodes @ lifts))
+            # the running value at the right end of every piece, added to the
+            # nodes of the next piece in place
+            ends = np.cumsum(quad[:, -1], axis=0)
+            nodes = quad[:, :-1]
+            nodes[1:] += ends[:-1, None]
+            total += ends[-1]
+        value = complex(pref * (total @ x.coords))
+    if not np.isfinite(value):
+        raise NonFiniteCocycle(f"simplex series not finite at order {n_max}")
+    return value
 
 
 def _tail_bounds(phi, x, t, lifts, pref, orders):

@@ -764,6 +764,21 @@ def test_cocycle_eval_overflow_is_one_error_line(tmp_path, capsys):
         "error: semigroup factor not finite at piece 0 on [0.0, 50.0)"]
 
 
+@pytest.mark.parametrize("scale", [1e6, 1e8])
+def test_cocycle_eval_with_no_finite_oracle_bound_is_one_error_line(tmp_path, capsys, scale):
+    # the engine value is finite, but an infinite tail bound certifies nothing
+    vals = np.zeros((3, 2, 2))
+    vals[:, 0, 1] = [0.0, scale, -scale]
+    gpath = tmp_path / "phi.json"
+    Generator(bundled_fixtures()["C(Z3)"], vals).save(gpath)
+    assert main(["cocycle-eval", "fixture:C(Z3)", str(gpath), "--x", "d1", "--t", "1",
+                 "--f", "0.5:[[1,0]],1.0:[[-1,0]]"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: simplex series tail bound at order 64 not finite"]
+
+
 def test_gns_not_conditionally_positive_is_check_failure(tmp_path, capsys):
     # minus a structure-map corner is real but negative on the counit kernel
     b = bundled_fixtures()["Alg(S3)"]

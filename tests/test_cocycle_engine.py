@@ -18,9 +18,9 @@ from scipy.linalg import expm
 
 from qlevy.algebra import build_function_algebra, build_group_algebra
 from qlevy.cocycle import (_GL_NODES, _GL_QUAD, Generator, HorizonMismatch,
-                           NonFiniteCocycle, StepFunction, _gammas,
+                           NonFiniteCocycle, StepFunction, _gammas, _simplex_series,
                            check_cocycle_identity, cocycle_functional,
-                           exp_inner_product, refine, refine_pair,
+                           exp_inner_product, matrix_element, refine, refine_pair,
                            opposite_matrix_element, simplex_series_oracle,
                            simplex_series_within)
 from qlevy.convolution import _exp_tail, convolve, functional, semigroup_generator
@@ -207,6 +207,23 @@ def test_identity_and_inner_product_match_reference(all_fixtures):
             total += dt * np.vdot(c, cp)
         want = complex(np.exp(total))
         assert abs(exp_inner_product(f, fp, 1.2) - want) <= 8 * 12 * EPS * abs(want)
+
+
+def test_identity_makes_three_independent_refinements(all_fixtures, monkeypatch):
+    # the two sides of the increment identity are evaluated independently: a
+    # refinement shared between them would let one error cancel on both sides
+    import qlevy.cocycle
+    calls = []
+    refine = qlevy.cocycle.refine
+
+    def counted(*args):
+        calls.append(args[2])
+        return refine(*args)
+    monkeypatch.setattr(qlevy.cocycle, "refine", counted)
+    phi = random_generator(np.random.default_rng(14), all_fixtures["C(S3)"], 1)
+    f, fp = step_pair(np.random.default_rng(15), 1, 1.0, 8)
+    check_cocycle_identity(phi, 0.25, 0.75, f, fp)
+    assert calls == [1.0, 0.25, 0.75]
 
 
 # basis changes t = P D: a permutation times nonzero complex scales, so that
@@ -590,6 +607,37 @@ def test_overflowing_prefactor_names_the_piece(all_fixtures):
     with np.errstate(all="ignore"):
         with pytest.raises(NonFiniteCocycle, match=r"prefactor not finite at piece 1"):
             cocycle_functional(phi, f, f, 1.0)
+
+
+def _z3_jump(all_fixtures, scale):
+    """A C(Z3) generator whose noise block phi[:, 0, 1] is (0, scale, -scale):
+    the engine value stays finite while the oracle's lifts grow with scale."""
+    b = all_fixtures["C(Z3)"]
+    vals = np.zeros((3, 2, 2))
+    vals[:, 0, 1] = [0.0, scale, -scale]
+    f = StepFunction(np.array([0.0, 0.5, 1.0]), np.array([[1.0], [-1.0]]))
+    return Generator(b, vals), b.basis_element(1), f, StepFunction.zero(1, 1.0)
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e8])
+def test_oracle_with_no_finite_tail_bound_raises(all_fixtures, scale, recwarn):
+    phi, x, f, fp = _z3_jump(all_fixtures, scale)
+    assert np.isfinite(matrix_element(phi, x, f, fp, 1.0))
+    with pytest.raises(NonFiniteCocycle, match="tail bound at order 16 not finite"):
+        simplex_series_oracle(phi, x, f, fp, 1.0, 16)
+    with pytest.raises(NonFiniteCocycle, match="tail bound at order 64 not finite"):
+        simplex_series_within(phi, x, f, fp, 1.0, 1e-9, (4, 16, 64))
+    assert not recwarn.list
+
+
+def test_oracle_sum_that_overflows_raises(all_fixtures, recwarn):
+    # a finite bound does not certify a sum that overflowed on the way
+    phi, x, f, fp = _z3_jump(all_fixtures, 1.0)
+    pieces = refine(f, fp, 1.0)
+    lifts = 1e200 * phi.source.lift(_gammas(phi, pieces))
+    with pytest.raises(NonFiniteCocycle, match="simplex series not finite at order 4"):
+        _simplex_series(phi, x, pieces, lifts, pieces.prefactor(), 4, 0.0)
+    assert not recwarn.list
 
 
 def test_finite_results_pass_the_guard(all_fixtures):

@@ -144,3 +144,11 @@ def test_shifted_restriction_matches_the_slow_restriction(data):
         return
     got, want = g.shifted_restriction(a, b), slow_shifted_restriction(g, a, b)
     assert_same_bytes((got.breakpoints, got.values), (want.breakpoints, want.values))
+
+
+def test_restriction_rejects_breakpoints_that_round_together():
+    # 1.5 and 1.5 + 2^-52 both round to 1.5 once shifted by 2^-53: the one
+    # check the restriction keeps on data cut from a checked function
+    g = StepFunction(np.array([0.0, 1.5, 1.5 + 2.0 ** -52, 3.0]), np.ones((3, 1)))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        g.shifted_restriction(2.0 ** -53, 3.0)
