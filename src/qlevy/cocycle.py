@@ -133,7 +133,10 @@ class Pieces(NamedTuple):
 
     def prefactor(self):
         """<eps(f'), eps(f)> over the pieces."""
-        return np.exp(sum(self.durations * self.inner_products()))
+        # bit for bit the builtin sum: cumsum adds in the same order, and 0.0 +
+        # turns a -0.0 part into +0.0 as sum's start 0 does; no pieces give 1.0
+        x = self.durations * self.inner_products()
+        return np.exp(0.0 + np.cumsum(x)[-1] if x.size else 0)
 
 
 def refine(f, f_prime, t):

@@ -188,7 +188,8 @@ def series_exp(gamma, t, n_max=None):
     """The truncated *-power series of exp_* (t gamma), kept as an oracle for
     :func:`conv_exp`: terms are added until the tail bound
     sum_{n>N} |t|^n ||tau||^n / n! falls below 1e-14, or up to n_max terms
-    (80 when None).
+    (80 when None).  Raises :class:`NonFiniteCocycle`, naming the order, when
+    a partial sum is not finite.
     """
     src = gamma.source
     tau_norm = opnorm(src.lift(gamma.as_vector()))
@@ -197,13 +198,18 @@ def series_exp(gamma, t, n_max=None):
     coef = 1.0
     n = 0
     limit = n_max if n_max is not None else 80
-    while n < limit:
-        n += 1
-        power = convolve(power, gamma)
-        coef *= t / n
-        coords = coords + coef * power.as_vector()
-        if n_max is None and _exp_tail(abs(t) * tau_norm, n) < 1e-14:
-            break
+    # an overflow is reported once, by the NonFiniteCocycle raised below
+    with np.errstate(over="ignore", invalid="ignore"):
+        while n < limit:
+            n += 1
+            power = convolve(power, gamma)
+            coef *= t / n
+            coords = coords + coef * power.as_vector()
+            if not np.isfinite(coords).all():
+                raise NonFiniteCocycle(f"series_exp partial sum not finite at order {n}, "
+                                       f"t = {float(t)!r}")
+            if n_max is None and _exp_tail(abs(t) * tau_norm, n) < 1e-14:
+                break
     return functional(src, coords)
 
 
@@ -226,8 +232,8 @@ def _exp_tail(z, n):
 
 class NonFiniteCocycle(ValueError):
     """A semigroup or cocycle evaluation overflowed; the message names the
-    time, or the first piece whose semigroup factor, running product or
-    prefactor is not finite."""
+    time, the order of a series' partial sum, or the first piece whose
+    semigroup factor, running product or prefactor is not finite."""
 
 
 class ConvolutionSemigroup:
@@ -300,7 +306,7 @@ def amplified_norm(phi, n, n_starts=32, n_iters=300, seed=7, return_point=False)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 vals, points = _ratio_ascent(phi.values, src.rep_images, starts, n_iters)
-        except np.linalg.LinAlgError as e:   # an overflowed point reaches the SVD
+        except np.linalg.LinAlgError as e:   # an overflowed point reaches eigh
             raise ValueError(f"amplified_norm overflowed: {e}") from e
         k = int(np.argmax(vals))
         if not np.isfinite(vals[k]):
@@ -316,7 +322,18 @@ def _ratio_ascent(values, rep, c, iters):
     """Projected gradient ascent of the ratio from every start of the stack
     c (s, d, n, n) at once; each start keeps its own step and stops on its
     own.  Returns the ratios reached (s,) and the points (s, d, n, n)."""
-    sides = [(v.reshape(len(v), -1), *v.shape[1:]) for v in (values, rep)]
+    d, p, q = values.shape
+    # the values are ascended scaled by 2^-k, k the binary exponent of their
+    # max (at least -1022, so that 2^k is a normal float): exact, so the
+    # trajectory is the one the unscaled map takes, while the Gram matrices,
+    # which square the range, stay near 1.  The gradient floor is read in
+    # that scale too
+    k = int(np.frexp(np.abs(values).max())[1]) - 1
+    scale = 2.0 ** max(k, -1022)
+    flat = np.concatenate((values.reshape(d, -1) / scale, rep.reshape(d, -1)), axis=1)
+    sides = (flat.T, flat.conj(), (slice(0, p * q), p, q),
+             (slice(p * q, None), *rep.shape[1:]), scale)
+    floor = 1e-14 * scale
     each = dict(axis=(1, 2, 3), keepdims=True)
     # an accepted point keeps its gradient, rescaled with c: ratio(s c) = ratio(c)
     c = c / np.maximum(1e-300, np.abs(c).max(**each))
@@ -325,7 +342,7 @@ def _ratio_ascent(values, rep, c, iters):
     active = np.ones(len(c), dtype=bool)
     for _ in range(iters):
         gn = np.abs(g).max(**each)
-        active &= gn[:, 0, 0, 0] >= 1e-14
+        active &= gn[:, 0, 0, 0] >= floor
         if not active.any():
             break
         # a stopped start is evaluated too, harmlessly, and never updated
@@ -343,27 +360,41 @@ def _ratio_ascent(values, rep, c, iters):
 
 def _ratio_and_grad(sides, c):
     """The ratios sigma_max(a) / sigma_max(r) of the values and rep matrices
-    assembled at each start of c, with their ascent directions in c; (0, 0)
-    where r vanishes.  ``sides`` holds each of values and rep flattened to
-    (d, p q), with its p and q."""
-    (sa, ga), (sr, gr) = (_top_singular(side, c) for side in sides)
-    live = sr >= 1e-300
-    sr = np.where(live, sr, 1.0)
-    sa4, sr4 = sa[:, None, None, None], sr[:, None, None, None]
-    grad = np.conjugate((ga * sr4 - sa4 * gr) / sr4 ** 2)
-    return np.where(live, sa / sr, 0.0), np.where(live[:, None, None, None], grad, 0.0)
-
-
-def _top_singular(side, c):
-    """sigma_max of a_s = sum_i values[i] (x) c[s, i] for each start s, from
-    one stacked SVD, and its derivative u^dagger (values[i] (x) E_nm) v along
-    each entry of c[s]; ``side`` is values flattened to (d, p q) with its p, q."""
-    flat, p, q = side
+    assembled at each start of c, with their ascent directions in c, both in
+    the caller's scale; (0, 0) where r vanishes.  ``sides`` holds the scaled
+    values and the rep images flattened side by side to (d, L), as (L, d) and
+    conjugated, then each side's columns with its p and q, then the scale."""
+    rows, conj_flat, num, den, scale = sides
     s, d, n, _ = c.shape
-    a = (flat.T @ c.reshape(s, d, n * n)).reshape(s, p, q, n, n)
-    u, sv, vh = np.linalg.svd(a.transpose(0, 1, 3, 2, 4).reshape(s, p * n, q * n))
-    # with u and v read as (p, n) and (q, n) matrices, the derivative along
-    # c[s, i, n, m] is sum_ab conj(u[a, n]) values[i, a, b] v[b, m]
-    ubar, v = np.conjugate(u[:, :, 0]), np.conjugate(vh[:, 0])
-    outer = ubar.reshape(s, p, 1, n, 1) * v.reshape(s, 1, q, 1, n)
-    return sv[:, 0], (flat @ outer.reshape(s, p * q, n * n)).reshape(c.shape)
+    assembled = (rows @ c.reshape(s, d, n * n)).reshape(s, -1, n, n)
+    (sa, av_a, vbar_a), (sr, av_r, vbar_r) = (_top_singular(side, assembled)
+                                              for side in (num, den))
+    sr = np.where(sr >= 1e-300, sr, np.inf)   # r = 0: ratio 0, gradient 0
+    ratio = sa / sr
+    # the ascent direction conjugates d ratio = d sa / sr - ratio d sr / sr,
+    # and conj(d sigma) along c[s, i, x, y] is
+    # sum_ab (a v)[a, x] conj(values[i, a, b]) conj(v)[b, y] / sigma: the
+    # weights scale / (sa sr) and -scale ratio / sr^2 go into a v (which is 0
+    # where sa is), and one matmul contracts both sides
+    w_a = scale / (np.where(sa > 0, sa, 1.0) * sr)
+    w_r = -scale * ratio / sr ** 2
+    outer = np.concatenate([(w.reshape(s, 1, 1, 1, 1) * av * vbar).reshape(s, -1, n * n)
+                            for w, av, vbar in ((w_a, av_a, vbar_a), (w_r, av_r, vbar_r))],
+                           axis=1)
+    return scale * ratio, (conj_flat @ outer).reshape(c.shape)
+
+
+def _top_singular(side, assembled):
+    """sigma_max of a_s = sum_i values[i] (x) c[s, i] for each start s, from
+    one stacked eigh of the Gram matrices a^dagger a, with a v and conj(v) for
+    its top right singular vector v, shaped (s, p, 1, n, 1) and
+    (s, 1, q, 1, n); ``side`` names the columns of the assembly
+    (s, L, n, n) of both sides that hold the values, with their p and q."""
+    cols, p, q = side
+    s, _, n, _ = assembled.shape
+    a = assembled[:, cols].reshape(s, p, q, n, n).transpose(0, 1, 3, 2, 4).reshape(
+        s, p * n, q * n)
+    lam, vecs = np.linalg.eigh(np.conjugate(a).transpose(0, 2, 1) @ a)
+    v = vecs[:, :, -1:]
+    return (np.sqrt(lam[:, -1]), (a @ v).reshape(s, p, 1, n, 1),
+            np.conjugate(v).reshape(s, 1, q, 1, n))

@@ -144,6 +144,18 @@ def test_conv_exp_series_oracle_agrees(all_fixtures):
             assert maxabs(a - s) < 1e-10
 
 
+# gamma = scale (arange(6) - 2.5) on C(S3): the partial sums overflow at
+# these orders, and the one before is still finite
+@pytest.mark.parametrize("scale, t, order", [(50.0, 1e3, 78), (1e6, 1.0, 46)])
+def test_series_exp_names_the_order_that_overflows(all_fixtures, scale, t, order):
+    b = all_fixtures["C(S3)"]
+    gamma = functional(b, scale * (np.arange(b.dim) - 2.5))
+    with pytest.raises(NonFiniteCocycle,
+                       match=rf"series_exp partial sum not finite at order {order}, "):
+        series_exp(gamma, t)
+    assert np.isfinite(series_exp(gamma, t, n_max=order - 1).as_vector()).all()
+
+
 def test_conv_exp_negative_time_is_inverse():
     from qlevy.fixtures import bundled_fixtures
     b = bundled_fixtures()["C(Z3)"]
@@ -501,6 +513,33 @@ def test_batched_ascent_sweep_matches_per_start_reference(all_fixtures, name, se
     assert maxabs(c - c_want) <= 1e-10
 
 
+@pytest.mark.parametrize("p, q", [(1, 3), (3, 1), (2, 4), (4, 2)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_non_square_ascent_matches_per_start_reference(all_fixtures, p, q, n):
+    # the Gram matrix is a^dagger a, of size q n, whichever of p and q is larger
+    for name in ("C(Z3)", "Alg(S3)"):
+        phi = random_operator_map(np.random.default_rng(40 + 10 * p + q + n),
+                                  all_fixtures[name], p, q)
+        want, c_want = _reference_amplified_norm(phi, n, n_starts=3, n_iters=40)
+        got, c = amplified_norm(phi, n, n_starts=3, n_iters=40, return_point=True)
+        assert want > 0 and abs(got - want) <= 1e-12 * want
+        assert abs(_ratio_at(phi, c) - got) <= 1e-12 * got
+        assert maxabs(c - c_want) <= 1e-10
+
+
+@pytest.mark.parametrize("j", [-600, -300, 300, 500])
+def test_amplified_norm_is_scale_equivariant(all_fixtures, j):
+    # phi 2^j ascends as phi does: the same point, and 2^j times the value,
+    # while the Gram matrices square phi's range
+    b = all_fixtures["C(Z3)"]
+    phi = random_operator_map(np.random.default_rng(29), b, 2)
+    want, c_want = amplified_norm(phi, 2, n_starts=4, n_iters=40, return_point=True)
+    got, c = amplified_norm(OperatorMap(b, phi.values * 2.0 ** j), 2, n_starts=4,
+                            n_iters=40, return_point=True)
+    assert abs(got - 2.0 ** j * want) <= 1e-12 * 2.0 ** j * want
+    assert maxabs(c - c_want) <= 1e-10
+
+
 def test_amplified_norm_zero_start_has_ratio_zero(all_fixtures):
     # the denominator vanishes at c = 0: ratio 0 and no ascent direction
     b = all_fixtures["C(Z3)"]
@@ -602,8 +641,8 @@ def test_amplified_norm_names_bad_input(all_fixtures):
             amplified_norm(OperatorMap(b, values), 2)
 
 
-# each way the ratio overflows: to inf, to nan, or at an overflowed point the
-# SVD cannot take
+# each way the ratio overflows: to inf, or to an overflowed gradient whose
+# trial point eigh cannot take
 @pytest.mark.parametrize("name, n", [("C(Z3)", 2), ("Alg(S3)", 1), ("C(Z3)", 1)])
 def test_amplified_norm_names_an_overflow(all_fixtures, name, n):
     b = all_fixtures[name]

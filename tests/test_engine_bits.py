@@ -15,13 +15,14 @@ returns must match the oracle's bytes.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlevy.blocks import _ordered_product, block_exponentials, group_blocks
-from qlevy.cocycle import (_GL_NODES, _GL_QUAD, _gammas, _simplex_series, as_generator,
-                           check_cocycle_identity, cocycle_functional, simplex_series_oracle,
-                           simplex_series_within)
+from qlevy.cocycle import (_GL_NODES, _GL_QUAD, Pieces, _gammas, _simplex_series,
+                           as_generator, check_cocycle_identity, cocycle_functional, refine,
+                           simplex_series_oracle, simplex_series_within)
 from qlevy.convolution import convolve, functional
 from qlevy.linalg import maxabs
 
@@ -192,3 +193,42 @@ def test_zero_pieces_sum_to_the_counit(all_fixtures):
     for n_max in (0, 4):
         assert _simplex_series(phi, x, pieces, lifts, pieces.prefactor(), n_max, 0.0) == \
             complex(b.counit @ x.coords)
+
+
+def ref_prefactor(pieces):
+    """The prefactor as the builtin sum over the pieces, in piece order."""
+    return np.exp(sum(pieces.durations * pieces.inner_products()))
+
+
+@pytest.mark.parametrize("pieces", [1, 4, 256])
+def test_prefactor_matches_the_builtin_sum_bit_for_bit(pieces):
+    rng = np.random.default_rng(pieces)
+    for _ in range(20):
+        f, fp = step_pair(rng, 2, 1.0, pieces)
+        got = refine(f, fp, 1.0)
+        assert same_bytes(got.prefactor(), ref_prefactor(got))
+
+
+class _GivenProducts(Pieces):
+    """Pieces whose inner products are the second column of ``hats``."""
+
+    def inner_products(self):
+        return self.hats[:, 1]
+
+
+def test_prefactor_keeps_the_builtin_sums_signed_zeros():
+    # the sum's start 0 turns a -0.0 part into +0.0; a sequential sum that
+    # starts at the first piece keeps it
+    products = np.array([complex(-1.0, -0.0), complex(-0.5, -0.0), complex(-2.0, -0.0)])
+    pieces = _GivenProducts(np.arange(4.0), np.ones(3), np.stack([np.ones(3), products], 1),
+                            np.ones((3, 2)))
+    assert np.signbit(np.cumsum(pieces.durations * products)[-1].imag)
+    assert same_bytes(pieces.prefactor(), ref_prefactor(pieces))
+    assert not np.signbit(pieces.prefactor().imag)
+
+
+def test_prefactor_of_no_pieces_is_the_float_one():
+    f, fp = step_pair(np.random.default_rng(5), 1, 1.0, 3)
+    got = refine(f, fp, 0.0)
+    assert same_bytes(got.prefactor(), ref_prefactor(got))
+    assert got.prefactor().dtype == np.float64
