@@ -5,10 +5,8 @@ from .algebra import (AxiomViolation, Bialgebra, Element, ParseError,
                       class_hypergroup_algebra, is_positive, load_bialgebra,
                       multiply, represent, star, validate_bialgebra)
 from .cocycle import (Generator, StepFunction, check_cocycle_identity,
-                      delta_qs, exp_inner_product,
-                      matrix_element, opposite_matrix_element,
-                      simplex_series_oracle, toy_fock_evolve,
-                      weak_qlp_moments)
+                      delta_qs, exp_inner_product, matrix_element,
+                      simplex_series_oracle, toy_fock_evolve, weak_qlp_moments)
 from .convolution import (ConvolutionSemigroup, OperatorMap, amplified_norm,
                           conv_exp, convolve, counit_map, e_map, functional,
                           load_operator_map, r_map, semigroup_generator)

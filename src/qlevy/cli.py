@@ -23,7 +23,7 @@ from .convolution import (ConvolutionSemigroup, OperatorMap, functional,
 from .derivations import DerivationProblem, implement_chi_structure, solve_inner
 from .generators import (check_phi1, check_structure_map, gns_construct,
                          check_conditionally_positive)
-from .harness import (GroupCocycleData, RunConfig, build_group_generator,
+from .harness import (BATTERIES, GroupCocycleData, RunConfig, build_group_generator,
                       compound_poisson_law, group_relation_residuals,
                       run_report, simulate_compound_poisson, solve_coboundary)
 from .linalg import INPUT_TOL, SOLVE_TOL, SPECTRAL_TOL, STRUCT_TOL
@@ -425,8 +425,7 @@ def build_parser():
     p.add_argument("--samples", type=positive_int_arg, default=100000)
     p = verb(sub, "report", cmd_report, "run a named battery and emit a report",
              "", tol=SOLVE_TOL, seed=True)
-    p.add_argument("--battery", default="axioms",
-                   help="axioms|cocycle|gns|derivations|montecarlo|all")
+    p.add_argument("--battery", choices=[*BATTERIES, "all"], default="axioms")
     p.add_argument("--samples", type=positive_int_arg, default=10000)
     return parser
 

@@ -247,12 +247,12 @@ def _gammas(phi, pieces):
                      pieces.hats)
 
 
-def cocycle_functional(phi, f, f_prime, t, reverse=False, pieces=None):
+def cocycle_functional(phi, f, f_prime, t, pieces=None):
     """Coordinates of the functional x -> < eps(f'), l_t(x) eps(f) >.
 
-    The inner-product prefactor over [0, t] is included.  ``reverse=True``
-    composes the per-interval semigroup factors in reverse interval order,
-    which is the opposite cocycle.  ``pieces`` is :func:`refine` (f, f', t)
+    The inner-product prefactor over [0, t] is included.  At f(t - .),
+    f'(t - .) this is the opposite cocycle: the same factors in reverse
+    interval order.  ``pieces`` is :func:`refine` (f, f', t)
     when the caller has it.  Each factor expm(d_i R gamma_i) is block
     diagonal in the Fourier basis of ``source.dual_blocks()``.  The
     characters commute, so their blocks are the exponentials of the
@@ -284,17 +284,16 @@ def cocycle_functional(phi, f, f_prime, t, reverse=False, pieces=None):
         entries = None
         if table.shape[1] > m:
             outer = (conj[:, :, None] * weighted[:, None, :]).reshape(-1, p * p)
-            entries = (outer[::-1] if reverse else outer) @ (values.T @ table[:, m:])
+            entries = outer @ (values.T @ table[:, m:])
         characters = values @ integrated.reshape(-1) @ table[:, :m]
         coords = (np.exp(integrated[1:, 1:].trace())
                   * counit_of_exponentials(blocks, characters, entries))
         if not np.isfinite(coords).all():
-            order = range(dts.size)
-            _raise_non_finite(phi, blocks, pieces, order[::-1] if reverse else order)
+            _raise_non_finite(phi, blocks, pieces)
     return coords
 
 
-def _raise_non_finite(phi, blocks, pieces, order):
+def _raise_non_finite(phi, blocks, pieces):
     """Build every piece's factor (its blocks, per group) and prefactor, walk
     the pieces in product order and name the first one whose factor, running
     product or running prefactor is not finite."""
@@ -304,7 +303,7 @@ def _raise_non_finite(phi, blocks, pieces, order):
     scalars = np.exp(dts * pieces.inner_products())
     lift = [np.eye(g.shape[-1], dtype=complex) for g in factors]
     pref = 1.0 + 0.0j
-    for i in order:
+    for i in range(dts.size):
         lift = [p @ g[i] for p, g in zip(lift, factors)]
         pref *= scalars[i]
         for what, parts in (("semigroup factor", [g[i] for g in factors]),
@@ -322,13 +321,6 @@ def matrix_element(phi, x, f, f_prime, t, pieces=None):
     """< eps(f'_{[0,t[}), l_t(x) eps(f_{[0,t[}) > for the cocycle generated by
     phi; ``pieces`` is :func:`refine` (f, f', t) when the caller has it."""
     coords = cocycle_functional(phi, f, f_prime, t, pieces=pieces)
-    return complex(coords @ x.coords)
-
-
-def opposite_matrix_element(phi, x, f, f_prime, t):
-    """Matrix element of the opposite cocycle: same semigroup factors,
-    composed in reverse interval order."""
-    coords = cocycle_functional(phi, f, f_prime, t, reverse=True)
     return complex(coords @ x.coords)
 
 
@@ -375,31 +367,21 @@ def _legendre_integration(n):
 _GL_QUAD = _legendre_integration(_GL_NODES)
 
 
-def simplex_series_oracle(phi, x, f, f_prime, t, n_max, apply_order_reversal=True):
+def simplex_series_oracle(phi, x, f, f_prime, t, n_max):
     """Truncated simplex-integral expansion of the matrix element.
 
     The n-th term integrates, over the ordered simplex 0 < s_1 < ... < s_n < t,
     the n-fold convolution of the sliced generators gamma_{s_i}; the correct
     pairing puts earlier times in earlier convolution slots (this is the
-    order-reversing flip of the raw kernel).  With
-    ``apply_order_reversal=False`` the unflipped pairing is summed instead,
-    which is the expansion of the *opposite* cocycle: it disagrees with
-    :func:`matrix_element` on noncocommutative coalgebras and converges to
-    :func:`opposite_matrix_element`.
+    order-reversing flip of the raw kernel).
 
     Integration is piecewise Gauss-Legendre (16 nodes per dimension) split at
     the step-function breakpoints, so each smooth piece is integrated exactly.
     Returns ``(value, tail_bound)`` with a rigorous bound on the dropped tail;
     raises :class:`NonFiniteCocycle` when either is not finite.
     """
-    phi = as_generator(phi)
-    pieces = _refined(phi, f, f_prime, t, None)
-    gammas = _gammas(phi, pieces)
-    # each level multiplies by gamma_i on the right (flipped) or on the left
-    lifts = phi.source.lift(gammas) if apply_order_reversal else phi.source.left_lift(gammas)
-    pref = pieces.prefactor()
-    (tail,) = _tail_bounds(phi, x, t, lifts, pref, [n_max])
-    return _simplex_series(phi, x, pieces, lifts, pref, n_max, tail), tail
+    value, _, tail = simplex_series_within(phi, x, f, f_prime, t, 0.0, (n_max,))
+    return value, tail
 
 
 def simplex_series_within(phi, x, f, f_prime, t, slack, orders, pieces=None):

@@ -326,14 +326,13 @@ def _ratio_ascent(values, rep, c, iters):
     # the values are ascended scaled by 2^-k, k the binary exponent of their
     # max (at least -1022, so that 2^k is a normal float): exact, so the
     # trajectory is the one the unscaled map takes, while the Gram matrices,
-    # which square the range, stay near 1.  The gradient floor is read in
-    # that scale too
+    # which square the range, stay near 1.  The ascent direction and its
+    # floor stay in that scale, so that the direction cannot go subnormal
     k = int(np.frexp(np.abs(values).max())[1]) - 1
     scale = 2.0 ** max(k, -1022)
     flat = np.concatenate((values.reshape(d, -1) / scale, rep.reshape(d, -1)), axis=1)
     sides = (flat.T, flat.conj(), (slice(0, p * q), p, q),
              (slice(p * q, None), *rep.shape[1:]), scale)
-    floor = 1e-14 * scale
     each = dict(axis=(1, 2, 3), keepdims=True)
     # an accepted point keeps its gradient, rescaled with c: ratio(s c) = ratio(c)
     c = c / np.maximum(1e-300, np.abs(c).max(**each))
@@ -342,7 +341,7 @@ def _ratio_ascent(values, rep, c, iters):
     active = np.ones(len(c), dtype=bool)
     for _ in range(iters):
         gn = np.abs(g).max(**each)
-        active &= gn[:, 0, 0, 0] >= floor
+        active &= gn[:, 0, 0, 0] >= 1e-14
         if not active.any():
             break
         # a stopped start is evaluated too, harmlessly, and never updated
@@ -360,10 +359,11 @@ def _ratio_ascent(values, rep, c, iters):
 
 def _ratio_and_grad(sides, c):
     """The ratios sigma_max(a) / sigma_max(r) of the values and rep matrices
-    assembled at each start of c, with their ascent directions in c, both in
-    the caller's scale; (0, 0) where r vanishes.  ``sides`` holds the scaled
-    values and the rep images flattened side by side to (d, L), as (L, d) and
-    conjugated, then each side's columns with its p and q, then the scale."""
+    assembled at each start of c, in the caller's scale, with their ascent
+    directions in c, in the scaled one; (0, 0) where r vanishes.  ``sides``
+    holds the scaled values and the rep images flattened side by side to
+    (d, L), as (L, d) and conjugated, then each side's columns with its p and
+    q, then the scale."""
     rows, conj_flat, num, den, scale = sides
     s, d, n, _ = c.shape
     assembled = (rows @ c.reshape(s, d, n * n)).reshape(s, -1, n, n)
@@ -374,10 +374,10 @@ def _ratio_and_grad(sides, c):
     # the ascent direction conjugates d ratio = d sa / sr - ratio d sr / sr,
     # and conj(d sigma) along c[s, i, x, y] is
     # sum_ab (a v)[a, x] conj(values[i, a, b]) conj(v)[b, y] / sigma: the
-    # weights scale / (sa sr) and -scale ratio / sr^2 go into a v (which is 0
-    # where sa is), and one matmul contracts both sides
-    w_a = scale / (np.where(sa > 0, sa, 1.0) * sr)
-    w_r = -scale * ratio / sr ** 2
+    # weights 1 / (sa sr) and -ratio / sr^2 go into a v (which is 0 where sa
+    # is), and one matmul contracts both sides
+    w_a = 1.0 / (np.where(sa > 0, sa, 1.0) * sr)
+    w_r = -ratio / sr ** 2
     outer = np.concatenate([(w.reshape(s, 1, 1, 1, 1) * av * vbar).reshape(s, -1, n * n)
                             for w, av, vbar in ((w_a, av_a, vbar_a), (w_r, av_r, vbar_r))],
                            axis=1)

@@ -1,5 +1,6 @@
 import pytest
 
+from qlevy.cocycle import StepFunction
 from qlevy.convolution import OperatorMap
 from qlevy.fixtures import bundled_fixtures
 from qlevy.harness import random_generator, random_step  # noqa: F401  (re-exported)
@@ -24,3 +25,9 @@ def random_operator_map(rng, b, p, q=None, scale=1.0):
 def random_element(rng, b, scale=1.0):
     return b.element(scale * (rng.standard_normal(b.dim)
                               + 1j * rng.standard_normal(b.dim)))
+
+
+def reversed_steps(g):
+    """The time-reversed step function s -> g(T - s) on [0, T), T the horizon
+    of g: at a time-reversed pair the cocycle is the opposite cocycle."""
+    return StepFunction(g.horizon - g.breakpoints[::-1], g.values[::-1])

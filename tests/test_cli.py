@@ -497,6 +497,7 @@ def test_step_function_not_fitting_is_usage_error(z3_file, tmp_path, flag, spec,
     (["montecarlo", "--mu", "[0.5,0.5]", "--seed", "1.5"], "--seed"),
     (["report", "--seed", str(2 ** 64)], "--seed"),
     (["report", "--seed", "-1"], "--seed"),
+    (["report", "--battery", "nope"], "--battery"),
 ])
 def test_out_of_range_number_is_usage_error(z3_file, argv, flag, capsys):
     with pytest.raises(SystemExit) as err:

@@ -5,7 +5,7 @@ from qlevy.cocycle import (HORIZON_SLACK, HorizonMismatch, MemoryCapExceeded,
                            OverlappingIntervals, StepFunction,
                            check_cocycle_identity, cocycle_functional,
                            constant_collapse, delta_qs, exp_inner_product,
-                           matrix_element, opposite_matrix_element, refine_pair,
+                           matrix_element, refine_pair,
                            simplex_series_oracle, simplex_series_within,
                            toy_fock_evolve, vacuum_semigroup, weak_qlp_moments)
 from qlevy.convolution import (ConvolutionSemigroup, OperatorMap, conv_exp,
@@ -13,7 +13,7 @@ from qlevy.convolution import (ConvolutionSemigroup, OperatorMap, conv_exp,
 from qlevy.generators import make_structure_map
 from qlevy.linalg import SOLVE_TOL, maxabs, min_eig_herm
 
-from conftest import random_element, random_generator, random_step
+from conftest import random_element, random_generator, random_step, reversed_steps
 
 
 def structure_map_on(b, seed=0, scale=1.0):
@@ -377,8 +377,9 @@ def test_oracle_constant_collapse(all_fixtures):
 
 
 def test_order_reversal_matters_on_noncocommutative(all_fixtures):
-    # C(S3) has a noncocommutative coproduct: with the order-correcting flip
-    # omitted the series converges to a different number
+    # C(S3) has a noncocommutative coproduct: the series at the time-reversed
+    # pair, the unflipped pairing of the original one, converges to a
+    # different number
     rng = np.random.default_rng(17)
     b = all_fixtures["C(S3)"]
     phi = random_generator(rng, b, 1, scale=0.4)
@@ -389,8 +390,7 @@ def test_order_reversal_matters_on_noncocommutative(all_fixtures):
     x = random_element(rng, b)
     want = matrix_element(phi, x, f, fp, 1.0)
     flipped, _ = simplex_series_oracle(phi, x, f, fp, 1.0, 20)
-    raw, _ = simplex_series_oracle(phi, x, f, fp, 1.0, 20,
-                                   apply_order_reversal=False)
+    raw, _ = simplex_series_oracle(phi, x, reversed_steps(f), reversed_steps(fp), 1.0, 20)
     assert abs(flipped - want) < 1e-9
     assert abs(raw - want) > 1e-4
 
@@ -405,32 +405,34 @@ def test_opposite_equals_direct_on_cocommutative(all_fixtures):
     fp = random_step(rng, 2, 1.0)
     x = random_element(rng, b)
     assert abs(matrix_element(phi, x, f, fp, 1.0)
-               - opposite_matrix_element(phi, x, f, fp, 1.0)) < 1e-12
+               - matrix_element(phi, x, reversed_steps(f), reversed_steps(fp), 1.0)) < 1e-12
 
 
 def test_opposite_equals_direct_for_constant_steps(all_fixtures):
+    # constant data cut at 0.3 is cut at 0.7 once reversed: the two factors
+    # of one semigroup commute
     rng = np.random.default_rng(19)
     b = all_fixtures["C(S3)"]
     phi = random_generator(rng, b, 1)
-    f = StepFunction.constant([0.4], 1.0)
+    f = StepFunction(np.array([0.0, 0.3, 1.0]), np.array([[0.4], [0.4]]))
     fp = StepFunction.constant([0.1 - 0.2j], 1.0)
     x = random_element(rng, b)
     assert abs(matrix_element(phi, x, f, fp, 1.0)
-               - opposite_matrix_element(phi, x, f, fp, 1.0)) < 1e-13
+               - matrix_element(phi, x, reversed_steps(f), reversed_steps(fp), 1.0)) < 1e-13
 
 
 def test_unflipped_oracle_is_the_opposite_cocycle(all_fixtures):
     # the opposite integral equation attaches the new increment on the left,
-    # so its simplex expansion is exactly the unflipped pairing
+    # so its simplex expansion is the unflipped pairing: the flipped one at
+    # the time-reversed pair
     rng = np.random.default_rng(30)
     b = all_fixtures["C(S3)"]
     phi = random_generator(rng, b, 1, scale=0.35)
-    f = random_step(rng, 1, 1.0, scale=0.5)
-    fp = random_step(rng, 1, 1.0, scale=0.5)
+    f = reversed_steps(random_step(rng, 1, 1.0, scale=0.5))
+    fp = reversed_steps(random_step(rng, 1, 1.0, scale=0.5))
     x = random_element(rng, b)
-    want = opposite_matrix_element(phi, x, f, fp, 1.0)
-    got, tail = simplex_series_oracle(phi, x, f, fp, 1.0, 16,
-                                      apply_order_reversal=False)
+    want = matrix_element(phi, x, f, fp, 1.0)
+    got, tail = simplex_series_oracle(phi, x, f, fp, 1.0, 16)
     assert abs(got - want) <= tail + 1e-10
     assert abs(got - want) < 1e-9
 
@@ -446,13 +448,12 @@ def test_opposite_differs_and_time_reversal_restores(all_fixtures):
                       np.array([[0.2], [0.9 - 0.3j]]))
     x = random_element(rng, b)
     direct = matrix_element(phi, x, f, fp, t)
-    opposite = opposite_matrix_element(phi, x, f, fp, t)
+    rf, rfp = reversed_steps(f), reversed_steps(fp)
+    opposite = matrix_element(phi, x, rf, rfp, t)
     assert abs(direct - opposite) > 1e-6
-    def reversed_steps(g):
-        bp = np.concatenate([[0.0], t - g.breakpoints[::-1][1:]])
-        return StepFunction(bp, g.values[::-1])
-    restored = matrix_element(phi, x, reversed_steps(f), reversed_steps(fp), t)
-    assert abs(opposite - restored) < 1e-11
+    # reversing twice gives back the pieces, up to the rounding of t - s
+    restored = matrix_element(phi, x, reversed_steps(rf), reversed_steps(rfp), t)
+    assert abs(direct - restored) < 1e-11
 
 
 # -- toy Fock -------------------------------------------------------------------------

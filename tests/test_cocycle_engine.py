@@ -21,14 +21,13 @@ from qlevy.cocycle import (_GL_NODES, _GL_QUAD, Generator, HorizonMismatch,
                            NonFiniteCocycle, StepFunction, _gammas, _simplex_series,
                            check_cocycle_identity, cocycle_functional,
                            exp_inner_product, matrix_element, refine, refine_pair,
-                           opposite_matrix_element, simplex_series_oracle,
-                           simplex_series_within)
+                           simplex_series_oracle, simplex_series_within)
 from qlevy.convolution import _exp_tail, convolve, functional, semigroup_generator
 from qlevy.fixtures import cyclic_table, d4_table, s3_table
 from qlevy.linalg import maxabs, opnorm
 
-from conftest import random_element, random_generator
-from test_basis_change import change_basis, skew
+from conftest import random_element, random_generator, reversed_steps
+from test_basis_change import change_basis
 
 EPS = np.finfo(float).eps
 
@@ -104,12 +103,19 @@ def engine_bound(b, pieces, h, want):
     return 8 * (pieces + h) * EPS * b.dual_blocks().cond * max(1.0, maxabs(want))
 
 
-def assert_engine_matches(phi, f, fp, t, pieces, reverse=False):
-    got = cocycle_functional(phi, f, fp, t, reverse=reverse)
-    want = ref_cocycle_functional(phi, f, fp, t, reverse=reverse)
+def assert_engine_matches(phi, f, fp, t, pieces, reverse=True):
+    """The engine against the reference at (f, f'), and with ``reverse`` at
+    the time-reversed pair against the reference's reversed product, the
+    opposite cocycle; reversal needs f and f' to end at t."""
     h = exponent_norm(phi, f, fp, t)
-    assert maxabs(got - want) <= engine_bound(phi.source, pieces, h, want), \
-        (maxabs(got - want), engine_bound(phi.source, pieces, h, want))
+    cases = [(f, fp, False)]
+    if reverse:
+        cases.append((reversed_steps(f), reversed_steps(fp), True))
+    for g, gp, flip in cases:
+        got = cocycle_functional(phi, g, gp, t)
+        want = ref_cocycle_functional(phi, f, fp, t, reverse=flip)
+        assert maxabs(got - want) <= engine_bound(phi.source, pieces, h, want), \
+            (flip, maxabs(got - want), engine_bound(phi.source, pieces, h, want))
 
 
 def ref_check_cocycle_identity(phi, s, t, f, f_prime):
@@ -172,8 +178,7 @@ def test_engine_matches_reference_within_rounding(all_fixtures, fixture_names, p
             t = float(rng.uniform(0.5, 1.5))
             f, fp = step_pair(rng, d_noise, t, pieces)
             assert len(refine_pair(f, fp, t)) == pieces
-            for reverse in (False, True):
-                assert_engine_matches(phi, f, fp, t, pieces, reverse)
+            assert_engine_matches(phi, f, fp, t, pieces)
 
 
 def test_engine_matches_reference_inside_the_horizon(all_fixtures):
@@ -184,7 +189,7 @@ def test_engine_matches_reference_inside_the_horizon(all_fixtures):
         phi = random_generator(rng, b, 2)
         f, fp = step_pair(rng, 2, 1.0, 9)
         for t in (0.37, 1.0 - 5e-10):
-            assert_engine_matches(phi, f, fp, t, len(refine_pair(f, fp, t)))
+            assert_engine_matches(phi, f, fp, t, len(refine_pair(f, fp, t)), reverse=False)
         assert np.array_equal(cocycle_functional(phi, f, fp, 0.0),
                               ref_cocycle_functional(phi, f, fp, 0.0))
 
@@ -233,8 +238,8 @@ SWEEP_FIXTURES = ("C(S3)", "Hyper(S3-classes)", "Alg(S3)", "C(Z4)", "Alg(Z6)")
 
 @settings(derandomize=True, deadline=None, max_examples=25)
 @given(name=st.sampled_from(SWEEP_FIXTURES), seed=st.integers(0, 2 ** 32 - 1),
-       pieces=st.sampled_from([1, 2, 7, 64, 256]), reverse=st.booleans())
-def test_engine_sweep_over_rescaled_bases(all_fixtures, name, seed, pieces, reverse):
+       pieces=st.sampled_from([1, 2, 7, 64, 256]))
+def test_engine_sweep_over_rescaled_bases(all_fixtures, name, seed, pieces):
     rng = np.random.default_rng(seed)
     b = all_fixtures[name]
     scales = rng.uniform(0.3, 3.0, b.dim) * np.exp(2j * np.pi * rng.random(b.dim))
@@ -243,7 +248,7 @@ def test_engine_sweep_over_rescaled_bases(all_fixtures, name, seed, pieces, reve
     phi = random_generator(rng, b, d_noise)
     t = float(rng.uniform(0.3, 1.5))
     f, fp = step_pair(rng, d_noise, t, pieces)
-    assert_engine_matches(phi, f, fp, t, pieces, reverse)
+    assert_engine_matches(phi, f, fp, t, pieces)
 
 
 # -- the character route ---------------------------------------------------------------
@@ -281,8 +286,9 @@ def test_character_route_is_one_exponential(all_fixtures, fixture_names, pieces)
             f, fp = step_pair(rng, d_noise, t, pieces)
             want = ref_integrated(phi, f, fp, t)
             bound = engine_bound(b, pieces, exponent_norm(phi, f, fp, t), want)
-            for reverse in (False, True):
-                got = cocycle_functional(phi, f, fp, t, reverse=reverse)
+            # the characters commute: the reversed pair gives the same value
+            for g, gp in ((f, fp), (reversed_steps(f), reversed_steps(fp))):
+                got = cocycle_functional(phi, g, gp, t)
                 assert maxabs(got - want) <= bound, (name, maxabs(got - want), bound)
 
 
@@ -302,8 +308,8 @@ def test_cancelling_exponents_stay_finite(all_fixtures):
     want = ref_integrated(phi, f, fp, 2.0)
     assert np.isfinite(want).all()
     bound = engine_bound(b, 2, exponent_norm(phi, f, fp, 2.0), want)
-    for reverse in (False, True):
-        got = cocycle_functional(phi, f, fp, 2.0, reverse=reverse)
+    for g, gp in ((f, fp), (reversed_steps(f), reversed_steps(fp))):
+        got = cocycle_functional(phi, g, gp, 2.0)
         assert maxabs(got - want) <= bound, (maxabs(got - want), bound)
 
 
@@ -380,8 +386,7 @@ def test_dihedral_duals_fold_per_sigma(table, groups, copies):
     for pieces in (1, 2, 9, 64):
         phi = random_generator(rng, b, 2)
         f, fp = step_pair(rng, 2, 1.0, pieces)
-        for reverse in (False, True):
-            assert_engine_matches(phi, f, fp, 1.0, pieces, reverse)
+        assert_engine_matches(phi, f, fp, 1.0, pieces)
 
 
 @pytest.mark.parametrize("n", [3, 5, 8])
@@ -404,8 +409,7 @@ def test_nilpotent_dual_falls_back_to_one_block():
     for pieces in (1, 2, 9, 64):
         phi = random_generator(rng, b, 2)
         f, fp = step_pair(rng, 2, 1.0, pieces)
-        for reverse in (False, True):
-            assert_engine_matches(phi, f, fp, 1.0, pieces, reverse)
+        assert_engine_matches(phi, f, fp, 1.0, pieces)
         x = random_element(rng, b)
         got = complex(cocycle_functional(phi, f, fp, 1.0) @ x.coords)
         oracle, tail = simplex_series_oracle(phi, x, f, fp, 1.0, 24)
@@ -421,29 +425,26 @@ def test_group_algebra_blocks_are_the_basis():
         assert (modulus.sum(axis=0) == 1.0).all()
 
 
-def ref_tail_bound(phi, x, f, f_prime, t, n_max, apply_order_reversal=True):
+def ref_tail_bound(phi, x, f, f_prime, t, n_max):
     """The prefactor and the tail bound of the simplex oracle, one piece at a
-    time: the largest norm of the lifts its levels multiply by, right lifts
-    for the flipped pairing and left lifts for the unflipped one, is one
+    time: the largest norm of the right lifts its levels multiply by is one
     opnorm per piece."""
     src = phi.source
-    lift = src.lift if apply_order_reversal else src.left_lift
     pieces = ref_refine_pair(f, f_prime, t)
     pref = np.exp(sum(dt * np.einsum("a,a->", np.conjugate(cp), c) for dt, c, cp in pieces))
-    m = max((opnorm(lift(semigroup_generator(phi, cp, c).as_vector())) for _, c, cp in pieces),
+    m = max((opnorm(src.lift(semigroup_generator(phi, cp, c).as_vector())) for _, c, cp in pieces),
             default=0.0)
     return pref, (_exp_tail(m * t, n_max) * float(np.linalg.norm(phi.source.counit))
                   * float(np.linalg.norm(x.coords)) * abs(pref))
 
 
-def ref_simplex_series(phi, x, f, f_prime, t, orders, apply_order_reversal=True):
+def ref_simplex_series(phi, x, f, f_prime, t, orders):
     """The simplex series summed piece by piece, one node list per piece; the
     (value, tail bound) at each order in ``orders``."""
     src = phi.source
     gls, glw = _GL_QUAD[:-1], _GL_QUAD[-1]
     pieces = ref_refine_pair(f, f_prime, t)
     gammas = [semigroup_generator(phi, cp, c).as_vector() for _, c, cp in pieces]
-    spec = "kij,ni,j->nk" if apply_order_reversal else "kij,nj,i->nk"
     eps = src.counit.astype(complex)
     total = eps.copy()
     prev_nodes = [np.tile(eps, (_GL_NODES, 1)) for _ in pieces]
@@ -453,14 +454,14 @@ def ref_simplex_series(phi, x, f, f_prime, t, orders, apply_order_reversal=True)
             cur_nodes = []
             boundary = np.zeros(src.dim, dtype=complex)
             for (dt, _, _), nodes, gamma in zip(pieces, prev_nodes, gammas):
-                integrand = np.einsum(spec, src.coproduct, nodes, gamma)
+                integrand = np.einsum("kij,ni,j->nk", src.coproduct, nodes, gamma)
                 half = dt / 2.0
                 cur_nodes.append(boundary[None, :] + half * (gls @ integrand))
                 boundary = boundary + half * (glw @ integrand)
             total = total + boundary
             prev_nodes = cur_nodes
         if level in orders:
-            pref, tail = ref_tail_bound(phi, x, f, f_prime, t, level, apply_order_reversal)
+            pref, tail = ref_tail_bound(phi, x, f, f_prime, t, level)
             out[level] = (complex(pref * (total @ x.coords)), tail)
     return [out[n] for n in orders]
 
@@ -479,31 +480,12 @@ def test_stacked_oracle_matches_the_per_piece_loop(all_fixtures, fixture_names):
             t = float(rng.uniform(0.3, 1.2))
             f, fp = step_pair(rng, d_noise, t, pieces)
             assert len(refine_pair(f, fp, t)) == pieces
-            for flip in (True, False):
-                want = ref_simplex_series(phi, x, f, fp, t, ORACLE_ORDERS, flip)
-                for n_max, (value, tail) in zip(ORACLE_ORDERS, want):
-                    got, got_tail = simplex_series_oracle(phi, x, f, fp, t, n_max, flip)
-                    assert abs(got - value) <= 1e-13 * max(1.0, abs(value)), \
-                        (name, pieces, flip, n_max, abs(got - value))
-                    assert got_tail == tail, (name, pieces, n_max)
-
-
-def test_unflipped_oracle_is_bounded_by_its_left_lifts(all_fixtures):
-    # the unflipped series multiplies by left lifts; in a skewed basis of
-    # C(S3) their norms are not the right lifts', and the tail takes theirs
-    b = skew(all_fixtures["C(S3)"], 5)
-    rng = np.random.default_rng(34)
-    phi, x = random_generator(rng, b, 2), random_element(rng, b)
-    f, fp = step_pair(rng, 2, 1.0, 4)
-    gammas = _gammas(phi, refine(f, fp, 1.0))
-    left = np.linalg.norm(b.left_lift(gammas), 2, axis=(1, 2)).max()
-    right = np.linalg.norm(b.lift(gammas), 2, axis=(1, 2)).max()
-    assert left > 1.1 * right   # so a bound from the right lifts would be smaller
-    want = opposite_matrix_element(phi, x, f, fp, 1.0)
-    for n_max in (2, 4, 8, 16):
-        got, tail = simplex_series_oracle(phi, x, f, fp, 1.0, n_max, apply_order_reversal=False)
-        assert tail == ref_tail_bound(phi, x, f, fp, 1.0, n_max, apply_order_reversal=False)[1]
-        assert abs(got - want) <= tail + 64 * n_max * EPS * max(1.0, abs(want)), n_max
+            want = ref_simplex_series(phi, x, f, fp, t, ORACLE_ORDERS)
+            for n_max, (value, tail) in zip(ORACLE_ORDERS, want):
+                got, got_tail = simplex_series_oracle(phi, x, f, fp, t, n_max)
+                assert abs(got - value) <= 1e-13 * max(1.0, abs(value)), \
+                    (name, pieces, n_max, abs(got - value))
+                assert got_tail == tail, (name, pieces, n_max)
 
 
 def test_batched_pieces_match_the_one_piece_helpers(all_fixtures):
@@ -596,9 +578,6 @@ def test_overflowing_product_names_the_piece(all_fixtures):
         with pytest.raises(NonFiniteCocycle,
                            match=r"product of factors not finite at piece 1"):
             cocycle_functional(phi, f, f, 1.0)
-        # reversed, the product is taken from the last piece to the first
-        with pytest.raises(NonFiniteCocycle, match=r"piece 0 on \[0\.0, 0\.5\)"):
-            cocycle_functional(phi, f, f, 1.0, reverse=True)
 
 
 def test_overflowing_prefactor_names_the_piece(all_fixtures):

@@ -4,14 +4,13 @@ bit for bit.
 ``ref_cocycle_functional``, ``ref_counit_of_exponentials``,
 ``ref_ordered_product`` and ``ref_simplex_series`` below are that version,
 kept as oracles the way ``test_refinement.py`` keeps ``slow_refine``: the
-functional conjugates the hat rows twice, reads the generator through its
-properties and slices the piece order even when it is forward; the counit
-concatenates the character exponentials with nothing; the ordered product
-multiplies blocks stacked piece-major, one broadcast product per inner
-index; and every level of the series cumsums a leading zero row and builds
-fresh node and total arrays.  The engine computes the same floating-point
-operations in the same order with fewer array calls, so every value it
-returns must match the oracle's bytes.
+functional conjugates the hat rows twice and reads the generator through
+its properties; the counit concatenates the character exponentials with
+nothing; the ordered product multiplies blocks stacked piece-major, one
+broadcast product per inner index; and every level of the series cumsums a
+leading zero row and builds fresh node and total arrays.  The engine
+computes the same floating-point operations in the same order with fewer
+array calls, so every value it returns must match the oracle's bytes.
 """
 
 import numpy as np
@@ -57,7 +56,7 @@ def ref_counit_of_exponentials(blocks, characters, pieces):
     return np.concatenate(out) @ blocks.counit_table
 
 
-def ref_cocycle_functional(phi, f, f_prime, t, reverse=False):
+def ref_cocycle_functional(phi, f, f_prime, t):
     phi = as_generator(phi)
     src = phi.source
     _, dts, chat, chat_p = slow_refine(f, f_prime, t)
@@ -67,7 +66,6 @@ def ref_cocycle_functional(phi, f, f_prime, t, reverse=False):
     m = blocks.characters
     p = phi.p
     values = phi.values.reshape(src.dim, p * p)
-    order = slice(None, None, -1) if reverse else slice(None)
     rest = blocks.table[:, m:]
     with np.errstate(over="ignore", invalid="ignore"):
         weighted = dts[:, None] * chat
@@ -75,7 +73,7 @@ def ref_cocycle_functional(phi, f, f_prime, t, reverse=False):
         entries = None
         if rest.shape[1]:
             outer = np.conjugate(chat_p)[:, :, None] * weighted[:, None, :]
-            entries = outer.reshape(-1, p * p)[order] @ (values.T @ rest)
+            entries = outer.reshape(-1, p * p) @ (values.T @ rest)
         characters = values @ integrated.reshape(-1) @ blocks.table[:, :m]
         return (np.exp(np.trace(integrated[1:, 1:]))
                 * ref_counit_of_exponentials(blocks, characters, entries))
@@ -106,12 +104,11 @@ def ref_simplex_series(phi, x, pieces, lifts, pref, n_max):
     return complex(pref * (total @ x.coords))
 
 
-def ref_oracle(phi, x, f, f_prime, t, n_max, flip=True):
+def ref_oracle(phi, x, f, f_prime, t, n_max):
     """The oracle's value, summed by ``ref_simplex_series``."""
     phi = as_generator(phi)
     pieces = slow_refine(f, f_prime, t)
-    lift = phi.source.lift if flip else phi.source.left_lift
-    return ref_simplex_series(phi, x, pieces, lift(_gammas(phi, pieces)),
+    return ref_simplex_series(phi, x, pieces, phi.source.lift(_gammas(phi, pieces)),
                               pieces.prefactor(), n_max)
 
 
@@ -134,10 +131,9 @@ def test_the_sweep_covers_every_fixture(all_fixtures):
 
 @settings(derandomize=True, deadline=None, max_examples=120)
 @given(name=st.sampled_from(FIXTURES), seed=st.integers(0, 2 ** 32 - 1), pieces=PIECES,
-       d_noise=st.integers(1, 3), reverse=st.booleans(),
-       scale=st.sampled_from([0.05, 0.4, 3.0]))
+       d_noise=st.integers(1, 3), scale=st.sampled_from([0.05, 0.4, 3.0]))
 def test_engine_matches_the_old_engine_bit_for_bit(all_fixtures, name, seed, pieces,
-                                                   d_noise, reverse, scale):
+                                                   d_noise, scale):
     rng = np.random.default_rng(seed)
     b = all_fixtures[name]
     phi = random_generator(rng, b, d_noise, scale)
@@ -145,28 +141,29 @@ def test_engine_matches_the_old_engine_bit_for_bit(all_fixtures, name, seed, pie
     f, fp = step_pair(rng, d_noise, t, pieces)
     s = float(rng.uniform(0.05, 0.95)) * t
     for u in (t, s):
-        assert same_bytes(cocycle_functional(phi, f, fp, u, reverse=reverse),
-                          ref_cocycle_functional(phi, f, fp, u, reverse=reverse))
+        assert same_bytes(cocycle_functional(phi, f, fp, u),
+                          ref_cocycle_functional(phi, f, fp, u))
     assert same_bytes(check_cocycle_identity(phi, s, t - s, f, fp),
                       ref_check_cocycle_identity(phi, s, t - s, f, fp))
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(name=st.sampled_from(FIXTURES), seed=st.integers(0, 2 ** 32 - 1), pieces=PIECES,
-       d_noise=st.integers(1, 3), flip=st.booleans(), n_max=st.sampled_from([0, 1, 4, 16]))
+       d_noise=st.integers(1, 3), n_max=st.sampled_from([0, 1, 4, 16]))
 def test_oracle_matches_the_old_series_bit_for_bit(all_fixtures, name, seed, pieces, d_noise,
-                                                   flip, n_max):
+                                                   n_max):
     rng = np.random.default_rng(seed)
     b = all_fixtures[name]
     phi = random_generator(rng, b, d_noise, 0.3)
     x = random_element(rng, b)
     t = float(rng.uniform(0.3, 1.0))
     f, fp = step_pair(rng, d_noise, t, pieces)
-    value, _ = simplex_series_oracle(phi, x, f, fp, t, n_max, flip)
-    assert same_bytes(value, ref_oracle(phi, x, f, fp, t, n_max, flip))
-    if flip:
-        value, n, _ = simplex_series_within(phi, x, f, fp, t, 1e-9, (1, 4, 16))
-        assert same_bytes(value, ref_oracle(phi, x, f, fp, t, n))
+    value, tail = simplex_series_oracle(phi, x, f, fp, t, n_max)
+    assert same_bytes(value, ref_oracle(phi, x, f, fp, t, n_max))
+    # the oracle is the series at one order, its tail bound that order's
+    assert (value, n_max, tail) == simplex_series_within(phi, x, f, fp, t, 0.0, (n_max,))
+    value, n, _ = simplex_series_within(phi, x, f, fp, t, 1e-9, (1, 4, 16))
+    assert same_bytes(value, ref_oracle(phi, x, f, fp, t, n))
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
