@@ -17,7 +17,7 @@ from .algebra import (ParseError, _decode, _encode, _parse_file,
                       bialgebra_and_rep2, build_function_algebra,
                       load_bialgebra, validate_bialgebra)
 from .cocycle import (HORIZON_SLACK, Generator, StepFunction, matrix_element,
-                      check_cocycle_identity, refine, simplex_series_within)
+                      check_cocycle_identity, simplex_series_within)
 from .convolution import (ConvolutionSemigroup, OperatorMap, functional,
                           load_operator_map)
 from .derivations import DerivationProblem, implement_chi_structure, solve_inner
@@ -101,12 +101,13 @@ def parse_steps(spec_text):
 
 
 def _arg(parse, what):
-    """argparse type from parse(text); text that parse cannot read is a usage
-    error saying that ``what`` was expected."""
+    """argparse type from parse(text); text that parse cannot read, or whose
+    value does not fit in memory, is a usage error saying that ``what`` was
+    expected."""
     def convert(text):
         try:
             return parse(text)
-        except (ValueError, TypeError, IndexError, KeyError) as exc:
+        except (ValueError, TypeError, IndexError, KeyError, MemoryError) as exc:
             raise argparse.ArgumentTypeError(
                 f"expected {what}, got {text!r} ({exc})") from None
     return convert
@@ -228,13 +229,11 @@ def cmd_cocycle_eval(args):
                              f"{g.horizon}, before --t {args.t}")
     f = args.f or StepFunction.zero(dn, args.t)
     fp = args.fp or StepFunction.zero(dn, args.t)
-    pieces = refine(f, fp, args.t)
-    value = matrix_element(phi, x, f, fp, args.t, pieces)
+    value = matrix_element(phi, x, f, fp, args.t)
     s = 0.5 * args.t
     checks = {"cocycle_identity": check_cocycle_identity(phi, s, args.t - s, f, fp)}
     slack = args.tol * max(1.0, abs(value))
-    orc, n_max, tail = simplex_series_within(phi, x, f, fp, args.t, slack, ORACLE_ORDERS,
-                                             pieces=pieces)
+    orc, n_max, tail = simplex_series_within(phi, x, f, fp, args.t, slack, ORACLE_ORDERS)
     checks.update(oracle_gap=abs(value - orc), oracle_tail_bound=tail)
     _emit(args, {"value": _encode(value), "method": "semigroup-factorization",
                  "oracle_n_max": n_max, "residual_checks": checks})
@@ -437,7 +436,7 @@ def main(argv=None):
         return args.func(args)
     except UsageError as exc:
         parser.error(str(exc))
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

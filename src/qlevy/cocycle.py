@@ -21,8 +21,7 @@ from numpy.polynomial import legendre
 
 from .blocks import block_exponentials, counit_of_exponentials, group_blocks
 from .convolution import (ConvolutionSemigroup, NonFiniteCocycle, OperatorMap, _exp_tail,
-                          convolve, functional, semigroup_generator,
-                          series_exp, star_power)
+                          convolve, functional, star_power)
 from .linalg import SPECTRAL_TOL, maxabs
 
 HORIZON_SLACK = 1e-9   # a step function ending this close before a time covers it
@@ -132,19 +131,13 @@ class Pieces(NamedTuple):
         return np.einsum("na,na->n", np.conjugate(self.hats_prime[:, 1:]), self.hats[:, 1:])
 
     def prefactor(self):
-        """<eps(f'), eps(f)> over the pieces."""
-        # bit for bit the builtin sum: cumsum adds in the same order, and 0.0 +
-        # turns a -0.0 part into +0.0 as sum's start 0 does; no pieces give 1.0
-        x = self.durations * self.inner_products()
-        return np.exp(0.0 + np.cumsum(x)[-1] if x.size else 0)
+        """<eps(f'), eps(f)> over the pieces; no pieces give 1.0."""
+        return np.exp(sum(self.durations * self.inner_products()))
 
 
 def refine(f, f_prime, t):
     """Common refinement of f, f' over [0, t] as :class:`Pieces`; t = 0 gives
-    no pieces.  A point within 1e-12 of the last one kept is merged into it.
-    The cocycle routines take it as ``pieces=``, so that a caller evaluating
-    several of them on one pair refines it once.
-    """
+    no pieces.  A point within 1e-12 of the last one kept is merged into it."""
     if not t >= 0:   # a nan t fails this too
         raise ValueError("time must be nonnegative")
     fb, fv, gb, gv = f.breakpoints, f.values, f_prime.breakpoints, f_prime.values
@@ -163,17 +156,14 @@ def refine(f, f_prime, t):
     pts[-1] = t
     dts = pts[1:] - pts[:-1]
     if dts.min() <= 1e-12:
-        pts = pts[np.concatenate(([True], dts > 0.0))]   # a point both share, once
+        merged = [pts[0]]
+        for p in pts[1:]:
+            if p - merged[-1] > 1e-12:
+                merged.append(p)
+        if abs(merged[-1] - t) > 1e-12:
+            merged.append(t)
+        pts = np.array(merged)
         dts = pts[1:] - pts[:-1]
-        if (dts <= 1e-12).any():
-            merged = [pts[0]]
-            for p in pts[1:]:
-                if p - merged[-1] > 1e-12:
-                    merged.append(p)
-            if abs(merged[-1] - t) > 1e-12:
-                merged.append(t)
-            pts = np.array(merged)
-            dts = pts[1:] - pts[:-1]
     mids = 0.5 * (pts[:-1] + pts[1:])
     hats = np.empty((2, mids.size, 1 + d_noise), dtype=complex)
     hats[:, :, 0] = 1.0
@@ -229,15 +219,15 @@ def as_generator(phi):
 
 # -- matrix elements via semigroup factorization -----------------------------
 
-def _refined(phi, f, f_prime, t, pieces):
-    """``pieces`` when given, else :func:`refine` (f, f', t), once f and f'
-    are checked to live in the generator's noise space."""
+def _refined(phi, f, f_prime, t):
+    """:func:`refine` (f, f', t), once f and f' are checked to live in the
+    generator's noise space."""
     d_noise = phi.values.shape[1] - 1
     for g in (f, f_prime):
         if g.values.shape[1] != d_noise:
             raise ValueError(f"noise dimension mismatch: generator {d_noise}, "
                              f"step function {g.values.shape[1]}")
-    return refine(f, f_prime, t) if pieces is None else pieces
+    return refine(f, f_prime, t)
 
 
 def _gammas(phi, pieces):
@@ -247,13 +237,12 @@ def _gammas(phi, pieces):
                      pieces.hats)
 
 
-def cocycle_functional(phi, f, f_prime, t, pieces=None):
+def cocycle_functional(phi, f, f_prime, t):
     """Coordinates of the functional x -> < eps(f'), l_t(x) eps(f) >.
 
     The inner-product prefactor over [0, t] is included.  At f(t - .),
     f'(t - .) this is the opposite cocycle: the same factors in reverse
-    interval order.  ``pieces`` is :func:`refine` (f, f', t)
-    when the caller has it.  Each factor expm(d_i R gamma_i) is block
+    interval order.  Each factor expm(d_i R gamma_i) is block
     diagonal in the Fourier basis of ``source.dual_blocks()``.  The
     characters commute, so their blocks are the exponentials of the
     integrated generator sum_i d_i gamma_i = vec(phi) . vec(M), with
@@ -266,7 +255,7 @@ def cocycle_functional(phi, f, f_prime, t, pieces=None):
     """
     phi = as_generator(phi)
     src = phi.source
-    pieces = _refined(phi, f, f_prime, t, pieces)
+    pieces = _refined(phi, f, f_prime, t)
     _, dts, chat, chat_p = pieces
     if not dts.size:   # t = 0, or t within the 1e-12 merge of 0
         return src.counit.astype(complex)
@@ -317,10 +306,10 @@ def _raise_non_finite(phi, blocks, pieces):
     raise NonFiniteCocycle("cocycle coordinates not finite")
 
 
-def matrix_element(phi, x, f, f_prime, t, pieces=None):
+def matrix_element(phi, x, f, f_prime, t):
     """< eps(f'_{[0,t[}), l_t(x) eps(f_{[0,t[}) > for the cocycle generated by
-    phi; ``pieces`` is :func:`refine` (f, f', t) when the caller has it."""
-    coords = cocycle_functional(phi, f, f_prime, t, pieces=pieces)
+    phi."""
+    coords = cocycle_functional(phi, f, f_prime, t)
     return complex(coords @ x.coords)
 
 
@@ -384,13 +373,12 @@ def simplex_series_oracle(phi, x, f, f_prime, t, n_max):
     return value, tail
 
 
-def simplex_series_within(phi, x, f, f_prime, t, slack, orders, pieces=None):
+def simplex_series_within(phi, x, f, f_prime, t, slack, orders):
     """:func:`simplex_series_oracle` at the first order in ``orders`` whose
     tail bound is at most ``slack``, else at the last one, as ``(value,
-    n_max, tail_bound)``; the bounds of all orders are taken in one call.
-    ``pieces`` is :func:`refine` (f, f', t) when the caller has it."""
+    n_max, tail_bound)``; the bounds of all orders are taken in one call."""
     phi = as_generator(phi)
-    pieces = _refined(phi, f, f_prime, t, pieces)
+    pieces = _refined(phi, f, f_prime, t)
     lifts, pref = phi.source.lift(_gammas(phi, pieces)), pieces.prefactor()
     tails = _tail_bounds(phi, x, t, lifts, pref, orders)
     n_max, tail = next(((n, tail) for n, tail in zip(orders, tails) if tail <= slack),
@@ -437,14 +425,6 @@ def _tail_bounds(phi, x, t, lifts, pref, orders):
     eps_norm = float(np.linalg.norm(phi.source.counit))
     x_norm = float(np.linalg.norm(x.coords))
     return [_exp_tail(m * t, n) * eps_norm * x_norm * abs(pref) for n in orders]
-
-
-def constant_collapse(phi, x, c, c_prime, t, n_max):
-    """Sum_{n<=n_max} t^n/n! (omega_{c',c} o phi)^{*n}(x): the collapsed form
-    of the simplex series for constant step data."""
-    gamma = semigroup_generator(as_generator(phi), c_prime, c)
-    total = series_exp(gamma, t, n_max=n_max)(x)
-    return complex(np.exp(t * np.vdot(np.asarray(c_prime), np.asarray(c))) * total)
 
 
 # -- toy Fock random walk ------------------------------------------------------

@@ -10,29 +10,23 @@ def cyclic_table(n):
     return (np.arange(n)[:, None] + np.arange(n)) % n
 
 
+def _cayley_table(elements, compose):
+    """The table of a group listed as ``elements``, entry [i, j] the index of
+    compose(elements[i], elements[j])."""
+    idx = {e: i for i, e in enumerate(elements)}
+    return np.array([[idx[compose(p, q)] for q in elements] for p in elements], dtype=int)
+
+
 def s3_table():
     """S3 as permutations of {0,1,2}; identity first, table entry = p o q."""
-    perms = [(0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1)]
-    idx = {p: i for i, p in enumerate(perms)}
-    n = len(perms)
-    table = np.zeros((n, n), dtype=int)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            table[i, j] = idx[tuple(p[q[k]] for k in range(3))]
-    return table
+    return _cayley_table([(0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1)],
+                         lambda p, q: tuple(p[k] for k in q))
 
 
 def d4_table():
     """Dihedral group of order 8: elements r^a s^b, s r s = r^{-1}."""
-    elems = [(a, b) for b in range(2) for a in range(4)]
-    idx = {e: i for i, e in enumerate(elems)}
-    n = len(elems)
-    table = np.zeros((n, n), dtype=int)
-    for i, (a, b) in enumerate(elems):
-        for j, (a2, b2) in enumerate(elems):
-            sign = -1 if b else 1
-            table[i, j] = idx[((a + sign * a2) % 4, (b + b2) % 2)]
-    return table
+    return _cayley_table([(a, b) for b in range(2) for a in range(4)],
+                         lambda p, q: ((p[0] + (-1) ** p[1] * q[0]) % 4, (p[1] + q[1]) % 2))
 
 
 def two_point_hypergroup(theta):

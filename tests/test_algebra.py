@@ -75,6 +75,35 @@ def test_group_algebra_cocommutative():
     assert maxabs(b.coproduct - flipped) == 0.0
 
 
+def loop_s3_table():
+    """S3's table as the index-dict loop over permutations builds it."""
+    perms = [(0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1)]
+    idx = {p: i for i, p in enumerate(perms)}
+    table = np.zeros((6, 6), dtype=int)
+    for i, p in enumerate(perms):
+        for j, q in enumerate(perms):
+            table[i, j] = idx[tuple(p[q[k]] for k in range(3))]
+    return table
+
+
+def loop_d4_table():
+    """D4's table as the index-dict loop over r^a s^b builds it."""
+    elems = [(a, b) for b in range(2) for a in range(4)]
+    idx = {e: i for i, e in enumerate(elems)}
+    table = np.zeros((8, 8), dtype=int)
+    for i, (a, b) in enumerate(elems):
+        for j, (a2, b2) in enumerate(elems):
+            sign = -1 if b else 1
+            table[i, j] = idx[((a + sign * a2) % 4, (b + b2) % 2)]
+    return table
+
+
+@pytest.mark.parametrize("build, loop", [(s3_table, loop_s3_table), (d4_table, loop_d4_table)])
+def test_group_tables_match_the_index_loop(build, loop):
+    got, want = build(), loop()
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_group_algebra_rejects_monoid_without_inverses():
     table = np.array([[0, 1], [1, 1]])  # associative monoid, 1 not invertible
     with pytest.raises(ValueError, match="inverse"):

@@ -1,18 +1,19 @@
 import base64
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qlevy.algebra import validate_bialgebra
 from qlevy.cli import build_parser, main, parse_steps
-from qlevy.cocycle import Generator
+from qlevy.cocycle import Generator, matrix_element
 from qlevy.convolution import OperatorMap, functional
 from qlevy.derivations import inner_derivation
 from qlevy.fixtures import bundled_fixtures, s3_table
 from qlevy.generators import make_structure_map
 from qlevy.harness import coboundary_data
-from qlevy.linalg import maxabs
+from qlevy.linalg import SOLVE_TOL, maxabs
 
 
 @pytest.fixture(scope="module")
@@ -172,11 +173,9 @@ def test_cocycle_eval_runs_the_oracle_once(flat_z3_generator, monkeypatch, capsy
     assert json.loads(capsys.readouterr().out)["oracle_n_max"] == 32
 
 
-def test_cocycle_eval_refines_once(tmp_path, monkeypatch, capsys):
-    # one refinement serves the value, the tail bounds and the oracle; the
-    # increment identity keeps its three independent evaluations
-    import qlevy.cli
-    import qlevy.cocycle
+def test_cocycle_eval_value_is_the_matrix_element(tmp_path, capsys):
+    # the printed value is matrix_element at the parsed step functions, bit
+    # for bit, on a dual with a 2 x 2 sigma and pieces from both functions
     b = bundled_fixtures()["C(S3)"]
     rng = np.random.default_rng(4)
     phi = Generator(b, 0.4 * (rng.standard_normal((6, 2, 2))
@@ -185,23 +184,53 @@ def test_cocycle_eval_refines_once(tmp_path, monkeypatch, capsys):
     phi.save(gpath)
     f = "0.3:[[0.5,0.1]],0.7:[[-0.2,0.4]],1.1:[[0.3,0.0]]"
     fp = "0.5:[[0.1,0.2]],1.1:[[0.4,-0.3]]"
-    calls = []
-    refine = qlevy.cocycle.refine
-
-    def counted(*args):
-        calls.append(args[2])
-        return refine(*args)
-    monkeypatch.setattr(qlevy.cocycle, "refine", counted)
-    monkeypatch.setattr(qlevy.cli, "refine", counted)
     assert main(["cocycle-eval", "fixture:C(S3)", str(gpath), "--x", "d1",
                  "--f", f, "--fp", fp, "--t", "1.1"]) == 0
-    assert calls == [1.1, 1.1, 0.55, 0.55]
     payload = json.loads(capsys.readouterr().out)
     steps = [parse_steps(s) for s in (f, fp)]
-    want = qlevy.cocycle.matrix_element(phi, b.basis_element(1), *steps, 1.1)
+    want = matrix_element(phi, b.basis_element(1), *steps, 1.1)
     assert complex(*payload["value"]) == want
     checks = payload["residual_checks"]
     assert checks["oracle_gap"] <= checks["oracle_tail_bound"] + 1e-9 * abs(want)
+
+
+S3_F = ("0.2:[[0.5,0.1],[0.2,0.0]],0.5:[[-0.3,0.2],[0.1,0.4]],"
+        "0.9:[[0.2,-0.1],[0.0,0.3]],1.2:[[0.4,0.0],[-0.2,0.1]]")
+S3_FP = "0.35:[[0.1,0.3],[0.0,-0.2]],0.7:[[0.3,0.0],[0.2,0.2]],1.2:[[-0.1,0.1],[0.4,0.0]]"
+# f and f' cut at one grid, 0.3, 0.6 and 0.9
+GRID_F = ("0.3:[[0.5,0.1],[0.2,0.0]],0.6:[[-0.3,0.2],[0.1,0.4]],"
+          "0.9:[[0.2,-0.1],[0.0,0.3]],1.2:[[0.4,0.0],[-0.2,0.1]]")
+GRID_FP = ("0.3:[[0.1,0.3],[0.0,-0.2]],0.6:[[0.3,0.0],[0.2,0.2]],"
+           "0.9:[[-0.1,0.1],[0.4,0.0]],1.2:[[0.2,-0.2],[0.1,0.1]]")
+
+
+@pytest.mark.parametrize("pin, name, argv", [
+    ("cocycle_eval_z3.json", "C(Z3)", ["--x", "d1", "--t", "20"]),
+    ("cocycle_eval_s3.json", "C(S3)", ["--x", "d3", "--t", "1.2", "--f", S3_F, "--fp", S3_FP]),
+    ("cocycle_eval_s3_shared_grid.json", "C(S3)",
+     ["--x", "d3", "--t", "1.2", "--f", GRID_F, "--fp", GRID_FP]),
+])
+def test_cocycle_eval_matches_its_pin(tmp_path, pin, name, argv):
+    # the CI's two invocations and a pair sharing its breakpoints: method and
+    # oracle order exactly, every number within 1e-3 of the verb's tolerance
+    # (relative to a value above 1), which leaves room for another BLAS
+    b = bundled_fixtures()[name]
+    if name == "C(Z3)":
+        values = 0.1 * np.ones((3, 2, 2))
+    else:
+        r = np.random.default_rng(1)
+        values = 0.4 * (r.standard_normal((6, 3, 3)) + 1j * r.standard_normal((6, 3, 3)))
+    gpath, out = tmp_path / "phi.json", tmp_path / "ce.json"
+    Generator(b, values).save(gpath)
+    assert main(["cocycle-eval", f"fixture:{name}", str(gpath), *argv, "--out", str(out)]) == 0
+    got = json.loads(out.read_text())
+    want = json.loads((Path(__file__).parent / "data" / pin).read_text())
+    assert (got["method"], got["oracle_n_max"]) == (want["method"], want["oracle_n_max"])
+    assert sorted(got["residual_checks"]) == sorted(want["residual_checks"])
+    pairs = list(zip(got["value"], want["value"]))
+    pairs += [(got["residual_checks"][k], v) for k, v in want["residual_checks"].items()]
+    for g, w in pairs:
+        assert abs(g - w) <= 1e-3 * SOLVE_TOL * max(1.0, abs(w)), (pin, g, w)
 
 
 def test_cocycle_eval_fails_on_oracle_gap(flat_z3_generator, monkeypatch, capsys):
@@ -504,6 +533,26 @@ def test_out_of_range_number_is_usage_error(z3_file, argv, flag, capsys):
         main([a.format(z3=z3_file) for a in argv])
     assert err.value.code == 2
     assert f"argument {flag}:" in capsys.readouterr().err
+
+
+# 10**18 float64 values are 8e18 bytes: an allocation that fails at once
+TOO_MANY = str(10 ** 18)
+
+
+def test_t_grid_too_large_to_allocate_is_usage_error(z3_file, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["semigroup", z3_file, "unused.json", "--t-grid", f"0:1:{TOO_MANY}"])
+    assert err.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "argument --t-grid:" in errors[0], errors
+
+
+def test_montecarlo_too_large_to_allocate_is_one_error_line(capsys):
+    assert main(["montecarlo", "--mu", "[0.5,0.5]", "--samples", TOO_MANY]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
 
 
 # each verb, a minimal command line for it and the global flags it reads

@@ -4,12 +4,12 @@ import pytest
 from qlevy.cocycle import (HORIZON_SLACK, HorizonMismatch, MemoryCapExceeded,
                            OverlappingIntervals, StepFunction,
                            check_cocycle_identity, cocycle_functional,
-                           constant_collapse, delta_qs, exp_inner_product,
+                           delta_qs, exp_inner_product,
                            matrix_element, refine_pair,
                            simplex_series_oracle, simplex_series_within,
                            toy_fock_evolve, vacuum_semigroup, weak_qlp_moments)
 from qlevy.convolution import (ConvolutionSemigroup, OperatorMap, conv_exp,
-                               functional, semigroup_generator)
+                               functional, semigroup_generator, series_exp)
 from qlevy.generators import make_structure_map
 from qlevy.linalg import SOLVE_TOL, maxabs, min_eig_herm
 
@@ -358,6 +358,13 @@ def test_oracle_converges(all_fixtures):
     got, tail = simplex_series_oracle(phi, x, f, fp, 1.0, 14)
     assert abs(got - want) < 1e-10
     assert tail < 1e-8
+
+
+def constant_collapse(phi, x, c, c_prime, t, n_max):
+    """Sum_{n<=n_max} t^n/n! (omega_{c',c} o phi)^{*n}(x): the collapsed form
+    of the simplex series for constant step data."""
+    total = series_exp(semigroup_generator(phi, c_prime, c), t, n_max=n_max)(x)
+    return complex(np.exp(t * np.vdot(c_prime, c)) * total)
 
 
 def test_oracle_constant_collapse(all_fixtures):

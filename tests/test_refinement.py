@@ -152,3 +152,15 @@ def test_restriction_rejects_breakpoints_that_round_together():
     g = StepFunction(np.array([0.0, 1.5, 1.5 + 2.0 ** -52, 3.0]), np.ones((3, 1)))
     with pytest.raises(ValueError, match="strictly increasing"):
         g.shifted_restriction(2.0 ** -53, 3.0)
+
+
+def test_refine_of_a_shared_grid_matches_the_slow_refinement():
+    # f and f' cut at the same 256-piece grid: every interior point comes
+    # twice, and the 1e-12 merge keeps one of each
+    rng = np.random.default_rng(256)
+    bp = np.linspace(0.0, 1.0, 257)
+    f, fp = (StepFunction(bp, rng.standard_normal((256, 2)) + 1j * rng.standard_normal((256, 2)))
+             for _ in range(2))
+    for t in (1.0, 1.0 + HORIZON_SLACK, 0.5, 0.3):
+        assert_same_bytes(refine(f, fp, t), slow_refine(f, fp, t))
+    assert refine(f, fp, 1.0).durations.size == 256
