@@ -327,13 +327,16 @@ def representation_defect(src, images, blocks):
     A single block of size N gives the plain defect of any representation.
     """
     d, n = src.dim, images.shape[1]
+    # kept: the unit of C(G) is all ones, so the sum has d nonzero terms
     unital = maxabs(np.einsum("k,kab->ab", src.unit, images) - np.eye(n))
     mult = 0.0
     for x in _blocks_by_size(images, blocks).values():
         image_of_prod = src.mult.reshape(d * d, d) @ x.reshape(d, -1)
+        # kept: each product of blocks sums several nonzero terms, whose order sets the bytes
         prod = np.einsum("iBab,jBbc->ijBac", x, x).reshape(d * d, -1)
         mult = max(mult, maxabs(prod - image_of_prod))
-    starp = maxabs(np.einsum("mk,mab->kab", src.star_matrix, images) - dagger(images))
+    starp = maxabs((src.star_matrix.T @ images.reshape(d, -1)).reshape(images.shape)
+                   - dagger(images))
     if len(blocks) == 1:   # one block has no off-block entries
         return max(unital, mult, starp)
     return max(unital, mult, starp, maxabs(images[:, ~_same_block(blocks)]))

@@ -156,8 +156,10 @@ def refine(f, f_prime, t):
     pts[-1] = t
     dts = pts[1:] - pts[:-1]
     if dts.min() <= 1e-12:
-        merged = [pts[0]]
-        for p in pts[1:]:
+        # the points up to the first short gap are all kept
+        i = int(np.argmax(dts <= 1e-12))
+        merged = pts[:i + 1].tolist()
+        for p in pts[i + 1:].tolist():
             if p - merged[-1] > 1e-12:
                 merged.append(p)
         if abs(merged[-1] - t) > 1e-12:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import Bialgebra, ParseError, _decode, _encode, _parse_file, _write_json
 from .blocks import counit_of_exponentials
-from .linalg import maxabs, opnorm
+from .linalg import dagger, maxabs, opnorm
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,8 @@ class OperatorMap:
 
     def conjugate_map(self):
         """The map x -> phi(x*)^dagger (dagger of values at starred input)."""
-        s = self.source.star_matrix
-        vals = np.einsum("mk,mab->kba", np.conjugate(s), np.conjugate(self.values))
-        return OperatorMap(self.source, vals)
+        starred = self.source.star_matrix.T @ self.values.reshape(self.source.dim, -1)
+        return OperatorMap(self.source, dagger(starred.reshape(self.values.shape)))
 
     def reality_defect(self):
         """Max deviation of phi(x*) from phi(x)^dagger over the basis."""
@@ -104,6 +103,7 @@ def convolve(phi1, phi2):
     if not phi1.source.same_structure(phi2.source):
         raise ValueError("convolution requires a common source bialgebra")
     d = phi1.source.dim
+    # kept: on C(G) each coproduct slice has several nonzero terms, whose order sets the bytes
     out = np.einsum("kij,iab,jcd->kacbd", phi1.source.coproduct,
                     phi1.values, phi2.values)
     return OperatorMap(phi1.source,

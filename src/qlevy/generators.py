@@ -21,8 +21,7 @@ import numpy as np
 from . import algebra
 from .cocycle import Generator, as_generator, delta_qs
 from .convolution import OperatorMap, counit_map
-from .linalg import (RCOND, SOLVE_TOL, SPECTRAL_TOL, STRUCT_TOL,
-                     commutator_system, dagger, lstsq_minnorm, maxabs,
+from .linalg import (RCOND, SOLVE_TOL, SPECTRAL_TOL, STRUCT_TOL, dagger, maxabs,
                      min_eig_herm, numerical_rank, opnorm)
 
 
@@ -41,7 +40,9 @@ def derivation_defect(pi_prime, pi, delta):
     """Max residual over basis pairs of the Leibniz relation
     delta(e_i e_j) = delta(e_i) pi(e_j) + pi'(e_i) delta(e_j)."""
     dv = delta.values
-    lhs = np.einsum("ijk,kab->ijab", pi.source.mult, dv)
+    d = dv.shape[0]
+    lhs = (pi.source.mult.reshape(d * d, d) @ dv.reshape(d, -1)).reshape(d, d, *dv.shape[1:])
+    # kept: "iab,jbc->ijac" sums several nonzero terms, whose order sets the bytes
     rhs = np.einsum("iab,jbc->ijac", dv, pi.values) \
         + np.einsum("iab,jbc->ijac", pi_prime.values, dv)
     return maxabs(lhs - rhs)
@@ -67,7 +68,7 @@ class SchurmannTriple:
         lv = self.lam.as_vector()
         out = {"representation": representation_defect(self.pi),
                "derivation": derivation_defect(self.pi, counit_map(src), self.delta)}
-        lam_xy = np.einsum("mi,mjk,k->ij", star, src.mult, lv)
+        lam_xy = star.T @ (src.mult @ lv)
         lhs = lam_xy - np.outer(np.conjugate(lv), eps) - np.outer(np.conjugate(eps), lv)
         rhs = np.einsum("ia,ja->ij", np.conjugate(dv), dv)
         out["sesquilinear"] = maxabs(lhs - rhs)
@@ -89,6 +90,7 @@ def implemented_chi_structure(pi, chi, xi):
     xi = np.asarray(xi, dtype=complex).reshape(-1)
     b = pi.values - chi.as_vector()[:, None, None] * np.eye(n)[None, :, :]
     vals = np.zeros((src.dim, 1 + n, 1 + n), dtype=complex)
+    # kept: these sums over a and b set the report's bytes (ROADMAP item 17)
     vals[:, 0, 0] = np.einsum("a,kab,b->k", np.conjugate(xi), b, xi)
     vals[:, 0, 1:] = np.einsum("a,kab->kb", np.conjugate(xi), b)
     vals[:, 1:, 0] = np.einsum("kab,b->ka", b, xi)
@@ -116,9 +118,13 @@ def _relation_residual(phi, chi):
     """The residual of :func:`check_chi_structure` for chi given by its
     coordinate vector."""
     src = phi.source
-    lhs = np.einsum("mi,mjk,kab->ijab", src.star_matrix, src.mult, phi.values)
+    d, p = src.dim, phi.p
+    # (S^T m) phi: O(d^4 + d^3 p^2) in two matrix products
+    star_mult = (src.star_matrix.T @ src.mult.reshape(d, d * d)).reshape(d * d, d)
+    lhs = (star_mult @ phi.values.reshape(d, p * p)).reshape(d, d, p, p)
     phidag = dagger(phi.values)
-    pdq = phidag @ delta_qs(phi.p)
+    pdq = phidag @ delta_qs(p)
+    # kept: "iab,jbc->ijac" sums several nonzero terms, whose order sets the bytes
     rhs = np.einsum("iab,j->ijab", phidag, chi) \
         + np.einsum("i,jab->ijab", np.conjugate(chi), phi.values) \
         + np.einsum("iab,jbc->ijac", pdq, phi.values)
@@ -134,6 +140,7 @@ def check_structure_map(phi):
     return {
         "relation": _relation_residual(phi, src.counit),
         "reality": phi.reality_defect(),
+        # kept: the unit of C(G) is all ones, so the sum has d nonzero terms
         "unitality": maxabs(np.einsum("k,kab->ab", src.unit, phi.values)),
     }
 
@@ -242,7 +249,7 @@ def check_cp_form(phi, q):
     rebuilt = make_cp_generator(q)
     decomposition = maxabs(phi.values - rebuilt.values)
     psi = dagger(q.w)[None, :, :] @ q.rho.values @ q.w[None, :, :]
-    phi1 = np.einsum("k,kab->ab", src.unit, phi.values)
+    phi1 = np.einsum("k,kab->ab", src.unit, phi.values)   # kept: d terms on C(G)
     chi = np.concatenate([[0.5 * (np.vdot(q.xi, q.xi) - phi1[0, 0])],
                           dagger(q.big_d) @ q.xi - phi1[1:, 0]])
     e0 = np.eye(phi.p)[0]
@@ -255,7 +262,7 @@ def check_phi1(phi, q=None):
     """-phi(1) PSD; with a quadruple also the lower-right block identity
     phi(1)[1:, 1:] = D^dag D - I."""
     phi = as_generator(phi)
-    phi1 = np.einsum("k,kab->ab", phi.source.unit, phi.values)
+    phi1 = np.einsum("k,kab->ab", phi.source.unit, phi.values)   # kept: d terms on C(G)
     out = {"nonpositive": max(0.0, -min_eig_herm(-phi1))}
     if q is not None:
         dd = dagger(q.big_d) @ q.big_d - np.eye(q.d_noise)
@@ -287,6 +294,7 @@ def kernel_gram(gamma):
     kb = _counit_kernel_basis(src)
     gv = gamma.as_vector()
     star_cols = src.star_matrix @ np.conjugate(kb)       # coords of b_i^*
+    # kept: four +-1 terms per entry on group algebras, whose order sets the bytes
     gram = np.einsum("mi,nj,mnk,k->ij", star_cols, kb, src.mult, gv)
     return gram, kb
 
@@ -339,7 +347,7 @@ def gns_construct(gamma, check_tol=SOLVE_TOL):
     chart_inv = vecs / roots[None, :]              # (d-1) x rank
     kb_pinv = np.linalg.pinv(kb, rcond=RCOND)
 
-    prod = np.einsum("ajk,jc->akc", src.mult, kb)  # columns e_a . b_c
+    prod = src.mult.transpose(0, 2, 1) @ kb         # columns e_a . b_c
     pi_vals = chart @ (kb_pinv @ prod) @ chart_inv
     pi = OperatorMap(src, pi_vals)
 
@@ -365,36 +373,44 @@ def gns_construct(gamma, check_tol=SOLVE_TOL):
 
 # -- minimality and intertwiners --------------------------------------------------
 
+def _spans(q):
+    """S = [rho(e_a) W]_a, the K x d (1 + d_noise) matrix whose columns
+    span rho(B)(C xi + Ran D)."""
+    return np.concatenate(q.rho.values @ q.w, axis=1)
+
+
 def check_minimality(q):
     """Whether rho(B)(C xi + Ran D) spans the whole representation space."""
-    spans = np.concatenate(q.rho.values @ q.w, axis=1)
-    return numerical_rank(spans) == q.space_dim
+    return numerical_rank(_spans(q)) == q.space_dim
 
 
 class NoIntertwiner(RuntimeError):
+    """The unique candidate V = S2 S1^+ of :func:`intertwine_minimal`
+    misses the intertwining relations by more than ``SOLVE_TOL``; its
+    ``residual`` is that of V, not a least-squares best."""
+
     def __init__(self, residual):
         self.residual = residual
         super().__init__(f"no isometric intertwiner within tolerance "
-                         f"(best residual {residual:.3e})")
+                         f"(residual of V = S2 S1^+ {residual:.3e})")
 
 
 def intertwine_minimal(q1, q2):
     """The unique isometry V with V D1 = D2, V xi1 = xi2, V rho1 = rho2 V,
     for a minimal first quadruple.
 
-    Solved as one stacked least-squares problem over vec(V); raises
-    :class:`NoIntertwiner` if the best residual exceeds ``SOLVE_TOL``."""
-    if not check_minimality(q1):
+    Such a V maps S1 = [rho1(e_a) W1]_a to S2, and minimality makes S1 of
+    full row rank, so V = S2 S1^+, taken from the SVD of S1 that also tests
+    minimality: O(d K^2 (1 + d_noise)).  Raises :class:`NoIntertwiner` if
+    the residual max(|V W1 - W2|, max_a |rho2(a) V - V rho1(a)|) exceeds
+    ``SOLVE_TOL``."""
+    u, s, vh = np.linalg.svd(_spans(q1), full_matrices=False)
+    if np.sum(s > SPECTRAL_TOL * s[0]) != q1.space_dim:   # numerical_rank's cut
         raise ValueError("first quadruple must be minimal")
-    k1, k2 = q1.space_dim, q2.space_dim
-    # V W1 = W2 with W = [xi | D], and rho2(a) V - V rho1(a) = 0
-    amat = np.concatenate([np.kron(q1.w.T, np.eye(k2)),
-                           commutator_system(q2.rho.values, q1.rho.values)])
-    bvec = np.concatenate([q2.w.reshape(-1, order="F"),
-                           np.zeros(q1.rho.source.dim * k2 * k1, dtype=complex)])
-    v = lstsq_minnorm(amat, bvec).reshape(k2, k1, order="F")
-    residual = maxabs(amat @ v.reshape(-1, order="F") - bvec)
+    v = (_spans(q2) @ dagger(vh) / s) @ dagger(u)
+    residual = max(maxabs(v @ q1.w - q2.w),
+                   maxabs(q2.rho.values @ v - v @ q1.rho.values))
     if residual > SOLVE_TOL:
         raise NoIntertwiner(residual)
-    defect = maxabs(dagger(v) @ v - np.eye(k1))
+    defect = maxabs(dagger(v) @ v - np.eye(q1.space_dim))
     return v, {"residual": residual, "isometry_defect": defect}

@@ -37,6 +37,15 @@ def skew(b, seed):
     return assert_valid(change_basis(b, t), struct_tol=1e-10)
 
 
+def conditioned_change(b, seed):
+    """b through a random complex change of basis U diag(s) W, U and W
+    unitary and s in [0.5, 2], so of condition number at most 4."""
+    rng = np.random.default_rng(seed)
+    u, w = (np.linalg.qr(rng.standard_normal((b.dim, b.dim))
+                         + 1j * rng.standard_normal((b.dim, b.dim)))[0] for _ in range(2))
+    return change_basis(b, u * rng.uniform(0.5, 2.0, b.dim) @ w)
+
+
 @pytest.fixture(scope="module")
 def skewed():
     return skew(bundled_fixtures()["Alg(S3)"], 77)

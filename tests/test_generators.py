@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlevy.cocycle import Generator
 from qlevy.convolution import ConvolutionSemigroup, OperatorMap, functional
-from qlevy.fixtures import cyclic_table
+from qlevy.fixtures import bundled_fixtures, cyclic_table
 from qlevy.generators import (CPQuadruple, NoIntertwiner,
                               NotConditionallyPositive, canonical_phi1,
                               check_conditionally_positive, check_cp_form,
@@ -11,9 +13,10 @@ from qlevy.generators import (CPQuadruple, NoIntertwiner,
                               check_structure_map, gns_construct,
                               intertwine_minimal, make_cp_generator,
                               make_structure_map)
-from qlevy.linalg import dagger, maxabs, min_eig_herm, opnorm
+from qlevy.linalg import commutator_system, dagger, lstsq_minnorm, maxabs, min_eig_herm, opnorm
 
 from conftest import random_generator
+from test_basis_change import conditioned_change
 
 
 def rep_of(b):
@@ -265,20 +268,42 @@ def test_negated_structure_corner_not_conditionally_positive(all_fixtures):
 
 # -- minimality and intertwiners ------------------------------------------------------
 
+def padded(q):
+    """q on a space padded with a dead two-dimensional block: not minimal."""
+    b, k = q.rho.source, q.space_dim
+    rho_pad = np.zeros((b.dim, k + 2, k + 2), dtype=complex)
+    rho_pad[:, :k, :k] = q.rho.values
+    rho_pad[:, k:, k:] = b.counit[:, None, None] * np.eye(2)
+    return CPQuadruple(OperatorMap(b, rho_pad),
+                       np.concatenate([q.big_d, np.zeros((2, q.d_noise))]),
+                       np.concatenate([q.xi, np.zeros(2)]), q.phi1)
+
+
+def lstsq_intertwiner(q1, q2):
+    """The reference for intertwine_minimal's V = S2 S1^+: V W1 = W2 and
+    rho2(a) V = V rho1(a) solved as one least-squares problem over vec(V),
+    O(d K^6); its residual has the entries of the one reported."""
+    k1, k2 = q1.space_dim, q2.space_dim
+    amat = np.concatenate([np.kron(q1.w.T, np.eye(k2)),
+                           commutator_system(q2.rho.values, q1.rho.values)])
+    bvec = np.concatenate([q2.w.reshape(-1, order="F"),
+                           np.zeros(q1.rho.source.dim * k2 * k1, dtype=complex)])
+    v = lstsq_minnorm(amat, bvec).reshape(k2, k1, order="F")
+    return v, maxabs(amat @ v.reshape(-1, order="F") - bvec)
+
+
+def rotated(q, u):
+    """The quadruple q carried to another basis by the unitary u."""
+    rho = OperatorMap(q.rho.source, u[None, :, :] @ q.rho.values @ dagger(u)[None, :, :])
+    return CPQuadruple(rho, u @ q.big_d, u @ q.xi, q.phi1)
+
+
 def test_minimality_detection(all_fixtures):
     rng = np.random.default_rng(11)
     b = all_fixtures["Alg(Z4)"]
     q = random_quadruple(rng, b)
     assert check_minimality(q)
-    # pad the space with a dead block
-    k = q.space_dim
-    rho_pad = np.zeros((b.dim, k + 2, k + 2), dtype=complex)
-    rho_pad[:, :k, :k] = q.rho.values
-    rho_pad[:, k:, k:] = b.counit[:, None, None] * np.eye(2)
-    q_pad = CPQuadruple(OperatorMap(b, rho_pad),
-                        np.concatenate([q.big_d, np.zeros((2, q.d_noise))]),
-                        np.concatenate([q.xi, np.zeros(2)]), q.phi1)
-    assert not check_minimality(q_pad)
+    assert not check_minimality(padded(q))
 
 
 def test_intertwiner_recovers_unitary(all_fixtures):
@@ -286,19 +311,51 @@ def test_intertwiner_recovers_unitary(all_fixtures):
     b = all_fixtures["Alg(S3)"]
     q1 = random_quadruple(rng, b)
     u = random_unitary(rng, q1.space_dim)
-    q2 = CPQuadruple(OperatorMap(b, u[None, :, :] @ q1.rho.values
-                                 @ dagger(u)[None, :, :]),
-                     u @ q1.big_d, u @ q1.xi, q1.phi1)
-    v, info = intertwine_minimal(q1, q2)
+    v, info = intertwine_minimal(q1, rotated(q1, u))
     assert info["residual"] <= 1e-9
     assert info["isometry_defect"] <= 1e-10
     assert maxabs(v - u) < 1e-9
 
 
 def test_intertwiner_missing(all_fixtures):
+    # unrelated data: the reported residual, that of S2 S1^+, is no smaller
+    # than the least-squares best
     rng = np.random.default_rng(13)
-    b = all_fixtures["Alg(Z4)"]
-    q1 = random_quadruple(rng, b)
-    q2 = random_quadruple(rng, b)  # unrelated data
-    with pytest.raises(NoIntertwiner):
-        intertwine_minimal(q1, q2)
+    for name in ("Alg(Z4)", "C(Z3)", "C(S3)", "Alg(S3)"):
+        q1, q2 = (random_quadruple(rng, all_fixtures[name]) for _ in range(2))
+        with pytest.raises(NoIntertwiner) as err:
+            intertwine_minimal(q1, q2)
+        assert err.value.residual >= lstsq_intertwiner(q1, q2)[1]
+
+
+def assert_matches_lstsq(q1, u):
+    q2 = rotated(q1, u)
+    v, info = intertwine_minimal(q1, q2)
+    v_ref, residual_ref = lstsq_intertwiner(q1, q2)
+    assert maxabs(v - v_ref) <= 1e-12
+    assert abs(info["residual"] - residual_ref) <= 1e-13
+    assert maxabs(v - u) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(bundled_fixtures()))
+def test_intertwiner_matches_lstsq(all_fixtures, name):
+    rng = np.random.default_rng(14)
+    for _ in range(3):
+        q1 = random_quadruple(rng, all_fixtures[name])
+        assert_matches_lstsq(q1, random_unitary(rng, q1.space_dim))
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(st.sampled_from(sorted(bundled_fixtures())), st.integers(0, 2 ** 16))
+def test_intertwiner_matches_lstsq_after_a_basis_change(name, seed):
+    rng = np.random.default_rng(seed)
+    q1 = random_quadruple(rng, conditioned_change(bundled_fixtures()[name], seed))
+    assert_matches_lstsq(q1, random_unitary(rng, q1.space_dim))
+
+
+def test_intertwiner_rejects_a_non_minimal_quadruple(all_fixtures):
+    rng = np.random.default_rng(15)
+    q = padded(random_quadruple(rng, all_fixtures["Alg(Z4)"]))
+    with pytest.raises(ValueError, match="minimal"):
+        intertwine_minimal(q, rotated(q, random_unitary(rng, q.space_dim)))
+

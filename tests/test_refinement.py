@@ -164,3 +164,20 @@ def test_refine_of_a_shared_grid_matches_the_slow_refinement():
     for t in (1.0, 1.0 + HORIZON_SLACK, 0.5, 0.3):
         assert_same_bytes(refine(f, fp, t), slow_refine(f, fp, t))
     assert refine(f, fp, 1.0).durations.size == 256
+
+
+def test_refine_one_ulp_past_a_shared_horizon_matches_the_slow_refinement():
+    # f and f' on different 256-piece grids ending at one horizon 1.3; with
+    # s = 0.14, s + (1.3 - s) rounds one ulp past it, so the only gaps of at
+    # most 1e-12 are the last two and the merge starts there
+    rng = np.random.default_rng(257)
+    horizon, s = 1.3, 0.14
+    t = s + (horizon - s)
+    assert t == np.nextafter(horizon, 2.0)
+    f, fp = (StepFunction(np.concatenate(([0.0], np.sort(rng.uniform(0.0, horizon, 255)),
+                                          [horizon])),
+                          rng.standard_normal((256, 2)) + 1j * rng.standard_normal((256, 2)))
+             for _ in range(2))
+    got = refine(f, fp, t)
+    assert_same_bytes(got, slow_refine(f, fp, t))
+    assert got.durations.size == 511 and got.points[-1] == horizon
