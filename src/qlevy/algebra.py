@@ -216,7 +216,10 @@ def _worst(t):
 def validate_bialgebra(b, struct_tol=STRUCT_TOL):
     """Run every bialgebra axiom; returns a list of :class:`AxiomResult`.
 
-    Structural identities use ``struct_tol``; spectral positivity (the Choi
+    Each structural identity sums products of entries, so its residual is
+    compared with ``struct_tol * max(1, s)``, s the product of the largest
+    |entry| of each tensor it multiplies (on the side with the larger
+    product), and that tolerance is reported.  Spectral positivity (the Choi
     matrix of the represented coproduct, hyperbialgebra case) uses
     ``SPECTRAL_TOL``.  The structural checks are reshaped matrix products of
     cost O(d^5) at most, coproduct-multiplicativity costs O(d^6), and the
@@ -228,57 +231,65 @@ def validate_bialgebra(b, struct_tol=STRUCT_TOL):
     eye = np.eye(d)
     mult, cop = b.mult, b.coproduct
     mult_ij_k = mult.reshape(d * d, d)      # (e_i e_j) -> coords
+    u, m, st, e, c = map(maxabs, (b.unit, mult, b.star_matrix, b.counit, cop))
+
+    def tol(*sides):
+        return struct_tol * max(1.0, *sides)
 
     unit_l = np.einsum("i,ijk->jk", b.unit, b.mult)
     unit_r = np.einsum("j,ijk->ik", b.unit, b.mult)
     worst, where = _worst(np.stack([unit_l - eye, unit_r - eye]))
-    res.append(AxiomResult("unit", worst, struct_tol, where[1:]))
+    res.append(AxiomResult("unit", worst, tol(u * m), where[1:]))
 
     # (e_i e_j) e_k  versus  e_i (e_j e_k), both indexed [i, j, k, l]
     lhs = (mult_ij_k @ mult.reshape(d, d * d)).reshape(d, d, d, d)
     rhs = np.matmul(mult_ij_k, mult).reshape(d, d, d, d)
     worst, where = _worst(lhs - rhs)
-    res.append(AxiomResult("associativity", worst, struct_tol, where[:3]))
+    res.append(AxiomResult("associativity", worst, tol(m * m), where[:3]))
 
     s = b.star_matrix
-    res.append(AxiomResult("star-involution", maxabs(s @ np.conjugate(s) - eye), struct_tol))
+    res.append(AxiomResult("star-involution", maxabs(s @ np.conjugate(s) - eye), tol(st * st)))
 
     # star(e_i e_j) = star(e_j) star(e_i), both indexed [i, j, a]
     lhs = (np.conjugate(mult_ij_k) @ s.T).reshape(d, d, d)
     rhs = (s.T @ np.matmul(s.T, mult).reshape(d, d * d)).reshape(d, d, d)
     rhs = rhs.transpose(1, 0, 2)
-    res.append(AxiomResult("star-antimultiplicative", maxabs(lhs - rhs), struct_tol))
+    res.append(AxiomResult("star-antimultiplicative", maxabs(lhs - rhs),
+                           tol(m * st, st * st * m)))
 
     # (Delta (x) id) Delta  versus  (id (x) Delta) Delta, indexed [k, a, b, c]
     lhs = np.matmul(cop.transpose(0, 2, 1), cop.reshape(d, d * d))
     lhs = lhs.reshape(d, d, d, d).transpose(0, 2, 3, 1)
     rhs = (cop.reshape(d * d, d) @ cop.reshape(d, d * d)).reshape(d, d, d, d)
     worst, where = _worst(lhs - rhs)
-    res.append(AxiomResult("OSC1-coassociativity", worst, struct_tol, where[:1]))
+    res.append(AxiomResult("OSC1-coassociativity", worst, tol(c * c), where[:1]))
 
     left = np.einsum("kij,i->kj", b.coproduct, b.counit) - eye
     right = np.einsum("kij,j->ki", b.coproduct, b.counit) - eye
     t = np.stack([left, right])
-    res.append(AxiomResult("OSC2-counit-property", maxabs(t), struct_tol))
+    res.append(AxiomResult("OSC2-counit-property", maxabs(t), tol(c * e)))
 
     char = np.einsum("ijk,k->ij", b.mult, b.counit) - np.outer(b.counit, b.counit)
     star_eps = s.T @ b.counit - np.conjugate(b.counit)
     at_one = abs(b.counit @ b.unit - 1.0)
     res.append(AxiomResult("counit-character",
-                           max(maxabs(char), maxabs(star_eps), at_one), struct_tol))
+                           max(maxabs(char), maxabs(star_eps), at_one),
+                           tol(m * e, e * e, st * e, e * u)))
 
     delta_unit = np.einsum("k,kij->ij", b.unit, b.coproduct) - np.outer(b.unit, b.unit)
-    res.append(AxiomResult("coproduct-unital", maxabs(delta_unit), struct_tol))
+    res.append(AxiomResult("coproduct-unital", maxabs(delta_unit), tol(u * c, u * u)))
 
     if b.kind == "bialgebra":
         lhs = (mult_ij_k @ cop.reshape(d, d * d)).reshape(d, d, d, d)
         rhs = _coproduct_of_products(b)
         worst, where = _worst(lhs - rhs)
-        res.append(AxiomResult("coproduct-multiplicative", worst, struct_tol, where[:2]))
+        res.append(AxiomResult("coproduct-multiplicative", worst, tol(m * c, c * c * m * m),
+                               where[:2]))
         # Delta(e_k*) versus (star (x) star) Delta(e_k), indexed [k, a, b]
         lhs = (s.T @ cop.reshape(d, d * d)).reshape(d, d, d)
         rhs = s @ np.conjugate(cop) @ s.T
-        res.append(AxiomResult("coproduct-star-preserving", maxabs(lhs - rhs), struct_tol))
+        res.append(AxiomResult("coproduct-star-preserving", maxabs(lhs - rhs),
+                               tol(st * c, st * st * c)))
     elif b.kind == "hyperbialgebra":
         defect = max(0.0, -_coproduct_choi_min_eig(b))
         res.append(AxiomResult("coproduct-completely-positive", defect, SPECTRAL_TOL))

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Bialgebra, ParseError, _decode, _encode, _parse_file, _write_json
+from .algebra import (Bialgebra, ParseError, _blocks_by_size, _decode, _encode, _parse_file,
+                      _write_json)
 from .blocks import counit_of_exponentials
-from .linalg import dagger, maxabs, opnorm
+from .linalg import RCOND, dagger, maxabs, opnorm
 
 
 @dataclass(frozen=True)
@@ -285,12 +286,18 @@ def amplified_norm(phi, n, n_starts=32, n_iters=300, seed=7, return_point=False)
     """Lower estimate of ||phi^{(n)}|| over the represented unit ball.
 
     Maximizes ||sum_i phi(e_i) (x) C_i|| / ||sum_i rho0(e_i) (x) C_i|| by
-    projected gradient ascent from ``n_starts`` random seeds, all ascended
-    as one stack.  The reported value is always a certified lower bound for
-    the amplified norm; exact equality is never asserted.  For maps into
-    M_p, ||phi^{(p)}|| is the cb norm (Smith's lemma).  Raises ValueError
-    for n < 1, n_starts < 0, non-finite values of phi, and a ratio that
-    overflows.
+    alternating maximization from ``n_starts`` random seeds, all ascended as
+    one stack, for at most ``n_iters`` steps each.  The unit ball of the
+    C*-algebra rho0(A) (x) M_n is the convex hull of its unitaries (Russo and
+    Dye, 1966), so the convex ratio peaks at a unitary: each step takes the
+    top singular pair (u, v) of the numerator and moves to the point of the
+    ball that maximizes Re <u, a v>, block by block the unitary polar factor
+    of its gradient.  No step lowers the ratio, and a start stops once a step
+    gains at most 1e-12 relative.  The reported value is the ratio at the
+    returned point, a certified lower bound for the amplified norm; exact
+    equality is never asserted.  For maps into M_p, ||phi^{(p)}|| is the cb
+    norm (Smith's lemma).  Raises ValueError for n < 1, n_starts < 0,
+    non-finite values of phi, and a ratio that overflows.
     """
     if n < 1:
         raise ValueError(f"amplified_norm: n must be >= 1, got {n}")
@@ -305,8 +312,9 @@ def amplified_norm(phi, n, n_starts=32, n_iters=300, seed=7, return_point=False)
     if n_starts:
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                vals, points = _ratio_ascent(phi.values, src.rep_images, starts, n_iters)
-        except np.linalg.LinAlgError as e:   # an overflowed point reaches eigh
+                vals, points = _alternating_ascent(phi.values, src.rep_images,
+                                                   src.rep_blocks, starts, n_iters)
+        except np.linalg.LinAlgError as e:   # a non-finite point reaches eigh or svd
             raise ValueError(f"amplified_norm overflowed: {e}") from e
         k = int(np.argmax(vals))
         if not np.isfinite(vals[k]):
@@ -318,83 +326,90 @@ def amplified_norm(phi, n, n_starts=32, n_iters=300, seed=7, return_point=False)
     return best_val
 
 
-def _ratio_ascent(values, rep, c, iters):
-    """Projected gradient ascent of the ratio from every start of the stack
-    c (s, d, n, n) at once; each start keeps its own step and stops on its
-    own.  Returns the ratios reached (s,) and the points (s, d, n, n)."""
+def _alternating_ascent(values, rep, blocks, c, iters):
+    """Alternating maximization of the ratio from every start of the stack c
+    (s, d, n, n) at once; each start stops on its own.  Returns the ratios at
+    the points reached (s,) and the points (s, d, n, n).
+
+    The points move as block entries: C has X = R^T C, R the (d, D) chart
+    whose row i lists the entries of rho0(e_i)'s diagonal blocks
+    (D = sum_b n_b^2), and X returns as C = (R^+)^T X.  rho0 of that C is the
+    orthogonal projection of X onto rho0(A)'s block entries, the
+    trace-preserving conditional expectation onto rho0(A) (x) M_n, so a
+    blockwise unitary X gives ||rho0(C)|| <= 1 (= 1 when D = d), and from
+    the first step on the numerator's sigma_max never falls."""
     d, p, q = values.shape
-    # the values are ascended scaled by 2^-k, k the binary exponent of their
-    # max (at least -1022, so that 2^k is a normal float): exact, so the
+    s, _, n, _ = c.shape
+    # the values are taken scaled by 2^-k, k the binary exponent of their max
+    # (at least -1022, so that 2^k is a normal float): exact, so the
     # trajectory is the one the unscaled map takes, while the Gram matrices,
-    # which square the range, stay near 1.  The ascent direction and its
-    # floor stay in that scale, so that the direction cannot go subnormal
+    # which square the range, stay near 1
     k = int(np.frexp(np.abs(values).max())[1]) - 1
     scale = 2.0 ** max(k, -1022)
-    flat = np.concatenate((values.reshape(d, -1) / scale, rep.reshape(d, -1)), axis=1)
-    sides = (flat.T, flat.conj(), (slice(0, p * q), p, q),
-             (slice(p * q, None), *rep.shape[1:]), scale)
-    each = dict(axis=(1, 2, 3), keepdims=True)
-    # an accepted point keeps its gradient, rescaled with c: ratio(s c) = ratio(c)
-    c = c / np.maximum(1e-300, np.abs(c).max(**each))
-    val, g = _ratio_and_grad(sides, c)
-    step = np.full((len(c), 1, 1, 1), 0.5)
-    active = np.ones(len(c), dtype=bool)
+    values = values.reshape(d, -1) / scale
+    sizes = _blocks_by_size(rep, blocks)
+    chart = np.concatenate([x.reshape(d, -1) for x in sizes.values()], axis=1)
+    inverse = np.linalg.pinv(chart, rcond=RCOND)        # (D, d)
+    charted = inverse @ values                           # values as a map of X
+    sides = (charted.T, np.conjugate(charted), p, q)
+    counts = [(m, x.shape[1]) for m, x in sizes.items()]
+    x = (chart.T @ c.reshape(s, d, n * n)).reshape(s, -1, n, n)
+    h = _top_pair(sides, x)[1]
+    prev = np.full(s, -np.inf)
+    active = np.ones(s, dtype=bool)
     for _ in range(iters):
-        gn = np.abs(g).max(**each)
-        active &= gn[:, 0, 0, 0] >= 1e-14
+        # a stopped start is evaluated too, harmlessly, and never updated
+        trial = _polar_step(h, counts)
+        val, h = _top_pair(sides, trial)
+        x = np.where((active & (val > prev))[:, None, None, None], trial, x)
+        active &= val > prev * (1.0 + 1e-12)
+        prev = val
         if not active.any():
             break
-        # a stopped start is evaluated too, harmlessly, and never updated
-        c_new = c + step * g / np.maximum(gn, 1e-300)
-        v_new, g_new = _ratio_and_grad(sides, c_new)
-        up = active & (v_new > val)
-        up4 = up[:, None, None, None]
-        s = np.maximum(1e-300, np.abs(c_new).max(**each))
-        c, g = np.where(up4, c_new / s, c), np.where(up4, g_new * s, g)
-        val = np.where(up, v_new, val)
-        step = np.where(up4, np.minimum(step * 1.3, 2.0), step * 0.5)
-        active &= step[:, 0, 0, 0] >= 1e-12
-    return val, c
+    c = (inverse.T @ x.reshape(s, -1, n * n)).reshape(s, d, n, n)
+    sa = _sigma_max(values.T, c, p, q)
+    sr = _sigma_max(rep.reshape(d, -1).T, c, *rep.shape[1:])
+    return scale * (sa / np.where(sr >= 1e-300, sr, np.inf)), c   # r = 0: ratio 0
 
 
-def _ratio_and_grad(sides, c):
-    """The ratios sigma_max(a) / sigma_max(r) of the values and rep matrices
-    assembled at each start of c, in the caller's scale, with their ascent
-    directions in c, in the scaled one; (0, 0) where r vanishes.  ``sides``
-    holds the scaled values and the rep images flattened side by side to
-    (d, L), as (L, d) and conjugated, then each side's columns with its p and
-    q, then the scale."""
-    rows, conj_flat, num, den, scale = sides
-    s, d, n, _ = c.shape
-    assembled = (rows @ c.reshape(s, d, n * n)).reshape(s, -1, n, n)
-    (sa, av_a, vbar_a), (sr, av_r, vbar_r) = (_top_singular(side, assembled)
-                                              for side in (num, den))
-    sr = np.where(sr >= 1e-300, sr, np.inf)   # r = 0: ratio 0, gradient 0
-    ratio = sa / sr
-    # the ascent direction conjugates d ratio = d sa / sr - ratio d sr / sr,
-    # and conj(d sigma) along c[s, i, x, y] is
-    # sum_ab (a v)[a, x] conj(values[i, a, b]) conj(v)[b, y] / sigma: the
-    # weights 1 / (sa sr) and -ratio / sr^2 go into a v (which is 0 where sa
-    # is), and one matmul contracts both sides
-    w_a = 1.0 / (np.where(sa > 0, sa, 1.0) * sr)
-    w_r = -ratio / sr ** 2
-    outer = np.concatenate([(w.reshape(s, 1, 1, 1, 1) * av * vbar).reshape(s, -1, n * n)
-                            for w, av, vbar in ((w_a, av_a, vbar_a), (w_r, av_r, vbar_r))],
-                           axis=1)
-    return scale * ratio, (conj_flat @ outer).reshape(c.shape)
+def _assemble(rows, x, p, q):
+    """a_s = sum_k m_k (x) x[s, k] for each start s, shaped (s, p n, q n),
+    from the rows (p q, K) of the flattened m_k and x (s, K, n, n)."""
+    s, _, n, _ = x.shape
+    a = rows @ x.reshape(s, -1, n * n)
+    return a.reshape(s, p, q, n, n).transpose(0, 1, 3, 2, 4).reshape(s, p * n, q * n)
 
 
-def _top_singular(side, assembled):
-    """sigma_max of a_s = sum_i values[i] (x) c[s, i] for each start s, from
-    one stacked eigh of the Gram matrices a^dagger a, with a v and conj(v) for
-    its top right singular vector v, shaped (s, p, 1, n, 1) and
-    (s, 1, q, 1, n); ``side`` names the columns of the assembly
-    (s, L, n, n) of both sides that hold the values, with their p and q."""
-    cols, p, q = side
-    s, _, n, _ = assembled.shape
-    a = assembled[:, cols].reshape(s, p, q, n, n).transpose(0, 1, 3, 2, 4).reshape(
-        s, p * n, q * n)
-    lam, vecs = np.linalg.eigh(np.conjugate(a).transpose(0, 2, 1) @ a)
+def _sigma_max(rows, x, p, q):
+    a = _assemble(rows, x, p, q)
+    return np.sqrt(np.linalg.eigvalsh(dagger(a) @ a)[:, -1])
+
+
+def _top_pair(sides, x):
+    """sigma_max of the numerator a at each start of the block entries x
+    (s, D, n, n), from one stacked eigh of a^dagger a, and the gradient h
+    (s, D, n, n) of Re <a v, a(x) v> in x, v the top right singular vector,
+    conjugated so that Re <a v, a(x) v> = Re sum conj(h) x."""
+    rows, conj_rows, p, q = sides
+    s, _, n, _ = x.shape
+    a = _assemble(rows, x, p, q)
+    lam, vecs = np.linalg.eigh(dagger(a) @ a)
     v = vecs[:, :, -1:]
-    return (np.sqrt(lam[:, -1]), (a @ v).reshape(s, p, 1, n, 1),
-            np.conjugate(v).reshape(s, 1, q, 1, n))
+    outer = (a @ v).reshape(s, p, 1, n, 1) * np.conjugate(v).reshape(s, 1, q, 1, n)
+    return np.sqrt(lam[:, -1]), (conj_rows @ outer.reshape(s, p * q, n * n)).reshape(x.shape)
+
+
+def _polar_step(h, counts):
+    """The point x of the unit ball that maximizes Re sum conj(h) x: block by
+    block the unitary polar factor W V^dagger of h = W S V^dagger, from one
+    stacked SVD per block size; ``counts`` pairs each block size with its
+    number of blocks, in the chart's order."""
+    s, _, n, _ = h.shape
+    out, ofs = [], 0
+    for m, count in counts:
+        span = count * m * m
+        g = h[:, ofs:ofs + span].reshape(s, count, m, m, n, n).swapaxes(3, 4)
+        w, _, vh = np.linalg.svd(g.reshape(s, count, m * n, m * n))
+        out.append((w @ vh).reshape(s, count, m, n, m, n).swapaxes(3, 4).reshape(s, span, n, n))
+        ofs += span
+    return np.concatenate(out, axis=1)

@@ -3,10 +3,12 @@ everything.  All structure tensors (star matrix, counit, coproduct) become
 genuinely complex, so this exercises the conjugation bookkeeping that the
 bundled fixtures (real permutation star matrices) cannot see."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from qlevy.algebra import Bialgebra, assert_valid
+from qlevy.algebra import AxiomViolation, Bialgebra, assert_valid, validate_bialgebra
 from qlevy.cocycle import check_cocycle_identity
 from qlevy.convolution import OperatorMap, convolve, e_map, lifted_compose, r_map
 from qlevy.fixtures import bundled_fixtures
@@ -44,6 +46,22 @@ def conditioned_change(b, seed):
     u, w = (np.linalg.qr(rng.standard_normal((b.dim, b.dim))
                          + 1j * rng.standard_normal((b.dim, b.dim)))[0] for _ in range(2))
     return change_basis(b, u * rng.uniform(0.5, 2.0, b.dim) @ w)
+
+
+def test_validation_tolerance_scales_with_entry_size():
+    # C(S3) in this basis has coproduct entries up to ~430, so rounding in the
+    # coassociativity and multiplicativity products passes 1e-10; each
+    # structural tolerance scales with the entries its identity multiplies
+    b = skew(bundled_fixtures()["C(S3)"], 65536)
+    results = {r.name: r for r in validate_bialgebra(b)}
+    assert all(r.passed for r in results.values())
+    coassociativity = results["OSC1-coassociativity"]
+    assert coassociativity.residual > 1e-10
+    assert coassociativity.tol == 1e-12 * maxabs(b.coproduct) ** 2
+    cop = b.coproduct.copy()
+    cop[1, 2, 3] += 1e-3
+    with pytest.raises(AxiomViolation, match="OSC1-coassociativity"):
+        assert_valid(dataclasses.replace(b, coproduct=cop))
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -7,15 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from qlevy.algebra import ParseError
+from qlevy.algebra import ParseError, _same_block, assert_valid
 from qlevy.blocks import _expm_2x2
 from qlevy.convolution import (ConvolutionSemigroup, NonFiniteCocycle, OperatorMap,
-                               _ratio_ascent, amplified_norm, conv_exp, convolve,
+                               _alternating_ascent, amplified_norm, conv_exp, convolve,
                                counit_map, e_map, functional, lifted_compose,
                                load_operator_map, r_map, semigroup_generator,
                                series_exp, star_power)
 from qlevy.generators import make_structure_map
-from qlevy.linalg import maxabs, opnorm
+from qlevy.linalg import block_diag, dagger, maxabs, opnorm
 
 from conftest import random_generator, random_operator_map
 from test_basis_change import skew
@@ -371,7 +372,27 @@ def test_amplified_norm_transpose_map(all_fixtures):
     b = all_fixtures["Alg(S3)"]
     tr = OperatorMap(b, np.array([b.rep_images[g][2:, 2:].T for g in range(6)]))
     est = amplified_norm(tr, 2)
-    assert abs(est - 2.0) < 1e-3
+    assert abs(est - 2.0) <= 1e-12
+
+
+def doubled_block(b):
+    """b with a second copy of its last representation block: a faithful
+    representation that is not minimal, so its chart has more block entries
+    than b has dimensions."""
+    m = b.rep_blocks[-1]
+    return dataclasses.replace(b, rep_blocks=b.rep_blocks + (m,),
+                               rep_images=block_diag([b.rep_images, b.rep_images[:, -m:, -m:]]))
+
+
+def test_amplified_norm_under_a_repeated_block(all_fixtures):
+    b = doubled_block(all_fixtures["Alg(S3)"])
+    assert b.rep_blocks == (1, 1, 2, 2)
+    assert_valid(b)
+    for n in (1, 2, 3):
+        assert abs(amplified_norm(counit_map(b), n, n_starts=4, n_iters=75) - 1.0) <= 1e-12
+    tr = OperatorMap(b, np.array([b.rep_images[g][2:4, 2:4].T for g in range(6)]))
+    value, c = amplified_norm(tr, 2, n_starts=4, n_iters=75, return_point=True)
+    assert abs(value - 2.0) <= 1e-12 and abs(_ratio_at(tr, c) - value) <= 1e-12 * value
 
 
 def test_amplified_norm_submultiplicative(all_fixtures):
@@ -407,31 +428,34 @@ def test_amplified_norm_is_ratio_at_returned_point(all_fixtures, name, n):
 def test_amplified_norm_assembles_each_point_once(all_fixtures, monkeypatch):
     import qlevy.convolution as conv
     points = []
-    top = conv._top_singular
-    monkeypatch.setattr(conv, "_top_singular",
-                        lambda side, c: points.append(c.shape[0]) or top(side, c))
+    top = conv._top_pair
+    monkeypatch.setattr(conv, "_top_pair",
+                        lambda sides, x: points.append(x.shape[0]) or top(sides, x))
     phi = random_operator_map(np.random.default_rng(22), all_fixtures["C(Z3)"], 2)
     n_starts, n_iters = 3, 20
     amplified_norm(phi, 2, n_starts=n_starts, n_iters=n_iters)
-    # one numerator and one denominator per evaluated point: each start and
-    # at most one trial point per start and iteration
-    assert 0 < sum(points) <= n_starts * 2 * (n_iters + 1)
-    # once no start is active the ascent stops: zero starts are evaluated once
+    # one numerator per evaluated point: each start, and one trial point per
+    # start and step
+    assert 0 < sum(points) <= n_starts * (n_iters + 1)
+    # once no start gains the ascent stops: the counit's first step reaches
+    # its norm 1, and the second gains nothing
     points.clear()
-    conv._ratio_ascent(phi.values, phi.source.rep_images,
-                       np.zeros((n_starts, 3, 2, 2), dtype=complex), n_iters)
-    assert points == [n_starts, n_starts]
+    amplified_norm(counit_map(all_fixtures["C(Z3)"]), 2, n_starts=n_starts, n_iters=n_iters)
+    assert points == [n_starts] * 3
 
 
-# The per-start ascent: the reference for amplified_norm's stacked ascent.
+# The per-start projected gradient ascent that amplified_norm ran before the
+# alternating ascent: every estimate must reach at least its value.
+
+def _starts(d, n, n_starts, seed):
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
+            for _ in range(n_starts)]
+
 
 def _reference_amplified_norm(phi, n, n_starts, n_iters, seed=7):
-    d = phi.source.dim
-    rng = np.random.default_rng(seed)
-    starts = [rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
-              for _ in range(n_starts)]
     best_val, best_c = 0.0, None
-    for c0 in starts:
+    for c0 in _starts(phi.source.dim, n, n_starts, seed):
         val, c = _reference_ascent(phi.values, phi.source.rep_images, c0, n_iters)
         if val > best_val:
             best_val, best_c = val, c
@@ -477,6 +501,40 @@ def _reference_top_singular(values, c):
     return s[0], np.einsum("an,iab,bm->inm", np.conjugate(umat), values, wmat)
 
 
+# The alternating ascent one start at a time, the reference for the stack.
+# Its two primitives are checked against dense linear algebra below.  An
+# independent re-implementation cannot serve for the points: where a block
+# of the gradient is rank-deficient (a 1 x 1 block has rank at most
+# min(p, q), below n when p or q is) its polar factor is not unique, and near
+# the limit a step amplified rounding 2-3-fold in the cases traced, so two
+# routes that round differently part by ~1e-5 after 20 steps.
+
+def _one_start(b, values, c, iters):
+    val, point = _alternating_ascent(values, b.rep_images, b.rep_blocks, c[None], iters)
+    return float(val[0]), point[0]
+
+
+def _per_start_amplified_norm(phi, n, n_starts, n_iters, seed=7):
+    best_val, best_c = 0.0, None
+    for c0 in _starts(phi.source.dim, n, n_starts, seed):
+        val, c = _one_start(phi.source, phi.values, c0, n_iters)
+        if val > best_val:
+            best_val, best_c = val, c
+    return best_val, best_c
+
+
+def _check_against_references(phi, n, **kw):
+    """amplified_norm against its ascent run one start at a time (the same
+    trajectories) and the per-start gradient ascent (a value it must reach)."""
+    want, c_want = _per_start_amplified_norm(phi, n, **kw)
+    got, c = amplified_norm(phi, n, return_point=True, **kw)
+    assert type(got) is float and want > 0
+    assert abs(got - want) <= 1e-12 * want
+    assert abs(_ratio_at(phi, c) - got) <= 1e-12 * got
+    assert maxabs(c - c_want) <= 1e-10
+    assert got >= _reference_amplified_norm(phi, n, **kw)[0] * (1.0 - 1e-12)
+
+
 @pytest.mark.parametrize("name", ["C(Z3)", "Alg(Z4)", "Hyper(S3-classes)", "Alg(S3)"])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_batched_ascent_matches_per_start_reference(all_fixtures, name, n):
@@ -486,13 +544,7 @@ def test_batched_ascent_matches_per_start_reference(all_fixtures, name, n):
     # at n = 2 on C(Z3), Alg(Z4) and Hyper(S3-classes)
     for kw in (dict(n_starts=6, n_iters=60), dict(n_starts=3, n_iters=40, seed=11),
                dict(n_starts=4, n_iters=75, seed=5)):
-        want, c_want = _reference_amplified_norm(phi, n, **kw)
-        got, c = amplified_norm(phi, n, return_point=True, **kw)
-        assert type(got) is float and want > 0
-        assert abs(got - want) <= 1e-12 * want
-        assert abs(_ratio_at(phi, c) - got) <= 1e-12 * got
-        # the same start's trajectory, not only the same local maximum
-        assert maxabs(c - c_want) <= 1e-10
+        _check_against_references(phi, n, **kw)
 
 
 SWEEP_FIXTURES = ("Alg(S3)", "Alg(Z2)", "Alg(Z3)", "Alg(Z4)", "Alg(Z6)", "C(S3)",
@@ -506,11 +558,7 @@ def test_batched_ascent_sweep_matches_per_start_reference(all_fixtures, name, se
     rng = np.random.default_rng(seed)
     b = all_fixtures[name]
     phi = random_operator_map(rng, b, int(rng.integers(1, 4)))
-    kw = dict(n_starts=3, n_iters=40, seed=seed)
-    want, c_want = _reference_amplified_norm(phi, n, **kw)
-    got, c = amplified_norm(phi, n, return_point=True, **kw)
-    assert want > 0 and abs(got - want) <= 1e-12 * want
-    assert maxabs(c - c_want) <= 1e-10
+    _check_against_references(phi, n, n_starts=3, n_iters=40, seed=seed)
 
 
 @pytest.mark.parametrize("p, q", [(1, 3), (3, 1), (2, 4), (4, 2)])
@@ -520,18 +568,88 @@ def test_non_square_ascent_matches_per_start_reference(all_fixtures, p, q, n):
     for name in ("C(Z3)", "Alg(S3)"):
         phi = random_operator_map(np.random.default_rng(40 + 10 * p + q + n),
                                   all_fixtures[name], p, q)
-        want, c_want = _reference_amplified_norm(phi, n, n_starts=3, n_iters=40)
-        got, c = amplified_norm(phi, n, n_starts=3, n_iters=40, return_point=True)
-        assert want > 0 and abs(got - want) <= 1e-12 * want
-        assert abs(_ratio_at(phi, c) - got) <= 1e-12 * got
-        assert maxabs(c - c_want) <= 1e-10
+        _check_against_references(phi, n, n_starts=3, n_iters=40)
+
+
+def test_repeated_block_ascent_matches_per_start_reference(all_fixtures):
+    # D > d: rho0 of each step is the projection of its unitary block entries
+    b = doubled_block(all_fixtures["Alg(S3)"])
+    for n in (1, 2):
+        phi = random_operator_map(np.random.default_rng(45 + n), b, 2)
+        _check_against_references(phi, n, n_starts=3, n_iters=40)
+
+
+@pytest.mark.parametrize("p, q, n", [(2, 2, 2), (1, 3, 2), (3, 1, 3)])
+def test_top_pair_against_dense_svd(p, q, n):
+    # sigma_max of a = sum_k m_k (x) x_k, and h as the gradient of the linear
+    # functional Re <a v, a(y) v>, with a and v from np.linalg.svd
+    rng = np.random.default_rng(60 + n)
+    m = rng.standard_normal((5, p, q)) + 1j * rng.standard_normal((5, p, q))
+    x, y = (rng.standard_normal((3, 5, n, n)) + 1j * rng.standard_normal((3, 5, n, n))
+            for _ in range(2))
+    import qlevy.convolution as conv
+    flat = m.reshape(5, -1)
+    sigma, h = conv._top_pair((flat.T, np.conjugate(flat), p, q), x)
+    for s in range(3):
+        a, ay = (np.einsum("kab,kxy->axby", m, z[s]).reshape(p * n, q * n) for z in (x, y))
+        _, sv, vh = np.linalg.svd(a)
+        v = np.conjugate(vh[0])
+        assert abs(sigma[s] - sv[0]) <= 1e-12 * sv[0]
+        want = (np.vdot(a @ v, ay @ v)).real
+        assert abs(np.vdot(h[s], y[s]).real - want) <= 1e-12 * sv[0] ** 2 * maxabs(y[s]) * 5 * n
+
+
+def test_polar_step_maximizes_over_the_unit_ball():
+    # two blocks of size 1, then two of size 2, as the chart of Alg(S3) with
+    # its 2-dimensional block doubled lists them: each block of the step is
+    # unitary, and Re <h, x> reaches the dual norm of h, the sum of each
+    # block's singular values
+    counts, n = [(1, 2), (2, 2)], 2
+    rng = np.random.default_rng(61)
+    h = rng.standard_normal((3, 10, n, n)) + 1j * rng.standard_normal((3, 10, n, n))
+    h[0, 2:6] = np.einsum("ax,ey->aexy", rng.standard_normal((2, n)), rng.standard_normal((2, n))
+                          ).reshape(4, n, n)   # a block of rank 1: its polar factor is not unique
+    import qlevy.convolution as conv
+    x = conv._polar_step(h, counts)
+
+    def blocks(z):
+        out = [z[0], z[1]]
+        for j in range(2):
+            entries = z[2 + 4 * j:6 + 4 * j]
+            out.append(np.block([[entries[2 * a + e] for e in range(2)] for a in range(2)]))
+        return out
+    for s in range(3):
+        dual = 0.0
+        for hb, xb in zip(blocks(h[s]), blocks(x[s])):
+            assert maxabs(xb @ dagger(xb) - np.eye(len(xb))) <= 1e-12
+            dual += np.linalg.svd(hb, compute_uv=False).sum()
+        assert abs(np.vdot(h[s], x[s]).real - dual) <= 1e-12 * dual
+
+
+@pytest.mark.parametrize("name, doubled", [("C(Z3)", False), ("Alg(S3)", False),
+                                           ("Alg(S3)", True), ("Hyper(S3-classes)", False)])
+def test_no_step_lowers_the_numerator(all_fixtures, monkeypatch, name, doubled):
+    # from the first step on, each trial point's sigma_max is at least the
+    # last one's, for stopped starts too, whose trial points keep stepping
+    import qlevy.convolution as conv
+    b = doubled_block(all_fixtures[name]) if doubled else all_fixtures[name]
+    top, seen = conv._top_pair, []
+    monkeypatch.setattr(conv, "_top_pair",
+                        lambda sides, x: seen.append(top(sides, x)[0]) or top(sides, x))
+    rng = np.random.default_rng(62)
+    for p, q, n in ((2, 2, 2), (1, 2, 3), (3, 2, 1)):
+        seen.clear()
+        phi = random_operator_map(rng, b, p, q)
+        amplified_norm(phi, n, n_starts=4, n_iters=40)
+        trials = np.array(seen[1:])
+        assert len(trials) > 1
+        assert np.all(trials[1:] >= trials[:-1] * (1.0 - 1e-13))
 
 
 @pytest.mark.parametrize("j", [-1000, -600, -300, 300, 500])
 def test_amplified_norm_is_scale_equivariant(all_fixtures, j):
     # phi 2^j ascends as phi does: the same point, and exactly 2^j times the
-    # value, while the Gram matrices square phi's range and, near the bottom
-    # of the float range, a gradient in phi 2^j's own scale goes subnormal
+    # value, while the Gram matrices square phi's range
     b = all_fixtures["C(Z3)"]
     phi = random_operator_map(np.random.default_rng(29), b, 2)
     want, c_want = amplified_norm(phi, 2, n_starts=4, n_iters=40, return_point=True)
@@ -542,54 +660,54 @@ def test_amplified_norm_is_scale_equivariant(all_fixtures, j):
 
 
 def test_amplified_norm_zero_start_has_ratio_zero(all_fixtures):
-    # the denominator vanishes at c = 0: ratio 0 and no ascent direction
+    # the denominator vanishes at c = 0: ratio 0
     b = all_fixtures["C(Z3)"]
     phi = random_operator_map(np.random.default_rng(23), b, 2)
     assert amplified_norm(phi, 2, n_starts=0) == 0.0
     assert amplified_norm(phi, 2, n_starts=0, return_point=True) == (0.0, None)
-    # a zero start beside live ones stays at ratio 0, where it started, and
-    # the live ones follow their own ascents
     rng = np.random.default_rng(24)
     starts = np.zeros((3, b.dim, 2, 2), dtype=complex)
     starts[1:] = rng.standard_normal((2, b.dim, 2, 2)) + 1j * rng.standard_normal((2, b.dim, 2, 2))
-    vals, points = _ratio_ascent(phi.values, b.rep_images, starts, 30)
+    vals, points = _alternating_ascent(phi.values, b.rep_images, b.rep_blocks, starts, 0)
     assert vals[0] == 0.0 and not points[0].any()
+    # stepping, a zero start, whose gradient vanishes, moves to some unitary,
+    # where its value is the ratio; the live starts follow their own ascents
+    vals, points = _alternating_ascent(phi.values, b.rep_images, b.rep_blocks, starts, 30)
+    assert vals[0] > 0 and abs(_ratio_at(phi, points[0]) - vals[0]) <= 1e-12 * vals[0]
     for k in (1, 2):
-        want, c_want = _reference_ascent(phi.values, b.rep_images, starts[k], 30)
+        want, c_want = _one_start(b, phi.values, starts[k], 30)
         assert abs(vals[k] - want) <= 1e-12 * want and maxabs(points[k] - c_want) <= 1e-10
 
 
 def test_frozen_starts_keep_their_point_and_value(all_fixtures, monkeypatch):
-    # a zero start stops at once; a start whose trial points do not improve
-    # halves its step 0.5 until it falls below 1e-12 at the 39th rejection.
-    # Both are still evaluated with the stack and must come back unchanged,
-    # even when a stopped start's trial point would improve, while the live
-    # start follows its own ascent
+    # start 1's second trial point reads lower than its first, so it stops
+    # there; it is still evaluated with the stack and must come back at its
+    # first step, even when a later trial point of its would gain, while the
+    # other starts follow their own ascents
     import qlevy.convolution as conv
     b = all_fixtures["Alg(Z4)"]
     phi = random_operator_map(np.random.default_rng(26), b, 2)
     rng = np.random.default_rng(27)
-    starts = np.zeros((3, b.dim, 2, 2), dtype=complex)
-    starts[1:] = rng.standard_normal((2, b.dim, 2, 2)) + 1j * rng.standard_normal((2, b.dim, 2, 2))
-    evaluate, calls = conv._ratio_and_grad, []
-
-    def stuck(sides, c):
-        val, g = evaluate(sides, c)
-        if calls:
-            val[1] = -1.0 if len(calls) < 45 else 2.0 * calls[0][0][1]
-        calls.append((val.copy(), c.copy()))
-        return val, g
-    monkeypatch.setattr(conv, "_ratio_and_grad", stuck)
+    starts = rng.standard_normal((3, b.dim, 2, 2)) + 1j * rng.standard_normal((3, b.dim, 2, 2))
     iters = 60
+    want = {k: _one_start(b, phi.values, starts[k], steps)
+            for k, steps in ((0, iters), (1, 1), (2, iters))}
+    evaluate, calls = conv._top_pair, []
+
+    def stuck(sides, x):
+        val, h = evaluate(sides, x)
+        if len(calls) >= 2:
+            val[1] = -1.0 if len(calls) < 6 else 2.0 * calls[1]
+        calls.append(val[1])
+        return val, h
+    monkeypatch.setattr(conv, "_top_pair", stuck)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        vals, points = conv._ratio_ascent(phi.values, b.rep_images, starts, iters)
-    assert len(calls) > 45   # the stack ran on after start 1 stopped
-    first_val, first_c = calls[0]
-    assert vals[0] == 0.0 and not points[0].any()
-    assert vals[1] == first_val[1] > 0 and np.array_equal(points[1], first_c[1])
-    want, c_want = _reference_ascent(phi.values, b.rep_images, starts[2], iters)
-    assert abs(vals[2] - want) <= 1e-12 * want and maxabs(points[2] - c_want) <= 1e-10
+        vals, points = conv._alternating_ascent(phi.values, b.rep_images, b.rep_blocks,
+                                                starts, iters)
+    assert len(calls) > 6   # the stack ran on after start 1 stopped
+    for k, (value, point) in want.items():
+        assert abs(vals[k] - value) <= 1e-12 * value and maxabs(points[k] - point) <= 1e-10
 
 
 def test_amplified_norm_first_maximal_start_wins(all_fixtures, monkeypatch):
@@ -597,35 +715,15 @@ def test_amplified_norm_first_maximal_start_wins(all_fixtures, monkeypatch):
     b = all_fixtures["C(Z3)"]
     phi = random_operator_map(np.random.default_rng(25), b, 2)
 
-    def fixed(values, rep, c, iters):
+    def fixed(values, rep, blocks, c, iters):
         points = np.arange(len(c))[:, None, None, None] * np.ones(c.shape[1:])
         return vals[:len(c)].copy(), points
-    monkeypatch.setattr(conv, "_ratio_ascent", fixed)
+    monkeypatch.setattr(conv, "_alternating_ascent", fixed)
     vals = np.array([1.0, 3.0, 2.0, 3.0])
     value, c = amplified_norm(phi, 2, n_starts=4, return_point=True)
     assert value == 3.0 and np.all(c == 1)
     vals = np.zeros(4)
     assert amplified_norm(phi, 2, n_starts=4, return_point=True) == (0.0, None)
-
-
-def test_ratio_ascent_step_saturates_at_its_cap(monkeypatch):
-    # every trial point improves, so each accepted step is 1.3 times the last,
-    # 0.5, 0.65, ..., 1.86, until it stays at the cap 2.0 from the seventh on
-    import qlevy.convolution as conv
-    steps = []
-
-    def improving(sides, c):
-        # the starts and accepted points are all-ones after rescaling, and the
-        # unit gradient moves every entry by the step
-        steps.append(np.abs(c).max(axis=(1, 2, 3)) - 1.0)
-        return np.full(len(c), float(len(steps))), np.ones(c.shape, dtype=complex)
-    monkeypatch.setattr(conv, "_ratio_and_grad", improving)
-    side = np.zeros((3, 1, 1))
-    conv._ratio_ascent(side, side, np.ones((2, 3, 2, 2), dtype=complex), 12)
-    taken = np.array(steps[1:])   # the first call evaluates the starts
-    want = np.minimum(0.5 * 1.3 ** np.arange(12), 2.0)
-    assert want[5] < 2.0 == want[6]
-    assert np.allclose(taken, want[:, None], rtol=0.0, atol=1e-12), taken[:, 0]
 
 
 def test_amplified_norm_names_bad_input(all_fixtures):
@@ -642,8 +740,7 @@ def test_amplified_norm_names_bad_input(all_fixtures):
             amplified_norm(OperatorMap(b, values), 2)
 
 
-# each way the ratio overflows: to inf, or to an overflowed gradient whose
-# trial point eigh cannot take
+# a ratio that overflows to inf at the returned point, whatever the block sizes
 @pytest.mark.parametrize("name, n", [("C(Z3)", 2), ("Alg(S3)", 1), ("C(Z3)", 1)])
 def test_amplified_norm_names_an_overflow(all_fixtures, name, n):
     b = all_fixtures[name]
