@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import decompose
-from .linalg import (RCOND, SPECTRAL_TOL, STRUCT_TOL, block_diag, dagger,
+from .linalg import (RCOND, SOLVE_TOL, SPECTRAL_TOL, STRUCT_TOL, block_diag, dagger,
                      maxabs, min_eig_herm, numerical_rank, split_blocks)
 
 
@@ -187,7 +187,7 @@ def represent(x):
 def is_positive(x):
     """x >= 0 iff rho0(x) is self-adjoint with spectrum above -SPECTRAL_TOL."""
     m = represent(x)
-    if maxabs(m - dagger(m)) > 1e-9 * max(1.0, maxabs(m)):
+    if maxabs(m - dagger(m)) > SOLVE_TOL * max(1.0, maxabs(m)):
         return False
     return min_eig_herm(m) >= -SPECTRAL_TOL
 
@@ -231,7 +231,8 @@ def validate_bialgebra(b, struct_tol=STRUCT_TOL):
     eye = np.eye(d)
     mult, cop = b.mult, b.coproduct
     mult_ij_k = mult.reshape(d * d, d)      # (e_i e_j) -> coords
-    u, m, st, e, c = map(maxabs, (b.unit, mult, b.star_matrix, b.counit, cop))
+    u, m, st, e, c = (float(np.abs(x).max())
+                      for x in (b.unit, mult, b.star_matrix, b.counit, cop))
 
     def tol(*sides):
         return struct_tol * max(1.0, *sides)
@@ -319,9 +320,9 @@ def _coproduct_of_products(b):
     return (x @ y).reshape(d, d, d, d).transpose(0, 2, 1, 3)
 
 
-def assert_valid(b, struct_tol=STRUCT_TOL):
+def assert_valid(b):
     """Raise :class:`AxiomViolation` naming the first failing axiom."""
-    for r in validate_bialgebra(b, struct_tol):
+    for r in validate_bialgebra(b):
         if not r.passed:
             raise AxiomViolation(r.name, r.residual, r.where)
     return b
@@ -390,8 +391,6 @@ def _coproduct_choi_min_eig(b):
     sum of n_b^2 (D = d for irreducible blocks, so O(d^4)).
     """
     images = _blocks_by_size(b.rep_images, b.rep_blocks)     # [i, B, a, e]
-    if not images:
-        return 0.0
     inside = _same_block(b.rep_blocks)
     coords = np.zeros_like(b.rep_images)        # [k, u, v]: coordinates of E_uv
     coords[:, inside] = np.linalg.pinv(b.rep_images[:, inside], rcond=RCOND).T

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .linalg import SPECTRAL_TOL, commutator_system, maxabs
+from .linalg import SPECTRAL_TOL, commutator_system, maxabs, null_space
 
 
 @dataclass(frozen=True)
@@ -174,11 +174,10 @@ def _intertwiner(left, right):
     ``BLOCK_COND_LIMIT``; else None (Schur: no solution but 0 when the
     blocks are inequivalent irreducibles)."""
     k = right.shape[-1]
-    _, sv, vh = np.linalg.svd(commutator_system(left, right))
-    cut = SPECTRAL_TOL * sv[0]
-    if not (sv[-1] <= cut < sv[-2]):
+    null = null_space(commutator_system(left, right))
+    if null.shape[0] != 1:
         return None
-    s = vh[-1].conj().reshape(k, k).T   # vec(S) is column-stacked
+    s = null[0].reshape(k, k).T   # vec(S) is column-stacked
     return s if np.linalg.cond(s) <= BLOCK_COND_LIMIT else None
 
 

@@ -259,9 +259,8 @@ class ConvolutionSemigroup:
             raise NonFiniteCocycle(f"semigroup value not finite at t = {float(t)!r}")
         return functional(self.source, coords)
 
-    def __call__(self, t, x=None):
-        lam = self.at(t)
-        return lam if x is None else lam(x)
+    def __call__(self, t, x):
+        return self.at(t)(x)
 
 
 def semigroup_generator(phi, c_prime, c):

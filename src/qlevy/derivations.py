@@ -16,8 +16,8 @@ import numpy as np
 from .convolution import OperatorMap
 from .generators import (check_chi_structure, derivation_defect,
                          implemented_chi_structure, representation_defect)
-from .linalg import (INPUT_TOL, SOLVE_TOL, SPECTRAL_TOL, commutator_system,
-                     lstsq_minnorm, maxabs, numerical_rank)
+from .linalg import (INPUT_TOL, SOLVE_TOL, maxabs, null_space, numerical_rank,
+                     solve_commutation)
 
 
 @dataclass
@@ -58,12 +58,8 @@ def solve_inner(problem):
     res = check_derivation(problem)
     if res > INPUT_TOL:
         raise ValueError(f"input is not a derivation (Leibniz residual {res:.2e})")
-    amat = commutator_system(problem.pi_prime.values, problem.pi.values)
-    bvec = problem.delta.values.transpose(0, 2, 1).reshape(-1)
-    t = lstsq_minnorm(amat, bvec).reshape(problem.delta.p, problem.delta.q, order="F")
-    residual = maxabs(inner_derivation(problem.pi_prime, problem.pi, t).values
-                      - problem.delta.values)
-    return t, residual
+    return solve_commutation(problem.pi_prime.values, problem.pi.values,
+                             problem.delta.values)
 
 
 def derivation_constraint_matrix(src, chi_prime, chi):
@@ -86,10 +82,7 @@ def two_character_derivation_space(src, chi_prime, chi):
     distinct characters is genuine: on functions, delta(FG) = F(p)G(p) -
     F(q)G(q) = delta(F) G(q) + F(p) delta(G).)
     """
-    amat = derivation_constraint_matrix(src, chi_prime, chi)
-    _, s, vh = np.linalg.svd(amat)
-    scale = s[0] if s.size and s[0] > 0 else 1.0
-    null = np.conjugate(vh[s <= SPECTRAL_TOL * scale])
+    null = null_space(derivation_constraint_matrix(src, chi_prime, chi))
     total = null.shape[0]
     inner = (chi_prime.as_vector() - chi.as_vector()).reshape(1, -1)
     if numerical_rank(inner) == 0:
@@ -126,10 +119,8 @@ def implement_chi_structure(phi, chi):
     pi = OperatorMap(src, phi.values[:, 1:, 1:]
                      + cv[:, None, None] * np.eye(n)[None, :, :])
     rep_defect = representation_defect(pi)
-    amat = commutator_system(pi.values, chi.values)
-    bvec = delta_vals.reshape(-1)
-    xi = lstsq_minnorm(amat, bvec)
-    delta_res = maxabs(amat @ xi - bvec)
+    t, delta_res = solve_commutation(pi.values, chi.values, delta_vals[:, :, None])
+    xi = t[:, 0]
     rebuilt = implemented_chi_structure(pi, chi, xi)
     reassembly = maxabs(rebuilt.values - phi.values)
     lam1 = complex(lam.as_vector() @ src.unit)

@@ -22,7 +22,7 @@ from . import algebra
 from .cocycle import Generator, as_generator, delta_qs
 from .convolution import OperatorMap, counit_map
 from .linalg import (RCOND, SOLVE_TOL, SPECTRAL_TOL, STRUCT_TOL, dagger, maxabs,
-                     min_eig_herm, numerical_rank, opnorm)
+                     min_eig_herm, numerical_rank, opnorm, rank_of)
 
 
 # -- representation utilities -------------------------------------------------
@@ -303,7 +303,7 @@ def check_conditionally_positive(gamma):
     """(is conditionally positive, margin): the margin is the minimum
     eigenvalue of the counit-kernel Gram matrix."""
     g, _ = kernel_gram(gamma)
-    margin = min_eig_herm(g) if g.size else 0.0
+    margin = min_eig_herm(g)
     return margin >= -SPECTRAL_TOL, margin
 
 
@@ -331,17 +331,14 @@ def gns_construct(gamma, check_tol=SOLVE_TOL):
     gram = 0.5 * (gram + dagger(gram))
     vals, vecs = np.linalg.eigh(gram)
     vals, vecs = vals[::-1], vecs[:, ::-1]
-    scale = float(vals[0]) if vals.size and vals[0] > 0 else 0.0
-    cut = SPECTRAL_TOL * scale
-    if vals.size and vals[-1] < -max(cut, SPECTRAL_TOL):
+    if vals.size and vals[-1] < -SPECTRAL_TOL * max(vals[0], 1.0):
         raise NotConditionallyPositive(f"Gram matrix has eigenvalue {vals[-1]:.3e}")
-    rank = int(np.sum(vals > cut))
+    rank = rank_of(vals)
     vecs = vecs[:, :rank].copy()
     for r in range(rank):
         col = vecs[:, r]
-        idx = np.nonzero(np.abs(col) > 1e-8)[0]
-        if idx.size:
-            vecs[:, r] = col * np.exp(-1j * np.angle(col[idx[0]]))
+        first = np.nonzero(np.abs(col) > 1e-8)[0][0]
+        vecs[:, r] = col * np.exp(-1j * np.angle(col[first]))
     roots = np.sqrt(vals[:rank])
     chart = roots[:, None] * dagger(vecs)          # rank x (d-1)
     chart_inv = vecs / roots[None, :]              # (d-1) x rank
@@ -405,7 +402,7 @@ def intertwine_minimal(q1, q2):
     the residual max(|V W1 - W2|, max_a |rho2(a) V - V rho1(a)|) exceeds
     ``SOLVE_TOL``."""
     u, s, vh = np.linalg.svd(_spans(q1), full_matrices=False)
-    if np.sum(s > SPECTRAL_TOL * s[0]) != q1.space_dim:   # numerical_rank's cut
+    if rank_of(s) != q1.space_dim:
         raise ValueError("first quadruple must be minimal")
     v = (_spans(q2) @ dagger(vh) / s) @ dagger(u)
     residual = max(maxabs(v @ q1.w - q2.w),

@@ -29,7 +29,7 @@ from .convolution import ConvolutionSemigroup, OperatorMap, functional
 from .derivations import DerivationProblem, inner_derivation, solve_inner
 from .generators import check_structure_map, gns_construct, make_structure_map
 from .linalg import (INPUT_TOL, SOLVE_TOL, SPECTRAL_TOL, STRUCT_TOL,
-                     commutator_system, dagger, lstsq_minnorm, maxabs)
+                     dagger, maxabs, solve_commutation)
 
 
 # -- group cocycle data ----------------------------------------------------------
@@ -130,8 +130,8 @@ def solve_coboundary(data, tol=INPUT_TOL):
     Returns (eta, residuals); eta is None when no vector satisfies both
     conditions within ``tol`` (the residuals still report the best fit).
     """
-    rows = commutator_system(data.unitaries, np.ones((data.order, 1, 1)))
-    eta = lstsq_minnorm(rows, data.xi.reshape(-1))
+    eta = solve_commutation(data.unitaries, np.ones((data.order, 1, 1)),
+                            data.xi[:, :, None])[0][:, 0]
     fit = coboundary_data(data.table, data.unitaries, eta)
     residuals = {"xi": maxabs(fit.xi - data.xi), "lambda": maxabs(fit.lam - data.lam)}
     if max(residuals.values()) > tol:

@@ -69,16 +69,29 @@ def commutator_system(left, right):
     return out.reshape(m * q * p, q * p)
 
 
-def lstsq_minnorm(a, b):
-    """Minimal-norm least-squares solution with relative singular-value cutoff."""
-    x, _, _, _ = np.linalg.lstsq(a, b, rcond=RCOND)
-    return x
+def solve_commutation(left, right, target):
+    """The minimal-norm least-squares T of left[k] T - T right[k] = target[k]
+    for stacks left (m, p, p), right (m, q, q) and target (m, p, q), solved
+    over :func:`commutator_system` at ``RCOND``.  Returns (T, residual), the
+    residual max |left T - T right - target|."""
+    vec = target.transpose(0, 2, 1).reshape(-1)
+    t = np.linalg.lstsq(commutator_system(left, right), vec, rcond=RCOND)[0]
+    t = t.reshape(left.shape[-1], right.shape[-1], order="F")
+    return t, maxabs(left @ t[None, :, :] - t[None, :, :] @ right - target)
+
+
+def rank_of(s):
+    """The number of descending singular values or eigenvalues s above
+    ``SPECTRAL_TOL`` times the largest; 0 for an empty s."""
+    return int(np.sum(s > SPECTRAL_TOL * s[0])) if s.size else 0
+
+
+def null_space(a):
+    """Rows spanning the null space of a: the conjugated rows of vh past
+    :func:`rank_of` of its singular values."""
+    _, s, vh = np.linalg.svd(a)
+    return np.conjugate(vh[rank_of(s):])
 
 
 def numerical_rank(a):
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > SPECTRAL_TOL * s[0]))
+    return rank_of(np.linalg.svd(a, compute_uv=False))

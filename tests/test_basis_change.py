@@ -36,7 +36,11 @@ def skew(b, seed):
     rng = np.random.default_rng(seed)
     t = rng.standard_normal((b.dim, b.dim)) + 1j * rng.standard_normal((b.dim, b.dim))
     t += 3.0 * np.eye(b.dim)  # keep it well conditioned
-    return assert_valid(change_basis(b, t), struct_tol=1e-10)
+    b = change_basis(b, t)
+    for r in validate_bialgebra(b, 1e-10):
+        if not r.passed:
+            raise AxiomViolation(r.name, r.residual, r.where)
+    return b
 
 
 def conditioned_change(b, seed):

@@ -13,7 +13,8 @@ from qlevy.generators import (CPQuadruple, NoIntertwiner,
                               check_structure_map, gns_construct,
                               intertwine_minimal, make_cp_generator,
                               make_structure_map)
-from qlevy.linalg import commutator_system, dagger, lstsq_minnorm, maxabs, min_eig_herm, opnorm
+from qlevy.linalg import (RCOND, commutator_system, dagger, maxabs, min_eig_herm,
+                          opnorm)
 
 from conftest import random_generator
 from test_basis_change import conditioned_change
@@ -288,7 +289,7 @@ def lstsq_intertwiner(q1, q2):
                            commutator_system(q2.rho.values, q1.rho.values)])
     bvec = np.concatenate([q2.w.reshape(-1, order="F"),
                            np.zeros(q1.rho.source.dim * k2 * k1, dtype=complex)])
-    v = lstsq_minnorm(amat, bvec).reshape(k2, k1, order="F")
+    v = np.linalg.lstsq(amat, bvec, rcond=RCOND)[0].reshape(k2, k1, order="F")
     return v, maxabs(amat @ v.reshape(-1, order="F") - bvec)
 
 
