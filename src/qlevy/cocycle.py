@@ -22,7 +22,7 @@ from numpy.polynomial import legendre
 from .blocks import block_exponentials, counit_of_exponentials, group_blocks
 from .convolution import (ConvolutionSemigroup, NonFiniteCocycle, OperatorMap, _exp_tail,
                           convolve, functional, star_power)
-from .linalg import SPECTRAL_TOL, maxabs
+from .linalg import SPECTRAL_TOL, bordered, maxabs
 
 HORIZON_SLACK = 1e-9   # a step function ending this close before a time covers it
 TOY_FOCK_CAP_BYTES = 2 ** 28   # largest full toy-Fock map, checked before allocating
@@ -42,9 +42,7 @@ class OverlappingIntervals(ValueError):
 
 def delta_qs(p):
     """The quantum Ito projection Delta_QS onto k in B(C + k), p = 1 + dim k."""
-    dqs = np.eye(p, dtype=complex)
-    dqs[0, 0] = 0.0
-    return dqs
+    return bordered(0.0, 0.0, 0.0, np.eye(p - 1))
 
 
 @dataclass(frozen=True)
@@ -162,8 +160,6 @@ def refine(f, f_prime, t):
         for p in pts[i + 1:].tolist():
             if p - merged[-1] > 1e-12:
                 merged.append(p)
-        if abs(merged[-1] - t) > 1e-12:
-            merged.append(t)
         pts = np.array(merged)
         dts = pts[1:] - pts[:-1]
     mids = 0.5 * (pts[:-1] + pts[1:])
@@ -194,7 +190,9 @@ def exp_inner_product(f, g, t):
 # -- stochastic generators ----------------------------------------------------
 
 class Generator(OperatorMap):
-    """An operator map into B(C + k) with block accessors (lam, delta, nu)."""
+    """An operator map into B(C + k), values (d, 1 + d_noise, 1 + d_noise):
+    the noise dimension ``d_noise``, the corner functional ``lam_block`` and
+    the reality test ``is_real``."""
 
     def __post_init__(self):
         super().__post_init__()
@@ -440,8 +438,7 @@ class ToyFockResult:
 def toy_fock_step_map(phi, h):
     """One random-walk step: x -> eps(x) I + D_h phi(x) D_h, D_h = diag(sqrt h, I)."""
     phi = as_generator(phi)
-    dh = np.eye(phi.p, dtype=complex)
-    dh[0, 0] = np.sqrt(h)
+    dh = bordered(np.sqrt(h), 0.0, 0.0, np.eye(phi.p - 1))
     vals = phi.source.counit[:, None, None] * np.eye(phi.p)[None, :, :] \
         + dh @ phi.values @ dh
     return OperatorMap(phi.source, vals)

@@ -21,8 +21,8 @@ import numpy as np
 from . import algebra
 from .cocycle import Generator, as_generator, delta_qs
 from .convolution import OperatorMap, counit_map
-from .linalg import (RCOND, SOLVE_TOL, SPECTRAL_TOL, STRUCT_TOL, dagger, maxabs,
-                     min_eig_herm, numerical_rank, opnorm, rank_of)
+from .linalg import (RCOND, SOLVE_TOL, SPECTRAL_TOL, STRUCT_TOL, bordered, dagger,
+                     maxabs, min_eig_herm, numerical_rank, opnorm, rank_of)
 
 
 # -- representation utilities -------------------------------------------------
@@ -58,7 +58,11 @@ class SchurmannTriple:
     pi: OperatorMap          # into M_n
     delta: OperatorMap       # into n x 1 columns
     lam: OperatorMap         # functional
-    n: int
+
+    @property
+    def n(self):
+        """The noise dimension: the size of pi's values."""
+        return self.pi.p
 
     def residuals(self):
         src = self.pi.source
@@ -89,13 +93,10 @@ def implemented_chi_structure(pi, chi, xi):
     n = pi.p
     xi = np.asarray(xi, dtype=complex).reshape(-1)
     b = pi.values - chi.as_vector()[:, None, None] * np.eye(n)[None, :, :]
-    vals = np.zeros((src.dim, 1 + n, 1 + n), dtype=complex)
     # kept: these sums over a and b set the report's bytes (ROADMAP item 17)
-    vals[:, 0, 0] = np.einsum("a,kab,b->k", np.conjugate(xi), b, xi)
-    vals[:, 0, 1:] = np.einsum("a,kab->kb", np.conjugate(xi), b)
-    vals[:, 1:, 0] = np.einsum("kab,b->ka", b, xi)
-    vals[:, 1:, 1:] = b
-    return Generator(src, vals)
+    return Generator(src, bordered(np.einsum("a,kab,b->k", np.conjugate(xi), b, xi),
+                                   np.einsum("a,kab->kb", np.conjugate(xi), b),
+                                   np.einsum("kab,b->ka", b, xi), b))
 
 
 def make_structure_map(pi, c):
@@ -222,12 +223,7 @@ def canonical_phi1(big_d, e=None, t=None):
     col = chalf @ e
     tmax = -float(np.vdot(e, e).real)
     t = tmax if t is None else min(float(t), tmax)
-    out = np.zeros((1 + k, 1 + k), dtype=complex)
-    out[0, 0] = t
-    out[0, 1:] = np.conjugate(col)
-    out[1:, 0] = col
-    out[1:, 1:] = -c
-    return out
+    return bordered(t, np.conjugate(col), col, -c)
 
 
 def make_cp_generator(q):
@@ -334,11 +330,10 @@ def gns_construct(gamma, check_tol=SOLVE_TOL):
     if vals.size and vals[-1] < -SPECTRAL_TOL * max(vals[0], 1.0):
         raise NotConditionallyPositive(f"Gram matrix has eigenvalue {vals[-1]:.3e}")
     rank = rank_of(vals)
-    vecs = vecs[:, :rank].copy()
-    for r in range(rank):
-        col = vecs[:, r]
-        first = np.nonzero(np.abs(col) > 1e-8)[0][0]
-        vecs[:, r] = col * np.exp(-1j * np.angle(col[first]))
+    vecs = vecs[:, :rank]
+    # the count of leading entries at most 1e-8 is the index of the first sizable one
+    first = np.cumprod(np.abs(vecs) <= 1e-8, axis=0).sum(axis=0)
+    vecs = vecs * np.exp(-1j * np.angle(vecs[first, np.arange(rank)]))
     roots = np.sqrt(vals[:rank])
     chart = roots[:, None] * dagger(vecs)          # rank x (d-1)
     chart_inv = vecs / roots[None, :]              # (d-1) x rank
@@ -350,14 +345,10 @@ def gns_construct(gamma, check_tol=SOLVE_TOL):
 
     dmat = chart @ kb_pinv @ _counit_projection(src)   # rank x d
     delta = OperatorMap(src, dmat.T[:, :, None])
-    triple = SchurmannTriple(pi=pi, delta=delta, lam=gamma, n=rank)
-
-    vals_phi = np.zeros((src.dim, 1 + rank, 1 + rank), dtype=complex)
-    vals_phi[:, 0, 0] = gv
-    vals_phi[:, 1:, 0] = delta.values[:, :, 0]
-    vals_phi[:, 0, 1:] = delta.conjugate_map().values[:, 0, :]
-    vals_phi[:, 1:, 1:] = pi_vals - src.counit[:, None, None] * np.eye(rank)
-    phi = Generator(src, vals_phi)
+    triple = SchurmannTriple(pi=pi, delta=delta, lam=gamma)
+    phi = Generator(src, bordered(gv, delta.conjugate_map().values[:, 0, :],
+                                  delta.values[:, :, 0],
+                                  pi_vals - src.counit[:, None, None] * np.eye(rank)))
     worst = triple.max_residual()
     if worst > check_tol:
         kept = f"{vals[0]:.3e} to {vals[rank - 1]:.3e}" if rank else "none"

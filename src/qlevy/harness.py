@@ -28,7 +28,7 @@ from .cocycle import Generator, StepFunction, check_cocycle_identity, delta_qs
 from .convolution import ConvolutionSemigroup, OperatorMap, functional
 from .derivations import DerivationProblem, inner_derivation, solve_inner
 from .generators import check_structure_map, gns_construct, make_structure_map
-from .linalg import (INPUT_TOL, SOLVE_TOL, SPECTRAL_TOL, STRUCT_TOL,
+from .linalg import (INPUT_TOL, SOLVE_TOL, SPECTRAL_TOL, STRUCT_TOL, bordered,
                      dagger, maxabs, solve_commutation)
 
 
@@ -90,14 +90,9 @@ def coboundary_data(table, unitaries, eta):
 def psi_blocks(data):
     """The block matrices psi_g of the corresponding generator."""
     xi, u = data.xi, data.unitaries
-    k = data.d_noise
-    out = np.zeros((data.order, 1 + k, 1 + k), dtype=complex)
     row = xi.conj()[:, None, :]
-    out[:, 0, 0] = 1j * data.lam - 0.5 * (row @ xi[:, :, None])[:, 0, 0].real
-    out[:, 0, 1:] = (-row @ u)[:, 0]
-    out[:, 1:, 0] = xi
-    out[:, 1:, 1:] = u - np.eye(k)
-    return out
+    return bordered(1j * data.lam - 0.5 * (row @ xi[:, :, None])[:, 0, 0].real,
+                    (-row @ u)[:, 0], xi, u - np.eye(data.d_noise))
 
 
 def group_relation_residuals(psi, table):

@@ -46,6 +46,19 @@ def block_diag(blocks):
     return out
 
 
+def bordered(corner, row, column, body):
+    """The complex matrix [[corner, row], [column, body]] on C + k, stacked
+    over the leading axes of body (..., k, k); corner (...), row and column
+    (..., k) broadcast against them, and each entry is written once."""
+    k = body.shape[-1]
+    out = np.empty(body.shape[:-2] + (1 + k, 1 + k), dtype=complex)
+    out[..., 0, 0] = corner
+    out[..., 0, 1:] = row
+    out[..., 1:, 0] = column
+    out[..., 1:, 1:] = body
+    return out
+
+
 def split_blocks(m, sizes):
     """Inverse of :func:`block_diag`: cut the diagonal blocks of the last
     two axes back out."""

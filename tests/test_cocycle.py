@@ -219,6 +219,20 @@ def test_cocycle_identity_at_zero(all_fixtures):
     assert check_cocycle_identity(phi, 0.0, 1.0, f, fp) < 1e-12
 
 
+def test_cocycle_identity_with_an_empty_increment(all_fixtures):
+    # at t = 0 the identity is l_s = l_s * eps, and convolving with the
+    # counit reproduces l_s exactly
+    rng = np.random.default_rng(9)
+    for b in all_fixtures.values():
+        for _ in range(3):
+            dn = int(rng.integers(1, 3))
+            phi = random_generator(rng, b, dn)
+            s = float(rng.uniform(0.05, 0.9))
+            f = random_step(rng, dn, s)
+            fp = random_step(rng, dn, s)
+            assert check_cocycle_identity(phi, s, 0.0, f, fp) == 0.0
+
+
 def test_cocycle_identity_random(all_fixtures):
     rng = np.random.default_rng(8)
     for b in all_fixtures.values():

@@ -60,7 +60,7 @@ def relation_inputs(b, rng):
 def sesquilinear_inputs(b, rng):
     lam = random_operator_map(rng, b, 1)
     triple = SchurmannTriple(pi=random_operator_map(rng, b, 2),
-                             delta=random_operator_map(rng, b, 2, 1), lam=lam, n=2)
+                             delta=random_operator_map(rng, b, 2, 1), lam=lam)
     yield (triple,), absolute("mi,mjk,k->ij", b.star_matrix, b.mult, lam.as_vector())
 
 
