@@ -17,6 +17,7 @@ counit is still a character).  All axioms are checkable numerically and
 :func:`validate_bialgebra` reports a residual per axiom.
 """
 
+import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
@@ -209,7 +210,7 @@ class AxiomResult:
 def _worst(t):
     """Largest absolute entry of t and its index."""
     a = np.abs(t)
-    flat = int(np.argmax(a))
+    flat = int(a.argmax())
     return float(a.flat[flat]), tuple(int(i) for i in np.unravel_index(flat, a.shape))
 
 
@@ -225,7 +226,19 @@ def validate_bialgebra(b, struct_tol=STRUCT_TOL):
     cost O(d^5) at most, coproduct-multiplicativity costs O(d^6), and the
     representation and complete-positivity checks go block by block (see
     :func:`representation_defect` and :func:`_coproduct_choi_min_eig`).
+
+    The checks run in real arithmetic wherever the data is exactly real
+    (:func:`_over_reals`): the structural ones when every imaginary part of
+    unit, mult, star_matrix, counit and coproduct is zero, the representation
+    and faithfulness ones when those of rep_images are zero too.  A real
+    product or sum rounds as the complex one with zero imaginary parts, so
+    every residual keeps its bits, and a real matrix product takes a
+    quarter of the multiplications.  The complete-positivity check always
+    reads the tensors as given: its pseudo-inverse and eigenvalues come from
+    LAPACK's real or complex routines, which round differently.
     """
+    given = b
+    b, rep = _over_reals(given)
     d = b.dim
     res = []
     eye = np.eye(d)
@@ -292,16 +305,39 @@ def validate_bialgebra(b, struct_tol=STRUCT_TOL):
         res.append(AxiomResult("coproduct-star-preserving", maxabs(lhs - rhs),
                                tol(st * c, st * st * c)))
     elif b.kind == "hyperbialgebra":
-        defect = max(0.0, -_coproduct_choi_min_eig(b))
+        defect = max(0.0, -_coproduct_choi_min_eig(given))
         res.append(AxiomResult("coproduct-completely-positive", defect, SPECTRAL_TOL))
     else:
         res.append(AxiomResult("kind", 1.0, 0.0))
 
     res.append(AxiomResult("representation",
-                           representation_defect(b, b.rep_images, b.rep_blocks), struct_tol))
-    rank = numerical_rank(b.rep_images.reshape(d, -1))
+                           representation_defect(rep, rep.rep_images, rep.rep_blocks),
+                           struct_tol))
+    rank = numerical_rank(rep.rep_images.reshape(d, -1))
     res.append(AxiomResult("representation-faithful", float(b.dim - rank), 0.5))
     return res
+
+
+STRUCTURE = ("unit", "mult", "star_matrix", "counit", "coproduct")
+
+
+def _over_reals(b):
+    """(structure, rep): b for the structural checks and for the
+    representation checks, with its tensors narrowed to contiguous real
+    arrays where every imaginary part is exactly zero.
+
+    ``structure`` narrows the five structure tensors when all of them are
+    real; ``rep`` narrows them and ``rep_images`` when all six are, and is b
+    itself otherwise.  A check thus reads its operands all over R or all as
+    given, and no contraction casts between the two.
+    """
+    if any(np.count_nonzero(getattr(b, f).imag) for f in STRUCTURE):
+        return b, b
+    real = {f: getattr(b, f).real.copy() for f in STRUCTURE}
+    if np.count_nonzero(b.rep_images.imag):
+        return dataclasses.replace(b, **real), b
+    real = dataclasses.replace(b, rep_images=b.rep_images.real.copy(), **real)
+    return real, real
 
 
 def _coproduct_of_products(b):

@@ -11,6 +11,10 @@ eps and the chi (or the single-block and the block-diagonal) case, are
 checked the same way: against a pair-by-pair evaluation of the relation
 and against the full ``einsum`` defect of an arbitrary representation.
 
+``validate_bialgebra`` runs exactly real tensors in real arithmetic; the
+same formulas in complex arithmetic throughout are kept as its reference,
+and the two must agree bit for bit.
+
 The routines that read a Cayley table (the builders, the table check and
 the group-cocycle residuals) index it with arrays; they are checked against
 loops that walk the table one entry at a time.
@@ -24,10 +28,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlevy.algebra import (_check_table, _coproduct_choi_min_eig, assert_valid,
-                           build_function_algebra, build_group_algebra,
-                           class_hypergroup_algebra, representation_defect,
-                           validate_bialgebra)
+from qlevy.algebra import (STRUCTURE, AxiomResult, _check_table, _coproduct_choi_min_eig,
+                           _coproduct_of_products, _worst, assert_valid,
+                           bialgebra_from_dict, build_function_algebra,
+                           build_group_algebra, class_hypergroup_algebra,
+                           representation_defect, validate_bialgebra)
 from qlevy.convolution import OperatorMap, counit_map, functional
 from qlevy.derivations import (DerivationProblem, check_derivation,
                                derivation_constraint_matrix)
@@ -39,10 +44,11 @@ from qlevy.generators import (CPQuadruple, canonical_phi1, check_chi_structure,
 from qlevy.generators import representation_defect as single_block_defect
 from qlevy.harness import (GroupCocycleData, coboundary_data,
                            group_relation_residuals, psi_blocks)
-from qlevy.linalg import (block_diag, commutator_system, dagger, maxabs, min_eig_herm,
-                          split_blocks)
+from qlevy.linalg import (SPECTRAL_TOL, STRUCT_TOL, block_diag, commutator_system, dagger,
+                          maxabs, min_eig_herm, numerical_rank, split_blocks)
 
 from conftest import random_generator
+from test_basis_change import skew
 
 
 # -- oracles ------------------------------------------------------------------
@@ -555,6 +561,152 @@ def test_bundled_fixtures_match_entry_loops(all_fixtures):
     for name, b in all_fixtures.items():
         prefix, group = name[:-1].split("(")
         assert_same_structure(b, loops[prefix](tables[group]))
+
+
+# -- validation over R against validation over C -------------------------------
+
+def complex_validate(b, struct_tol=STRUCT_TOL):
+    """validate_bialgebra's formulas with every tensor complex: the reference
+    for its narrowing of exactly real tensors to real arrays."""
+    b = dataclasses.replace(b, **{f: np.asarray(getattr(b, f), dtype=complex)
+                                  for f in STRUCTURE + ("rep_images",)})
+    d = b.dim
+    res = []
+    eye = np.eye(d)
+    mult, cop = b.mult, b.coproduct
+    mult_ij_k = mult.reshape(d * d, d)
+    u, m, st_, e, c = (float(np.abs(x).max())
+                       for x in (b.unit, mult, b.star_matrix, b.counit, cop))
+
+    def tol(*sides):
+        return struct_tol * max(1.0, *sides)
+
+    unit_l = np.einsum("i,ijk->jk", b.unit, b.mult)
+    unit_r = np.einsum("j,ijk->ik", b.unit, b.mult)
+    worst, where = _worst(np.stack([unit_l - eye, unit_r - eye]))
+    res.append(AxiomResult("unit", worst, tol(u * m), where[1:]))
+    lhs = (mult_ij_k @ mult.reshape(d, d * d)).reshape(d, d, d, d)
+    rhs = np.matmul(mult_ij_k, mult).reshape(d, d, d, d)
+    worst, where = _worst(lhs - rhs)
+    res.append(AxiomResult("associativity", worst, tol(m * m), where[:3]))
+    s = b.star_matrix
+    res.append(AxiomResult("star-involution", maxabs(s @ np.conjugate(s) - eye),
+                           tol(st_ * st_)))
+    lhs = (np.conjugate(mult_ij_k) @ s.T).reshape(d, d, d)
+    rhs = (s.T @ np.matmul(s.T, mult).reshape(d, d * d)).reshape(d, d, d)
+    rhs = rhs.transpose(1, 0, 2)
+    res.append(AxiomResult("star-antimultiplicative", maxabs(lhs - rhs),
+                           tol(m * st_, st_ * st_ * m)))
+    lhs = np.matmul(cop.transpose(0, 2, 1), cop.reshape(d, d * d))
+    lhs = lhs.reshape(d, d, d, d).transpose(0, 2, 3, 1)
+    rhs = (cop.reshape(d * d, d) @ cop.reshape(d, d * d)).reshape(d, d, d, d)
+    worst, where = _worst(lhs - rhs)
+    res.append(AxiomResult("OSC1-coassociativity", worst, tol(c * c), where[:1]))
+    left = np.einsum("kij,i->kj", b.coproduct, b.counit) - eye
+    right = np.einsum("kij,j->ki", b.coproduct, b.counit) - eye
+    res.append(AxiomResult("OSC2-counit-property", maxabs(np.stack([left, right])),
+                           tol(c * e)))
+    char = np.einsum("ijk,k->ij", b.mult, b.counit) - np.outer(b.counit, b.counit)
+    star_eps = s.T @ b.counit - np.conjugate(b.counit)
+    at_one = abs(b.counit @ b.unit - 1.0)
+    res.append(AxiomResult("counit-character",
+                           max(maxabs(char), maxabs(star_eps), at_one),
+                           tol(m * e, e * e, st_ * e, e * u)))
+    delta_unit = np.einsum("k,kij->ij", b.unit, b.coproduct) - np.outer(b.unit, b.unit)
+    res.append(AxiomResult("coproduct-unital", maxabs(delta_unit), tol(u * c, u * u)))
+    if b.kind == "bialgebra":
+        lhs = (mult_ij_k @ cop.reshape(d, d * d)).reshape(d, d, d, d)
+        worst, where = _worst(lhs - _coproduct_of_products(b))
+        res.append(AxiomResult("coproduct-multiplicative", worst, tol(m * c, c * c * m * m),
+                               where[:2]))
+        lhs = (s.T @ cop.reshape(d, d * d)).reshape(d, d, d)
+        rhs = s @ np.conjugate(cop) @ s.T
+        res.append(AxiomResult("coproduct-star-preserving", maxabs(lhs - rhs),
+                               tol(st_ * c, st_ * st_ * c)))
+    elif b.kind == "hyperbialgebra":
+        defect = max(0.0, -_coproduct_choi_min_eig(b))
+        res.append(AxiomResult("coproduct-completely-positive", defect, SPECTRAL_TOL))
+    else:
+        res.append(AxiomResult("kind", 1.0, 0.0))
+    res.append(AxiomResult("representation",
+                           representation_defect(b, b.rep_images, b.rep_blocks), struct_tol))
+    rank = numerical_rank(b.rep_images.reshape(d, -1))
+    res.append(AxiomResult("representation-faithful", float(b.dim - rank), 0.5))
+    return res
+
+
+def listed(results):
+    return [(r.name, r.residual, r.tol, r.where) for r in results]
+
+
+def permuted(b, rng):
+    """b in a randomly reordered basis."""
+    p = rng.permutation(b.dim)
+    return dataclasses.replace(
+        b, basis_labels=tuple(b.basis_labels[i] for i in p), unit=b.unit[p],
+        mult=b.mult[np.ix_(p, p, p)], star_matrix=b.star_matrix[np.ix_(p, p)],
+        counit=b.counit[p], coproduct=b.coproduct[np.ix_(p, p, p)],
+        rep_images=b.rep_images[p])
+
+
+def moved_entry(b, field, rng, by):
+    """b with one random nonzero entry of its mult or coproduct tensor moved
+    by ``by``, through the file format as a user would write it."""
+    data = b.to_dict()
+    entry = data[field][int(rng.integers(len(data[field])))]
+    entry["re"] += by.real
+    entry["im"] += by.imag
+    return bialgebra_from_dict(data)
+
+
+def narrowing_cases():
+    rng = np.random.default_rng(32)
+    cases = dict(FIXTURES)
+    for name, table in GROUP_TABLES.items():
+        for kind, (build, _) in BUILDERS.items():
+            cases[f"{kind}({name})"] = build(table)
+        cases[f"hyper({name})"] = as_hyper(cases[f"group({name})"])
+    for n in range(3, 9):
+        cases[f"function(max{n})"] = build_function_algebra(max_monoid(n))
+    for name in list(cases):
+        cases[f"{name} permuted"] = permuted(cases[name], rng)
+    for theta in (0.5, 1.0, 1.5):
+        cases[f"two_point({theta})"] = two_point_hypergroup(theta)
+    for name, b in FIXTURES.items():
+        for field in ("mult", "coproduct"):
+            for by in (1e-3, -1e-3, 1e-2, -1e-2, 1e-1, -1e-1):
+                cases[f"{name} {field} {by:+g}"] = moved_entry(b, field, rng, by)
+    cases["skew(Alg(S3))"] = skew(FIXTURES["Alg(S3)"], 77)
+    cases["skew(C(S3))"] = skew(FIXTURES["C(S3)"], 65536)
+    return cases
+
+
+def test_real_narrowing_matches_complex_validation():
+    # validate_bialgebra runs exactly real tensors over R; a product or a sum
+    # of real numbers rounds as the complex one with zero imaginary parts,
+    # so every residual, tolerance and location keeps its bits
+    cases = narrowing_cases()
+    verdicts = {all(r.passed for r in complex_validate(b)) for b in cases.values()}
+    assert verdicts == {True, False}
+    bad = [name for name, b in cases.items()
+           if listed(validate_bialgebra(b)) != listed(complex_validate(b))]
+    assert not bad, bad
+
+
+def first_failure(results):
+    return next(((r.name, r.residual, r.where) for r in results if not r.passed), None)
+
+
+def test_imaginary_part_alone_fails_validation():
+    # +1e-3 i on one entry: a narrowing that took .real unconditionally, or
+    # compared the imaginary parts with a tolerance, would pass these
+    rng = np.random.default_rng(7)
+    for name, b in FIXTURES.items():
+        for field in ("mult", "coproduct"):
+            moved = moved_entry(b, field, rng, 1e-3j)
+            want = first_failure(complex_validate(moved))
+            assert want is not None, (name, field)
+            assert first_failure(validate_bialgebra(moved)) == want, (name, field)
 
 
 def random_table(rng):
