@@ -20,6 +20,7 @@ counit is still a character).  All axioms are checkable numerically and
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,7 +205,9 @@ class AxiomResult:
 
     @property
     def passed(self):
-        return self.residual <= self.tol
+        # an infinite tolerance admits nothing: it comes from non-finite data
+        return (math.isfinite(self.residual) and math.isfinite(self.tol)
+                and self.residual <= self.tol)
 
 
 def _worst(t):
@@ -224,8 +227,13 @@ def validate_bialgebra(b, struct_tol=STRUCT_TOL):
     matrix of the represented coproduct, hyperbialgebra case) uses
     ``SPECTRAL_TOL``.  The structural checks are reshaped matrix products of
     cost O(d^5) at most, coproduct-multiplicativity costs O(d^6), and the
-    representation and complete-positivity checks go block by block (see
-    :func:`representation_defect` and :func:`_coproduct_choi_min_eig`).
+    representation check goes block by block (:func:`representation_defect`).
+    Complete positivity is three matrix products in the block chart, O(D d^3
+    + D^2 d^2 + D^3 d) with D = sum_b n_b^2, plus one batched ``eigvalsh``
+    per size triple with n0 n1 n2 > 1, so none for a commutative
+    representation (:func:`_coproduct_choi_min_eig`).  A check passes when
+    its residual and tolerance are finite and the residual is within the
+    tolerance: a non-finite entry fails every check that reads it.
 
     The checks run in real arithmetic wherever the data is exactly real
     (:func:`_over_reals`): the structural ones when every imaginary part of
@@ -305,7 +313,8 @@ def validate_bialgebra(b, struct_tol=STRUCT_TOL):
         res.append(AxiomResult("coproduct-star-preserving", maxabs(lhs - rhs),
                                tol(st * c, st * st * c)))
     elif b.kind == "hyperbialgebra":
-        defect = max(0.0, -_coproduct_choi_min_eig(given))
+        lowest = _coproduct_choi_min_eig(given)
+        defect = 0.0 if lowest >= 0.0 else -lowest      # NaN stays NaN
         res.append(AxiomResult("coproduct-completely-positive", defect, SPECTRAL_TOL))
     else:
         res.append(AxiomResult("kind", 1.0, 0.0))
@@ -377,17 +386,17 @@ def representation_defect(src, images, blocks):
     d, n = src.dim, images.shape[1]
     # kept: the unit of C(G) is all ones, so the sum has d nonzero terms
     unital = maxabs(np.einsum("k,kab->ab", src.unit, images) - np.eye(n))
-    mult = 0.0
+    parts = [unital]
     for x in _blocks_by_size(images, blocks).values():
         image_of_prod = src.mult.reshape(d * d, d) @ x.reshape(d, -1)
         # kept: each product of blocks sums several nonzero terms, whose order sets the bytes
         prod = np.einsum("iBab,jBbc->ijBac", x, x).reshape(d * d, -1)
-        mult = max(mult, maxabs(prod - image_of_prod))
-    starp = maxabs((src.star_matrix.T @ images.reshape(d, -1)).reshape(images.shape)
-                   - dagger(images))
-    if len(blocks) == 1:   # one block has no off-block entries
-        return max(unital, mult, starp)
-    return max(unital, mult, starp, maxabs(images[:, ~_same_block(blocks)]))
+        parts.append(maxabs(prod - image_of_prod))
+    parts.append(maxabs((src.star_matrix.T @ images.reshape(d, -1)).reshape(images.shape)
+                        - dagger(images)))
+    if len(blocks) > 1:   # one block has no off-block entries
+        parts.append(maxabs(images[:, ~_same_block(blocks)]))
+    return maxabs(parts)     # a NaN part stays NaN, which max() would drop
 
 
 def _same_block(blocks):
@@ -406,6 +415,20 @@ def _blocks_by_size(images, blocks):
     return {n: np.array(v).swapaxes(0, 1) for n, v in out.items()}
 
 
+def _block_chart(images, blocks):
+    """(R, P, counts): the chart of the diagonal blocks of images (d, N, N).
+
+    Row i of R (d, D) lists the entries of images[i]'s diagonal blocks, the
+    blocks grouped by size in the order of :func:`_blocks_by_size`
+    (D = sum_b n_b^2); P (D, d) is its pseudo-inverse at ``RCOND``, whose row
+    for a block entry holds the coordinates of that matrix unit; ``counts``
+    pairs each block size with its number of blocks, in R's order.
+    """
+    sizes = _blocks_by_size(images, blocks)
+    chart = np.concatenate([x.reshape(images.shape[0], -1) for x in sizes.values()], axis=1)
+    return chart, np.linalg.pinv(chart, rcond=RCOND), [(n, x.shape[1]) for n, x in sizes.items()]
+
+
 def _coproduct_choi_min_eig(b):
     """Choi-matrix minimum eigenvalue of the represented coproduct.
 
@@ -420,26 +443,41 @@ def _coproduct_choi_min_eig(b):
         C[(u, a, c), (v, e, f)] = sum_kij P_k[u, v] Delta_kij rho_i[a, e] rho_j[c, f]
 
     where P_k[u, v] are the coordinates of the matrix unit E_uv of block b0.
-    The blocks of one size triple are built by one batched contraction and
-    diagonalised by one batched ``eigvalsh``; the full Choi matrix is never
-    formed.  Cost O(sum over block triples of (n0 n1 n2)^3) for the
-    eigenvalues, plus O(D d^3 + D^3 d) for the contractions, where D is the
-    sum of n_b^2 (D = d for irreducible blocks, so O(d^4)).
+    In the block chart (:func:`_block_chart`) every such entry is one entry
+    of C[x, y, z] = sum_kij P[x, k] Delta[k, i, j] R[i, y] R[j, z], formed
+    by three matrix products at cost O(D d^3 + D^2 d^2 + D^3 d), D the sum
+    of n_b^2 (D = d for irreducible blocks, so O(d^4)).  The Choi blocks of
+    one size triple are sliced out of C and diagonalised by one batched
+    ``eigvalsh``, at cost O(sum over block triples of (n0 n1 n2)^3); a 1 x 1
+    block is its own eigenvalue (its real part, as ``eigvalsh`` returns it),
+    so a commutative representation takes no eigensolver.  The full Choi
+    matrix is never formed.  NaN when the tensors are not finite: a Choi
+    matrix with a non-finite entry has no eigenvalues.
     """
-    images = _blocks_by_size(b.rep_images, b.rep_blocks)     # [i, B, a, e]
-    inside = _same_block(b.rep_blocks)
-    coords = np.zeros_like(b.rep_images)        # [k, u, v]: coordinates of E_uv
-    coords[:, inside] = np.linalg.pinv(b.rep_images[:, inside], rcond=RCOND).T
+    d = b.dim
+    chart, coords, counts = _block_chart(b.rep_images, b.rep_blocks)
+    width = chart.shape[1]                                              # D
+    c = (coords @ b.coproduct.reshape(d, d * d)).reshape(width, d, d)  # [x, i, j]
+    c = np.matmul(chart.T, c).reshape(width * width, d)                # [x, y, j]
+    c = (c @ chart).reshape(width, width, width)                       # [x, y, z]
+    if not np.isfinite(c).all():
+        return np.nan
+    spans, ofs = [], 0
+    for m, count in counts:
+        spans.append((m, count, slice(ofs, ofs + count * m * m)))
+        ofs += count * m * m
     lowest = np.inf
-    for n0, p in _blocks_by_size(coords, b.rep_blocks).items():   # [k, B0, u, v]
-        q = np.tensordot(p, b.coproduct, axes=(0, 0))        # [B0, u, v, i, j]
-        for n1, r1 in images.items():
-            t = np.tensordot(q, r1, axes=(3, 0))             # [B0, u, v, j, B1, a, e]
-            for n2, r2 in images.items():
-                c = np.tensordot(t, r2, axes=(3, 0))         # [B0,u,v,B1,a,e,B2,c,f]
+    for n0, b0, x in spans:
+        for n1, b1, y in spans:
+            for n2, b2, z in spans:
+                block = c[x, y, z]
                 size = n0 * n1 * n2
-                c = c.transpose(0, 3, 6, 1, 4, 7, 2, 5, 8).reshape(-1, size, size)
-                eigs = np.linalg.eigvalsh(0.5 * (c + dagger(c)))
+                if size == 1:
+                    lowest = min(lowest, float(block.real.min()))
+                    continue
+                block = block.reshape(b0, n0, n0, b1, n1, n1, b2, n2, n2)
+                block = block.transpose(0, 3, 6, 1, 4, 7, 2, 5, 8).reshape(-1, size, size)
+                eigs = np.linalg.eigvalsh(0.5 * (block + dagger(block)))
                 lowest = min(lowest, float(eigs[:, 0].min()))
     return lowest
 

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (Bialgebra, ParseError, _blocks_by_size, _decode, _encode, _parse_file,
+from .algebra import (Bialgebra, ParseError, _block_chart, _decode, _encode, _parse_file,
                       _write_json)
 from .blocks import counit_of_exponentials
-from .linalg import RCOND, dagger, maxabs, opnorm
+from .linalg import dagger, maxabs, opnorm
 
 
 @dataclass(frozen=True)
@@ -346,12 +346,9 @@ def _alternating_ascent(values, rep, blocks, c, iters):
     k = int(np.frexp(np.abs(values).max())[1]) - 1
     scale = 2.0 ** max(k, -1022)
     values = values.reshape(d, -1) / scale
-    sizes = _blocks_by_size(rep, blocks)
-    chart = np.concatenate([x.reshape(d, -1) for x in sizes.values()], axis=1)
-    inverse = np.linalg.pinv(chart, rcond=RCOND)        # (D, d)
+    chart, inverse, counts = _block_chart(rep, blocks)   # (d, D), (D, d)
     charted = inverse @ values                           # values as a map of X
     sides = (charted.T, np.conjugate(charted), p, q)
-    counts = [(m, x.shape[1]) for m, x in sizes.items()]
     x = (chart.T @ c.reshape(s, d, n * n)).reshape(s, -1, n, n)
     h = _top_pair(sides, x)[1]
     prev = np.full(s, -np.inf)

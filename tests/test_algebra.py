@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from qlevy.algebra import (AxiomViolation, ParseError, assert_valid,
                            build_group_algebra, class_hypergroup_algebra,
                            is_positive, load_bialgebra, multiply, represent,
                            star, validate_bialgebra)
+from qlevy.cli import main
 from qlevy.fixtures import (bundled_fixtures, cyclic_table, d4_table,
                             s3_table, two_point_hypergroup)
 from qlevy.linalg import dagger, maxabs
@@ -155,6 +157,31 @@ def test_load_names_broken_coassociativity(tmp_path):
     with pytest.raises(AxiomViolation) as err:
         load_bialgebra(path)
     assert "OSC" in err.value.axiom or "counit" in err.value.axiom
+
+
+# the checks that read each tensor; every one must fail on a non-finite entry
+READS = {"mult": {"unit", "associativity", "star-antimultiplicative", "counit-character",
+                  "representation"},
+         "coproduct": {"OSC1-coassociativity", "OSC2-counit-property", "coproduct-unital",
+                       "coproduct-completely-positive"}}
+
+
+@pytest.mark.parametrize("field", sorted(READS))
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_non_finite_entry_fails_every_check_reading_it(tmp_path, capsys, field, value):
+    # json writes and reads Infinity and NaN; a tolerance scaled by an
+    # infinite entry is infinite, and max() or min() drops a NaN, so without
+    # the finiteness test these checks passed with residual inf, nan or 0
+    data = bundled_fixtures()["Hyper(S3-classes)"].to_dict()
+    data[field][0]["re"] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with np.errstate(all="ignore"):
+        assert main(["validate", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = {line.split()[1] for line in lines if line.startswith("FAIL")}
+    assert READS[field] <= failed, lines
+    assert not [line for line in lines if re.match(r"PASS .*residual (inf|nan)", line)]
 
 
 def test_load_rejects_malformed_json(tmp_path):

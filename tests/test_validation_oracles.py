@@ -166,6 +166,14 @@ def perturbed(b, rng, eps):
         star_matrix=b.star_matrix + noise(b.star_matrix.shape), rep_images=imgs)
 
 
+def repeated_last_block(b):
+    """b with its last diagonal block repeated: a reducible representation
+    with two blocks of one size."""
+    blocks = split_blocks(b.rep_images, b.rep_blocks)
+    return dataclasses.replace(b, rep_blocks=b.rep_blocks + b.rep_blocks[-1:],
+                               rep_images=block_diag(blocks + blocks[-1:]))
+
+
 # -- cases --------------------------------------------------------------------
 
 THETAS = (0.3, 0.9, 1.05, 1.5, 2.0)
@@ -175,6 +183,9 @@ def oracle_cases():
     fx = bundled_fixtures()
     cases = dict(fx)
     cases["Alg(D4)"] = build_group_algebra(d4_table())
+    cases["Hyper(D4-classes)"] = class_hypergroup_algebra(d4_table())
+    cases["skew(Hyper(S3-classes))"] = skew(fx["Hyper(S3-classes)"], 77)
+    cases["Alg(S3) 2-block twice"] = repeated_last_block(fx["Alg(S3)"])
     for theta in THETAS:
         cases[f"two_point({theta})"] = two_point_hypergroup(theta)
     rng = np.random.default_rng(2006)
