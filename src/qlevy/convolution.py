@@ -332,11 +332,13 @@ def _alternating_ascent(values, rep, blocks, c, iters):
 
     The points move as block entries: C has X = R^T C, R the (d, D) chart
     whose row i lists the entries of rho0(e_i)'s diagonal blocks
-    (D = sum_b n_b^2), and X returns as C = (R^+)^T X.  rho0 of that C is the
-    orthogonal projection of X onto rho0(A)'s block entries, the
-    trace-preserving conditional expectation onto rho0(A) (x) M_n, so a
-    blockwise unitary X gives ||rho0(C)|| <= 1 (= 1 when D = d), and from
-    the first step on the numerator's sigma_max never falls."""
+    (D = sum_b n_b^2), and X returns as C = P^T X, P the chart inverse of
+    :func:`_block_chart` (R^-1 from one LU solve when R is square and well
+    conditioned, else R^+).  rho0 of that C is the orthogonal projection of
+    X onto rho0(A)'s block entries, the trace-preserving conditional
+    expectation onto rho0(A) (x) M_n, so a blockwise unitary X gives
+    ||rho0(C)|| <= 1 (= 1 when D = d), and from the first step on the
+    numerator's sigma_max never falls."""
     d, p, q = values.shape
     s, _, n, _ = c.shape
     # the values are taken scaled by 2^-k, k the binary exponent of their max

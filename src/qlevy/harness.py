@@ -202,12 +202,12 @@ def simulate_compound_poisson(table, rate, jump_measure, t, n_samples, seed):
     counts = _poisson_counts(rng, rate * t, n_samples)
     state = np.zeros(n_samples, dtype=np.int64)
     cdf, products, order = np.cumsum(mu), table.ravel(), table.shape[0]
-    live, rounds = np.flatnonzero(counts), 0
+    live, rounds = np.arange(n_samples).compress(counts > 0), 0
     while live.size:
         jumps = _inverse_cdf(cdf, rng.random(live.size))
-        state[live] = products[state[live] * order + jumps]
+        state[live] = products.take(state.take(live) * order + jumps)
         rounds += 1
-        live = live[counts[live] > rounds]
+        live = live.compress(counts.take(live) > rounds)
     freqs = np.bincount(state, minlength=table.shape[0]) / max(1, n_samples)
     ses = np.sqrt(freqs * (1.0 - freqs) / max(1, n_samples))
     return MonteCarloResult(freqs, ses, n_samples, int(seed))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -182,6 +183,92 @@ def test_non_finite_entry_fails_every_check_reading_it(tmp_path, capsys, field, 
     failed = {line.split()[1] for line in lines if line.startswith("FAIL")}
     assert READS[field] <= failed, lines
     assert not [line for line in lines if re.match(r"PASS .*residual (inf|nan)", line)]
+
+
+@pytest.mark.parametrize("field", sorted(READS))
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_non_finite_entry_prints_no_warning(tmp_path, capsys, field, value):
+    # no np.errstate here: the test configuration turns a RuntimeWarning into
+    # an error, so one overflow or invalid-value warning fails the test
+    data = bundled_fixtures()["Hyper(S3-classes)"].to_dict()
+    data[field][0]["re"] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    first = next(line.split()[1] for line in out.splitlines() if line.startswith("FAIL"))
+    with pytest.raises(AxiomViolation) as exc:
+        load_bialgebra(path)
+    assert exc.value.axiom == first
+
+
+def moved(b, field, by=1e-2):
+    """b with the second entry of its mult or coproduct tensor moved by ``by``."""
+    data = b.to_dict()
+    data[field][1]["re"] += by
+    return bialgebra_from_dict(data)
+
+
+def test_assert_valid_stops_at_the_first_failure(tmp_path, monkeypatch):
+    fx = bundled_fixtures()
+    cases = [moved(fx["Alg(S3)"], "mult"), moved(fx["C(S3)"], "coproduct")]
+    cases += [dataclasses.replace(b, kind="hyperbialgebra") for b in cases]
+    wants = []
+    for b in cases:
+        first = next(r for r in validate_bialgebra(b) if not r.passed)
+        wants.append((first.name, first.residual, first.where))
+    assert {w[0] for w in wants} <= {"unit", "associativity", "OSC1-coassociativity",
+                                     "OSC2-counit-property"}, wants
+
+    def later_check(*args):
+        raise AssertionError("a check after the first failure ran")
+
+    # the checks that come after every structural one
+    monkeypatch.setattr("qlevy.algebra._coproduct_choi_min_eig", later_check)
+    monkeypatch.setattr("qlevy.algebra.representation_defect", later_check)
+    for i, (b, want) in enumerate(zip(cases, wants)):
+        path = tmp_path / f"moved{i}.json"
+        b.save(path)
+        for check in (lambda: assert_valid(b), lambda: load_bialgebra(path)):
+            with pytest.raises(AxiomViolation) as exc:
+                check()
+            assert (exc.value.axiom, exc.value.residual, exc.value.where) == want
+
+
+def near_singular_hypergroup(how, eps):
+    """Hyper(S3-classes) with the image of its third basis element replaced
+    by the second's, plus eps times its own ("shift") or times 1 + eps
+    ("scale"): a representation whose block chart is singular (eps = 0, and
+    every "scale") or near-singular."""
+    b = bundled_fixtures()["Hyper(S3-classes)"]
+    images = b.rep_images.copy()
+    images[2] = images[1] + eps * b.rep_images[2] if how == "shift" else (1 + eps) * images[1]
+    return dataclasses.replace(b, rep_images=images)
+
+
+REP = ("representation", "representation-faithful")
+CP_REP = ("coproduct-completely-positive",) + REP
+EPSILONS = (0.0, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
+# the failing checks when every chart took the pseudo-inverse at RCOND: it
+# cuts the chart's smallest singular value while eps <= 1e-12, and keeps it
+# from 1e-11 on; the scaled charts are exactly singular
+NEAR_SINGULAR = {("scale", eps): REP for eps in EPSILONS}
+NEAR_SINGULAR.update({("shift", eps): REP for eps in EPSILONS[:4]})
+NEAR_SINGULAR.update({("shift", eps): CP_REP for eps in EPSILONS[4:6]})
+NEAR_SINGULAR.update({("shift", eps): CP_REP[:2] for eps in EPSILONS[6:]})
+
+
+@pytest.mark.parametrize("how, eps", sorted(NEAR_SINGULAR))
+def test_near_singular_chart_keeps_pinv_verdicts(how, eps):
+    b = near_singular_hypergroup(how, eps)
+    failed = tuple(r.name for r in validate_bialgebra(b) if not r.passed)
+    assert failed == NEAR_SINGULAR[how, eps]
+    with pytest.raises(AxiomViolation) as exc:
+        assert_valid(b)
+    assert exc.value.axiom == failed[0]
+    if eps == 0.0:
+        assert exc.value.residual == 1.0
 
 
 def test_load_rejects_malformed_json(tmp_path):

@@ -1,10 +1,12 @@
-"""The compound-Poisson sampler against the round-mask loop it replaced.
+"""The compound-Poisson sampler against the loops it replaced.
 
 ``simulate_compound_poisson`` keeps the samples still jumping as a shrinking
-index array and inverts its CDFs with ``_inverse_cdf``.  The reference below
-masks all samples in every round and inverts with ``np.searchsorted``, as the
-sampler once did; the two must draw the same uniforms in the same order and
-agree on every byte of their frequencies and standard errors.
+index array and inverts its CDFs with ``_inverse_cdf``.  The first reference
+below masks all samples in every round and inverts with ``np.searchsorted``,
+as the sampler once did; the second shrinks the index array by boolean-mask
+indexing and gathers by fancy indexing, where the sampler now uses
+``compress`` and ``take``.  Each must draw the same uniforms in the same order
+and agree on every byte of the frequencies and standard errors.
 """
 
 import math
@@ -44,7 +46,24 @@ def mask_sampler(table, rate, mu, t, n_samples, seed):
     return freqs, np.sqrt(freqs * (1.0 - freqs) / max(1, n_samples))
 
 
-# -- the sampler against it ---------------------------------------------------------------
+def index_sampler(table, rate, mu, t, n_samples, seed):
+    """The shrinking-index loop with boolean-mask and fancy indexing."""
+    table = np.asarray(table, dtype=int)
+    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    counts = _poisson_counts(rng, rate * t, n_samples)
+    state = np.zeros(n_samples, dtype=np.int64)
+    cdf, products, order = np.cumsum(mu), table.ravel(), table.shape[0]
+    live, rounds = np.flatnonzero(counts), 0
+    while live.size:
+        jumps = _inverse_cdf(cdf, rng.random(live.size))
+        state[live] = products[state[live] * order + jumps]
+        rounds += 1
+        live = live[counts[live] > rounds]
+    freqs = np.bincount(state, minlength=table.shape[0]) / max(1, n_samples)
+    return freqs, np.sqrt(freqs * (1.0 - freqs) / max(1, n_samples))
+
+
+# -- the sampler against them --------------------------------------------------------------
 
 TABLES = {f"Z{n}": cyclic_table(n) for n in range(2, 7)}
 TABLES.update({"S3": s3_table(), "D4": d4_table()})
@@ -73,6 +92,19 @@ def test_sampler_matches_round_masks(name, lam_t, n_samples, zero_mass):
     seed = 1000 + len(table) + n_samples
     got = simulate_compound_poisson(table, 2.0, mu, lam_t / 2.0, n_samples, seed)
     freqs, ses = mask_sampler(table, 2.0, mu, lam_t / 2.0, n_samples, seed)
+    assert got.frequencies.tobytes() == freqs.tobytes()
+    assert got.standard_errors.tobytes() == ses.tobytes()
+
+
+@pytest.mark.parametrize("name", ["Z2", "Z3", "Z4", "Z5", "Z6", "S3"])
+@pytest.mark.parametrize("lam_t", [0.25, 1.2, 3.0])
+@pytest.mark.parametrize("n_samples", [10_000, 100_000])
+def test_sampler_matches_index_loop(name, lam_t, n_samples):
+    table = TABLES[name]
+    mu = measure(len(table), int(lam_t * 100) + n_samples, False)
+    seed = 2000 + len(table) + n_samples
+    got = simulate_compound_poisson(table, 2.0, mu, lam_t / 2.0, n_samples, seed)
+    freqs, ses = index_sampler(table, 2.0, mu, lam_t / 2.0, n_samples, seed)
     assert got.frequencies.tobytes() == freqs.tobytes()
     assert got.standard_errors.tobytes() == ses.tobytes()
 

@@ -28,9 +28,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlevy.algebra import (STRUCTURE, AxiomResult, _check_table, _coproduct_choi_min_eig,
-                           _coproduct_of_products, _worst, assert_valid,
-                           bialgebra_from_dict, build_function_algebra,
+from qlevy.algebra import (STRUCTURE, AxiomResult, AxiomViolation, _block_chart, _check_table,
+                           _coproduct_choi_min_eig, _coproduct_of_products, _worst,
+                           assert_valid, bialgebra_from_dict, build_function_algebra,
                            build_group_algebra, class_hypergroup_algebra,
                            representation_defect, validate_bialgebra)
 from qlevy.convolution import OperatorMap, counit_map, functional
@@ -44,8 +44,8 @@ from qlevy.generators import (CPQuadruple, canonical_phi1, check_chi_structure,
 from qlevy.generators import representation_defect as single_block_defect
 from qlevy.harness import (GroupCocycleData, coboundary_data,
                            group_relation_residuals, psi_blocks)
-from qlevy.linalg import (SPECTRAL_TOL, STRUCT_TOL, block_diag, commutator_system, dagger,
-                          maxabs, min_eig_herm, numerical_rank, split_blocks)
+from qlevy.linalg import (RCOND, SPECTRAL_TOL, STRUCT_TOL, block_diag, commutator_system,
+                          dagger, maxabs, min_eig_herm, numerical_rank, split_blocks)
 
 from conftest import random_generator
 from test_basis_change import skew
@@ -718,6 +718,118 @@ def test_imaginary_part_alone_fails_validation():
             want = first_failure(complex_validate(moved))
             assert want is not None, (name, field)
             assert first_failure(validate_bialgebra(moved)) == want, (name, field)
+
+
+# -- assert_valid stops at the first failure -----------------------------------
+
+def assert_valid_outcome(b):
+    """(axiom, residual, where) of the AxiomViolation assert_valid raises, or
+    None when it returns b."""
+    try:
+        out = assert_valid(b)
+    except AxiomViolation as exc:
+        return exc.axiom, exc.residual, exc.where
+    assert out is b
+    return None
+
+
+def early_exit_cases():
+    cases = {**CASES, **narrowing_cases()}
+    rng = np.random.default_rng(35)
+    for name, b in FIXTURES.items():
+        for field in ("mult", "coproduct"):
+            cases[f"{name} {field} +1e-3i"] = moved_entry(b, field, rng, 1e-3j)
+    # CASES holds two_point(theta) for theta in THETAS, 1.05, 1.5 and 2.0 among them
+    return {**cases, **{f"hyper {name}": as_hyper(b) for name, b in cases.items()}}
+
+
+def test_assert_valid_raises_the_first_failure():
+    # assert_valid draws the checks in order and stops at the first failure:
+    # that axiom, residual and location are validate_bialgebra's
+    cases = early_exit_cases()
+    bad, firsts, later = [], set(), 0
+    for name, b in cases.items():
+        results = validate_bialgebra(b)
+        want = first_failure(results)
+        if assert_valid_outcome(b) != want:
+            bad.append(name)
+        if want is not None:
+            firsts.add(want[0])
+            later += [r.name for r in results if not r.passed][-1] != want[0]
+    assert not bad, bad
+    # rejections at many places, most with more failures after the first
+    assert len(firsts) >= 6 and later >= 100, (firsts, later)
+    assert any(first_failure(validate_bialgebra(b)) is None for b in cases.values())
+
+
+# every builder and table shape, as built and in a permuted basis
+def builder_charts():
+    rng = np.random.default_rng(35)
+    out = {}
+    for name, table in {**GROUP_TABLES, **MONOID_TABLES}.items():
+        for kind, (build, _) in BUILDERS.items():
+            if (kind, name) in BUILDER_CASES:
+                b = build(table)
+                out[f"{kind}({name})"] = b
+                out[f"{kind}({name}) permuted"] = permuted(b, rng)
+    return out
+
+
+def is_permutation(m):
+    return bool(np.isin(m, (0, 1)).all() and (m.sum(axis=0) == 1).all()
+                and (m.sum(axis=1) == 1).all())
+
+
+def test_chart_inverse_matches_pinv_on_builder_charts():
+    # every builder's chart is square and well conditioned, so it takes the
+    # LU inverse, which is the pseudo-inverse to rounding; on the identity
+    # and permutation charts of the function algebras and class hypergroups
+    # both are exact
+    exact = 0
+    for name, b in builder_charts().items():
+        chart, inverse, _ = _block_chart(b.rep_images, b.rep_blocks)
+        pinv = np.linalg.pinv(chart, rcond=RCOND)
+        assert np.array_equal(inverse, np.linalg.inv(chart)), name
+        if is_permutation(chart):
+            exact += 1
+            assert np.array_equal(inverse, chart.T) and np.array_equal(pinv, chart.T), name
+        assert maxabs(inverse - pinv) <= 1e-12 * max(1.0, maxabs(pinv)), name
+    assert exact >= 40
+
+
+def chart_of_condition(rng, d, cond):
+    """Images (d, d, d) with 1 x 1 blocks whose chart is a random complex
+    d x d matrix of 2-norm condition number cond."""
+    def unitary():
+        return np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    chart = unitary() @ np.diag(np.logspace(0, -np.log10(cond), d)) @ unitary()
+    images = np.zeros((d, d, d), dtype=complex)
+    images[:, np.arange(d), np.arange(d)] = chart
+    return images
+
+
+@pytest.mark.parametrize("d", [3, 8])
+def test_chart_inverse_falls_back_on_its_defect(d):
+    # at condition 1e8 the LU inverse misses the identity by ~1e-9 while the
+    # condition bound still admits it: the defect check alone sends the
+    # chart to the pseudo-inverse; at condition 10 the LU inverse is kept
+    rng = np.random.default_rng(d)
+    for cond, lu in ((10.0, True), (1e8, False)):
+        images = chart_of_condition(rng, d, cond)
+        chart, inverse, _ = _block_chart(images, (1,) * d)
+        lu_inverse = np.linalg.inv(chart)
+        assert d * d * maxabs(chart) * maxabs(lu_inverse) * RCOND < 1.0
+        assert (maxabs(lu_inverse @ chart - np.eye(d)) <= SPECTRAL_TOL) == lu
+        want = lu_inverse if lu else np.linalg.pinv(chart, rcond=RCOND)
+        assert np.array_equal(inverse, want), cond
+
+
+def test_repeated_block_chart_keeps_pinv():
+    # blocks 1, 1, 2, 2: the chart is 6 x 10, and only the pseudo-inverse exists
+    b = CASES["Alg(S3) 2-block twice"]
+    chart, inverse, _ = _block_chart(b.rep_images, b.rep_blocks)
+    assert chart.shape == (6, 10)
+    assert np.array_equal(inverse, np.linalg.pinv(chart, rcond=RCOND))
 
 
 def random_table(rng):
