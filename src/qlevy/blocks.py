@@ -19,9 +19,9 @@ product of the n blocks, in O(log n) batched calls.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm
 
 from .linalg import SPECTRAL_TOL, commutator_system, maxabs, null_space
 
@@ -57,9 +57,10 @@ class DualBlocks:
         dims = [k for k, m in self.groups for _ in range(m)]
         return tuple(k for k, n in zip(dims, self.copies) for _ in range(n))
 
-    @property
+    @cached_property
     def characters(self):
-        """The number of 1 x 1 blocks, the first group of the tables."""
+        """The number of 1 x 1 blocks, the first group of the tables; read per
+        evaluation, so kept after the first read as a plain attribute."""
         k, m = self.groups[0]
         return m if k == 1 else 0
 
@@ -226,6 +227,10 @@ def block_exponentials(groups, entries):
                       out[:, dst:dst + width].reshape(-1, 4, m))
             src += m
         else:
+            # imported here, its one use: no bundled fixture has a sigma of
+            # dimension >= 3, and the import takes as long as the rest of a
+            # cold `qlevy validate`
+            from scipy.linalg import expm
             _group_view(out[:, dst:dst + width], k, m)[...] = \
                 expm(_group_view(entries[:, src:src + width], k, m))
         src += width
@@ -257,10 +262,15 @@ def counit_of_exponentials(blocks, characters, pieces):
     if not rest:   # a dual of characters
         return np.exp(characters) @ blocks.counit_table
     factors = block_exponentials(rest, pieces)
-    if factors.shape[0] > 1:
-        factors = np.concatenate([_ordered_product(g.transpose(2, 3, 0, 1)).reshape(1, -1)
-                                  for g in group_blocks(rest, factors)], axis=1)
-    return np.concatenate((np.exp(characters), factors[0])) @ blocks.counit_table
+    if factors.shape[0] == 1:
+        product = factors[0]
+    elif len(rest) == 1:   # one group of sigma, as on C(S3): its view (k, k, n, m)
+        k, m = rest[0]
+        product = _ordered_product(factors.reshape(-1, k, k, m).transpose(1, 2, 0, 3)).reshape(-1)
+    else:
+        product = np.concatenate([_ordered_product(g.transpose(2, 3, 0, 1)).reshape(-1)
+                                  for g in group_blocks(rest, factors)])
+    return np.concatenate((np.exp(characters), product)) @ blocks.counit_table
 
 
 def _ordered_product(f):

@@ -20,8 +20,8 @@ import numpy as np
 from numpy.polynomial import legendre
 
 from .blocks import block_exponentials, counit_of_exponentials, group_blocks
-from .convolution import (ConvolutionSemigroup, NonFiniteCocycle, OperatorMap, _exp_tail,
-                          convolve, functional, star_power)
+from .convolution import (ConvolutionSemigroup, NonFiniteCocycle, OperatorMap, _convolved,
+                          _exp_tail, functional, star_power)
 from .linalg import SPECTRAL_TOL, bordered, maxabs
 
 HORIZON_SLACK = 1e-9   # a step function ending this close before a time covers it
@@ -102,7 +102,7 @@ class StepFunction:
         # two breakpoints one ulp apart can round onto one shifted value; the
         # rest of the data is cut from this checked function and needs no
         # second pass through __post_init__
-        if not (inside[1:] > inside[:-1]).all():
+        if not np.logical_and.reduce(inside[1:] > inside[:-1]):
             raise ValueError("breakpoints must be finite and strictly increasing")
         points = np.empty(inside.size + 2)
         points[0] = 0.0
@@ -153,9 +153,9 @@ def refine(f, f_prime, t):
     pts[1:-1] = inner
     pts[-1] = t
     dts = pts[1:] - pts[:-1]
-    if dts.min() <= 1e-12:
+    if np.minimum.reduce(dts) <= 1e-12:
         # the points up to the first short gap are all kept
-        i = int(np.argmax(dts <= 1e-12))
+        i = int((dts <= 1e-12).argmax())
         merged = pts[:i + 1].tolist()
         for p in pts[i + 1:].tolist():
             if p - merged[-1] > 1e-12:
@@ -277,7 +277,7 @@ def cocycle_functional(phi, f, f_prime, t):
         characters = values @ integrated.reshape(-1) @ table[:, :m]
         coords = (np.exp(integrated[1:, 1:].trace())
                   * counit_of_exponentials(blocks, characters, entries))
-        if not np.isfinite(coords).all():
+        if not np.logical_and.reduce(np.isfinite(coords)):
             _raise_non_finite(phi, blocks, pieces)
     return coords
 
@@ -318,19 +318,25 @@ def check_cocycle_identity(phi, s, t, f, f_prime):
 
         l_{s+t}^{e',e} = l_s^{e'_1,e_1} * l_t^{e'_2,e_2}
 
-    with e_1 from f on [0,s) and e_2 from the back-shifted f on [s, s+t)."""
+    with e_1 from f on [0,s) and e_2 from the back-shifted f on [s, s+t).
+    The three functionals are evaluated independently and convolved as
+    coordinate vectors by :func:`~qlevy.convolution.convolve`'s contraction.
+    An empty window, t = 0 or a t so small that s + t rounds onto s, has
+    l_t = eps; t < 0 raises ``ValueError``."""
+    if not t >= 0:   # a nan t fails this too
+        raise ValueError("time must be nonnegative")
     phi = as_generator(phi)
     src = phi.source
     lhs = cocycle_functional(phi, f, f_prime, s + t)
-    l1 = functional(src, cocycle_functional(phi, f, f_prime, s))
-    if t == 0:
-        l2 = functional(src, src.counit)
+    l1 = cocycle_functional(phi, f, f_prime, s)
+    if s + t == s:
+        l2 = src.counit.astype(complex)
     else:
         f2 = f.shifted_restriction(s, s + t)
         fp2 = f_prime.shifted_restriction(s, s + t)
-        l2 = functional(src, cocycle_functional(phi, f2, fp2, t))
-    rhs = convolve(l1, l2).as_vector()
-    return maxabs(lhs - rhs)
+        l2 = cocycle_functional(phi, f2, fp2, t)
+    rhs = _convolved(src.coproduct, l1.reshape(-1, 1, 1), l2.reshape(-1, 1, 1))
+    return maxabs(lhs - rhs.reshape(-1))
 
 
 # -- simplex-series oracle -----------------------------------------------------
@@ -407,7 +413,7 @@ def _simplex_series(phi, x, pieces, lifts, pref, n_max, tail):
             quad = half * (_GL_QUAD @ (nodes @ lifts))
             # the running value at the right end of every piece, added to the
             # nodes of the next piece in place
-            ends = np.cumsum(quad[:, -1], axis=0)
+            ends = np.add.accumulate(quad[:, -1])
             nodes = quad[:, :-1]
             nodes[1:] += ends[:-1, None]
             total += ends[-1]
@@ -419,9 +425,11 @@ def _simplex_series(phi, x, pieces, lifts, pref, n_max, tail):
 
 def _tail_bounds(phi, x, t, lifts, pref, orders):
     """Per order n the bound exp-tail(m t, n) ||eps|| ||x|| |prefactor| on
-    the tail of the series summed over ``lifts``, m their largest 2-norm,
-    all taken in one stacked call."""
-    m = float(np.linalg.norm(lifts, 2, axis=(1, 2)).max(initial=0.0))
+    the tail of the series summed over ``lifts``, m their largest 2-norm:
+    the largest singular value of all of them, taken in one stacked SVD (the
+    LAPACK call that ``np.linalg.norm(lifts, 2, axis=(1, 2))`` wraps)."""
+    m = float(np.maximum.reduce(np.linalg.svd(lifts, compute_uv=False), axis=None,
+                                initial=0.0))
     eps_norm = float(np.linalg.norm(phi.source.counit))
     x_norm = float(np.linalg.norm(x.coords))
     return [_exp_tail(m * t, n) * eps_norm * x_norm * abs(pref) for n in orders]

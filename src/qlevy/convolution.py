@@ -104,11 +104,16 @@ def convolve(phi1, phi2):
     if not phi1.source.same_structure(phi2.source):
         raise ValueError("convolution requires a common source bialgebra")
     d = phi1.source.dim
-    # kept: on C(G) each coproduct slice has several nonzero terms, whose order sets the bytes
-    out = np.einsum("kij,iab,jcd->kacbd", phi1.source.coproduct,
-                    phi1.values, phi2.values)
+    out = _convolved(phi1.source.coproduct, phi1.values, phi2.values)
     return OperatorMap(phi1.source,
                        out.reshape(d, phi1.p * phi2.p, phi1.q * phi2.q))
+
+
+def _convolved(coproduct, values1, values2):
+    """The values (d, p1, p2, q1, q2) of the convolution of the maps with
+    values (d, p1, q1) and (d, p2, q2)."""
+    # kept: on C(G) each coproduct slice has several nonzero terms, whose order sets the bytes
+    return np.einsum("kij,iab,jcd->kacbd", coproduct, values1, values2)
 
 
 def star_power(phi, n):

@@ -233,6 +233,31 @@ def test_cocycle_identity_with_an_empty_increment(all_fixtures):
             assert check_cocycle_identity(phi, s, 0.0, f, fp) == 0.0
 
 
+@pytest.mark.parametrize("t", [1e-17, 1e-16, 0.25 * np.spacing(1.0)])
+def test_cocycle_identity_with_an_empty_window(all_fixtures, t):
+    # s + t rounds onto s: the window [s, s + t) is empty, so l_t = eps and
+    # the identity holds exactly, as at t = 0
+    assert 1.0 + t == 1.0
+    rng = np.random.default_rng(10)
+    for name in ("Alg(S3)", "C(S3)", "Hyper(S3-classes)"):
+        phi = random_generator(rng, all_fixtures[name], 2)
+        f = random_step(rng, 2, 2.0)
+        fp = random_step(rng, 2, 2.0)
+        assert check_cocycle_identity(phi, 1.0, t, f, fp) == 0.0
+        assert check_cocycle_identity(phi, 1.0, t, f, fp) == \
+            check_cocycle_identity(phi, 1.0, 0.0, f, fp)
+
+
+@pytest.mark.parametrize("t", [-0.5, -1e-300, np.nan])
+def test_cocycle_identity_rejects_a_negative_increment(all_fixtures, t):
+    rng = np.random.default_rng(11)
+    phi = random_generator(rng, all_fixtures["C(S3)"], 1)
+    f = random_step(rng, 1, 2.0)
+    with pytest.raises(ValueError, match="time must be nonnegative") as err:
+        check_cocycle_identity(phi, 1.0, t, f, f)
+    assert not isinstance(err.value, HorizonMismatch)
+
+
 def test_cocycle_identity_random(all_fixtures):
     rng = np.random.default_rng(8)
     for b in all_fixtures.values():

@@ -2,15 +2,19 @@
 bit for bit.
 
 ``ref_cocycle_functional``, ``ref_counit_of_exponentials``,
-``ref_ordered_product`` and ``ref_simplex_series`` below are that version,
-kept as oracles the way ``test_refinement.py`` keeps ``slow_refine``: the
-functional conjugates the hat rows twice and reads the generator through
-its properties; the counit concatenates the character exponentials with
-nothing; the ordered product multiplies blocks stacked piece-major, one
-broadcast product per inner index; and every level of the series cumsums a
-leading zero row and builds fresh node and total arrays.  The engine
-computes the same floating-point operations in the same order with fewer
-array calls, so every value it returns must match the oracle's bytes.
+``ref_ordered_product``, ``ref_simplex_series``, ``ref_check_cocycle_identity``
+and ``ref_tail_bounds`` below are that version, kept as oracles the way
+``test_refinement.py`` keeps ``slow_refine``: the functional conjugates the
+hat rows twice and reads the generator through its properties; the counit
+concatenates the character exponentials with nothing; the ordered product
+multiplies blocks stacked piece-major, one broadcast product per inner
+index; every level of the series cumsums a leading zero row and builds
+fresh node and total arrays; the identity convolves its functionals as
+``OperatorMap`` s, with the counit map as l_t over an empty window
+(``ref_identity_over_an_empty_window``); and the tail bound takes the
+2-norms through ``np.linalg.norm``.  The engine computes the same floating-point operations
+in the same order with fewer array calls, so every value it returns must
+match the oracle's bytes.
 """
 
 import numpy as np
@@ -19,10 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlevy.blocks import _ordered_product, block_exponentials, group_blocks
-from qlevy.cocycle import (_GL_NODES, _GL_QUAD, Pieces, _gammas, _simplex_series,
+from qlevy.cocycle import (_GL_NODES, _GL_QUAD, Pieces, _gammas, _simplex_series, _tail_bounds,
                            as_generator, check_cocycle_identity, cocycle_functional, refine,
                            simplex_series_oracle, simplex_series_within)
-from qlevy.convolution import convolve, functional
+from qlevy.convolution import _exp_tail, convolve, counit_map, functional
 from qlevy.linalg import maxabs
 
 from conftest import random_element, random_generator
@@ -89,6 +93,21 @@ def ref_check_cocycle_identity(phi, s, t, f, f_prime):
     return maxabs(lhs - convolve(l1, l2).as_vector())
 
 
+def ref_identity_over_an_empty_window(phi, s, t, f, f_prime):
+    """The identity when [s, s + t) is empty (s + t == s): l_t is the counit."""
+    src = phi.source
+    lhs = ref_cocycle_functional(phi, f, f_prime, s + t)
+    l1 = functional(src, ref_cocycle_functional(phi, f, f_prime, s))
+    return maxabs(lhs - convolve(l1, counit_map(src)).as_vector())
+
+
+def ref_tail_bounds(phi, x, t, lifts, pref, orders):
+    m = float(np.linalg.norm(lifts, 2, axis=(1, 2)).max(initial=0.0))
+    eps_norm = float(np.linalg.norm(phi.source.counit))
+    x_norm = float(np.linalg.norm(x.coords))
+    return [_exp_tail(m * t, n) * eps_norm * x_norm * abs(pref) for n in orders]
+
+
 def ref_simplex_series(phi, x, pieces, lifts, pref, n_max):
     src = phi.source
     d = src.dim
@@ -145,6 +164,51 @@ def test_engine_matches_the_old_engine_bit_for_bit(all_fixtures, name, seed, pie
                           ref_cocycle_functional(phi, f, fp, u))
     assert same_bytes(check_cocycle_identity(phi, s, t - s, f, fp),
                       ref_check_cocycle_identity(phi, s, t - s, f, fp))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(name=st.sampled_from(FIXTURES), seed=st.integers(0, 2 ** 32 - 1), pieces=PIECES,
+       d_noise=st.integers(1, 3))
+def test_identity_at_the_ends_matches_the_old_identity_bit_for_bit(all_fixtures, name, seed,
+                                                                   pieces, d_noise):
+    # s = 0, t = 0, a window that s + t rounds onto s, and one that the
+    # 1e-12 merge empties
+    rng = np.random.default_rng(seed)
+    phi = random_generator(rng, all_fixtures[name], d_noise, 0.4)
+    horizon = float(rng.uniform(0.3, 1.5))
+    f, fp = step_pair(rng, d_noise, horizon, pieces)
+    s = float(rng.uniform(0.05, 1.0)) * horizon
+    assert same_bytes(check_cocycle_identity(phi, 0.0, horizon, f, fp),
+                      ref_check_cocycle_identity(phi, 0.0, horizon, f, fp))
+    for t in (0.0, 0.25 * np.spacing(s)):
+        assert s + t == s
+        assert same_bytes(check_cocycle_identity(phi, s, t, f, fp),
+                          ref_identity_over_an_empty_window(phi, s, t, f, fp))
+    s = min(s, np.nextafter(horizon, 0.0) - 4 * np.spacing(horizon))
+    t = 4 * np.spacing(horizon)
+    assert s < s + t <= horizon
+    assert same_bytes(check_cocycle_identity(phi, s, t, f, fp),
+                      ref_check_cocycle_identity(phi, s, t, f, fp))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(name=st.sampled_from(FIXTURES), seed=st.integers(0, 2 ** 32 - 1),
+       pieces=st.one_of(st.just(0), PIECES), d_noise=st.integers(1, 3),
+       scale=st.sampled_from([0.05, 0.4, 3.0]))
+def test_tail_bounds_match_the_norm_bit_for_bit(all_fixtures, name, seed, pieces, d_noise,
+                                                scale):
+    rng = np.random.default_rng(seed)
+    b = all_fixtures[name]
+    phi = as_generator(random_generator(rng, b, d_noise, scale))
+    x = random_element(rng, b)
+    t = float(rng.uniform(0.3, 1.5))
+    f, fp = step_pair(rng, d_noise, t, max(pieces, 1))
+    got = refine(f, fp, t if pieces else 0.0)
+    lifts = b.lift(_gammas(phi, got))
+    assert lifts.shape[0] == pieces
+    orders = (0, 1, 4, 16, 40)
+    args = (phi, x, t, lifts, got.prefactor(), orders)
+    assert same_bytes(_tail_bounds(*args), ref_tail_bounds(*args))
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
