@@ -154,13 +154,23 @@ def refine(f, f_prime, t):
     pts[-1] = t
     dts = pts[1:] - pts[:-1]
     if np.minimum.reduce(dts) <= 1e-12:
-        # the points up to the first short gap are all kept
-        i = int((dts <= 1e-12).argmax())
-        merged = pts[:i + 1].tolist()
-        for p in pts[i + 1:].tolist():
-            if p - merged[-1] > 1e-12:
-                merged.append(p)
-        pts = np.array(merged)
+        # A point after a gap over 1e-12 is kept: its distance to the last
+        # point kept is at least that gap.  A point after a lone short gap
+        # follows a kept point and is dropped.  Only after two short gaps in
+        # a row does the distance to the last point kept need the loop.
+        keep = np.empty(pts.size, dtype=bool)
+        keep[0] = True
+        np.greater(dts, 1e-12, out=keep[1:])
+        runs = ~(keep[1:-1] | keep[2:])
+        if np.logical_or.reduce(runs):
+            i = int(runs.argmax()) + 2
+            merged = pts[:i].compress(keep[:i]).tolist()
+            for p in pts[i:].tolist():
+                if p - merged[-1] > 1e-12:
+                    merged.append(p)
+            pts = np.array(merged)
+        else:
+            pts = pts.compress(keep)
         dts = pts[1:] - pts[:-1]
     mids = 0.5 * (pts[:-1] + pts[1:])
     hats = np.empty((2, mids.size, 1 + d_noise), dtype=complex)

@@ -158,16 +158,20 @@ def _poisson_counts(rng, rate_t, size):
     with ``math.lgamma`` on a +-40 sigma window (outside it the mass is
     under 1e-300); a draw at or above the last tabulated value takes the
     window's last count.  Every call draws exactly one uniform block, also
-    at rate_t = 0, so runs stay reproducible."""
-    if rate_t < 0:
-        raise ValueError("rate * t must be nonnegative")
+    at rate_t = 0, so runs stay reproducible.  While the window starts at 0
+    (rate_t below ~1602) the counts keep ``_inverse_cdf``'s dtype, the
+    smallest unsigned type that holds the window size: one byte up to
+    rate_t ~ 23, and at rate_t = 0.  A window above 0 gives int64."""
+    if rate_t < 0 or not math.isfinite(rate_t):
+        raise ValueError("rate * t must be finite and nonnegative")
     u = rng.random(size)
     if rate_t == 0:
-        return np.zeros(size, dtype=np.int64)
+        return np.zeros(size, dtype=np.uint8)
     lo = max(0, int(rate_t - 40.0 * np.sqrt(rate_t)))
     k = np.arange(lo, int(rate_t + 40.0 * np.sqrt(rate_t)) + 40)
     log_pmf = k * np.log(rate_t) - rate_t - np.array([math.lgamma(j + 1) for j in k])
-    return lo + _inverse_cdf(np.cumsum(np.exp(log_pmf)), u).astype(np.int64)
+    counts = _inverse_cdf(np.cumsum(np.exp(log_pmf)), u)
+    return counts if lo == 0 else lo + counts.astype(np.int64)
 
 
 @dataclass
@@ -189,9 +193,17 @@ def simulate_compound_poisson(table, rate, jump_measure, t, n_samples, seed):
 
     Draw order: one uniform block for the counts, then one block per round
     r = 1, 2, ..., over the samples with at least r jumps, in index order.
-    The samples still jumping are kept as an index array that shrinks after
-    each round, so the work is O(n_samples + total jumps)."""
+    The frontier is the still-jumping samples' counts and group states,
+    compressed together after each round; a sample leaves it at its last
+    jump, into a histogram of finished samples.  The counts stay one byte
+    wide at the usual rates and the states take the smallest dtype that
+    holds a Cayley-table index, so no n_samples-long int64 array is made,
+    memory is O(n_samples) and the work O(n_samples + total jumps)."""
     table = np.asarray(table, dtype=int)
+    # the states' narrow dtype would wrap an entry outside 0 .. |G| - 1
+    if table.ndim != 2 or table.shape[0] != table.shape[1] \
+            or np.any((table < 0) | (table >= len(table))):
+        raise ValueError("table must be a square Cayley table on 0 .. |G| - 1")
     mu = np.asarray(jump_measure, dtype=float)
     if mu.ndim != 1 or mu.size != table.shape[0] or np.any(mu < 0) \
             or abs(mu.sum() - 1.0) > STRUCT_TOL:
@@ -200,15 +212,23 @@ def simulate_compound_poisson(table, rate, jump_measure, t, n_samples, seed):
         raise ValueError("rate must be nonnegative")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     counts = _poisson_counts(rng, rate * t, n_samples)
-    state = np.zeros(n_samples, dtype=np.int64)
-    cdf, products, order = np.cumsum(mu), table.ravel(), table.shape[0]
-    live, rounds = np.arange(n_samples).compress(counts > 0), 0
-    while live.size:
-        jumps = _inverse_cdf(cdf, rng.random(live.size))
-        state[live] = products.take(state.take(live) * order + jumps)
+    cdf, order = np.cumsum(mu), table.shape[0]
+    # state * order + jump indexes the flattened table
+    products = table.ravel().astype(np.min_scalar_type(order * order - 1))
+    left = counts.compress(counts > 0)
+    state = np.zeros(left.size, products.dtype)
+    finished = np.zeros(order, np.int64)
+    finished[0] = n_samples - left.size   # no jump: the identity, index 0
+    rounds = 0
+    while left.size:
+        state *= order
+        state += _inverse_cdf(cdf, rng.random(left.size))
+        state = products.take(state)
         rounds += 1
-        live = live.compress(counts.take(live) > rounds)
-    freqs = np.bincount(state, minlength=table.shape[0]) / max(1, n_samples)
+        going = left > rounds
+        finished += np.bincount(state.compress(~going), minlength=order)
+        left, state = left.compress(going), state.compress(going)
+    freqs = finished / max(1, n_samples)
     ses = np.sqrt(freqs * (1.0 - freqs) / max(1, n_samples))
     return MonteCarloResult(freqs, ses, n_samples, int(seed))
 

@@ -233,6 +233,26 @@ def test_cocycle_eval_matches_its_pin(tmp_path, pin, name, argv):
         assert abs(g - w) <= 1e-3 * SOLVE_TOL * max(1.0, abs(w)), (pin, g, w)
 
 
+@pytest.mark.parametrize("pin, argv", [
+    # the benchmark's regime: rate t = 1.5 on Z6, 10^5 samples
+    ("montecarlo_z6.json", ["--order", "6", "--rate", "1.5", "--t", "1.0", "--mu",
+                            "[0.1,0.25,0.05,0.2,0.15,0.25]", "--samples", "100000"]),
+    # rate t = 1800: the counts' +-40 sigma window starts above 0
+    ("montecarlo_z3_rate_1800.json", ["--order", "3", "--rate", "900", "--t", "2.0",
+                                      "--mu", "[0.2,0.5,0.3]", "--samples", "40"]),
+])
+def test_montecarlo_matches_its_pin(tmp_path, pin, argv):
+    # the CI's two invocations: the sampled frequencies and standard errors
+    # on every bit, the exact law (an expm) within 1e-3 of SOLVE_TOL
+    out = tmp_path / "mc.json"
+    assert main(["montecarlo", *argv, "--seed", "1", "--out", str(out)]) == 0
+    got = json.loads(out.read_text())
+    want = json.loads((Path(__file__).parent / "data" / pin).read_text())
+    for key in ("frequencies", "standard_errors", "n_samples", "seed"):
+        assert got[key] == want[key], (pin, key)
+    assert maxabs(np.subtract(got["exact_law"], want["exact_law"])) <= 1e-3 * SOLVE_TOL
+
+
 def test_cocycle_eval_fails_on_oracle_gap(flat_z3_generator, monkeypatch, capsys):
     import qlevy.cli
     exact = qlevy.cli.matrix_element

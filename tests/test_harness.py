@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -201,6 +202,25 @@ def test_mc_three_sigma_meta_rate():
 def test_mc_rejects_bad_measure():
     with pytest.raises(ValueError, match="probability vector"):
         simulate_compound_poisson(cyclic_table(2), 1.0, [0.5, 0.6], 1.0, 10, 0)
+
+
+@pytest.mark.parametrize("table", [[[0, 1], [1, 300]], [[0, 1], [1, -1]],
+                                   [[0, 1, 2], [1, 2, 0]], [0, 1], 0])
+def test_mc_rejects_a_table_that_is_no_square_table_on_its_indices(table):
+    # an entry of 300 or -1 would wrap in the one-byte states, not raise
+    with pytest.raises(ValueError, match="square Cayley table"):
+        simulate_compound_poisson(table, 1.0, [0.5, 0.5], 1.0, 1000, 0)
+
+
+@pytest.mark.parametrize("rate, t", [(math.nan, 1.0), (1.0, math.inf), (math.inf, 0.0),
+                                     (1e300, 1e300), (1.0, -1.0)])
+def test_mc_rejects_a_non_finite_or_negative_rate_t(rate, t):
+    # a nan, infinite or negative rate * t is one named error, with no numpy
+    # warning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="rate \\* t must be finite and nonnegative"):
+            simulate_compound_poisson(cyclic_table(2), rate, [0.5, 0.5], t, 10, 0)
 
 
 def test_poisson_counts_moments():

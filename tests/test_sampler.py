@@ -1,12 +1,16 @@
 """The compound-Poisson sampler against the loops it replaced.
 
-``simulate_compound_poisson`` keeps the samples still jumping as a shrinking
-index array and inverts its CDFs with ``_inverse_cdf``.  The first reference
-below masks all samples in every round and inverts with ``np.searchsorted``,
-as the sampler once did; the second shrinks the index array by boolean-mask
-indexing and gathers by fancy indexing, where the sampler now uses
-``compress`` and ``take``.  Each must draw the same uniforms in the same order
-and agree on every byte of the frequencies and standard errors.
+``simulate_compound_poisson`` keeps the samples still jumping as a compact
+frontier, their counts and group states compressed together after each
+round, and moves each sample at its last jump into a histogram of finished
+samples; it inverts its CDFs with ``_inverse_cdf``.  Both references below
+keep a full-length int64 state instead.  The first masks all samples in
+every round and inverts with ``np.searchsorted``, as the sampler once did;
+the second keeps the samples still jumping as an index array, shrinks it by
+boolean-mask indexing, gathers and scatters the states through it by fancy
+indexing, and takes one ``bincount`` of the final states.  Each must draw
+the same uniforms in the same order and agree on every byte of the
+frequencies and standard errors.
 """
 
 import math
@@ -67,6 +71,8 @@ def index_sampler(table, rate, mu, t, n_samples, seed):
 
 TABLES = {f"Z{n}": cyclic_table(n) for n in range(2, 7)}
 TABLES.update({"S3": s3_table(), "D4": d4_table()})
+# 17 * 17 - 1 table indices do not fit one byte: the states take two
+TABLES["Z17"] = cyclic_table(17)
 
 
 def measure(order, seed, zero_mass):
@@ -78,9 +84,18 @@ def measure(order, seed, zero_mass):
     return mu / mu.sum()
 
 
-# (lambda t, n_samples); the total number of draws stays under ~1e6 a case
+def assert_same_bytes(reference, table, mu, lam_t, n_samples, seed):
+    got = simulate_compound_poisson(table, 2.0, mu, lam_t / 2.0, n_samples, seed)
+    freqs, ses = reference(table, 2.0, mu, lam_t / 2.0, n_samples, seed)
+    assert got.frequencies.tobytes() == freqs.tobytes()
+    assert got.standard_errors.tobytes() == ses.tobytes()
+
+
+# (lambda t, n_samples); the total number of draws stays under ~1e6 a case.
+# From lambda t ~ 1602 the counts' +-40 sigma window starts above 0 and the
+# counts are int64; below it they keep _inverse_cdf's unsigned dtype.
 RUNS = [(0.0, 1000), (0.7, 0), (0.7, 1), (1.5, 7), (1.5, 100_000), (6.0, 1000),
-        (40.0, 1000), (300.0, 7), (600.0, 1)]
+        (40.0, 1000), (300.0, 7), (600.0, 1), (1700.0, 5), (2500.0, 3)]
 
 
 @pytest.mark.parametrize("name", sorted(TABLES))
@@ -90,10 +105,17 @@ def test_sampler_matches_round_masks(name, lam_t, n_samples, zero_mass):
     table = TABLES[name]
     mu = measure(len(table), int(lam_t * 10) + n_samples, zero_mass)
     seed = 1000 + len(table) + n_samples
-    got = simulate_compound_poisson(table, 2.0, mu, lam_t / 2.0, n_samples, seed)
-    freqs, ses = mask_sampler(table, 2.0, mu, lam_t / 2.0, n_samples, seed)
-    assert got.frequencies.tobytes() == freqs.tobytes()
-    assert got.standard_errors.tobytes() == ses.tobytes()
+    assert_same_bytes(mask_sampler, table, mu, lam_t, n_samples, seed)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(name=st.sampled_from(sorted(TABLES)), lam_t=st.floats(0.0, 50.0),
+       n_samples=st.integers(0, 400), zero_mass=st.booleans(),
+       seed=st.integers(0, 2 ** 63 - 1))
+def test_sampler_matches_round_masks_sweep(name, lam_t, n_samples, zero_mass, seed):
+    table = TABLES[name]
+    mu = measure(len(table), seed % 1000, zero_mass)
+    assert_same_bytes(mask_sampler, table, mu, lam_t, n_samples, seed)
 
 
 @pytest.mark.parametrize("name", ["Z2", "Z3", "Z4", "Z5", "Z6", "S3"])
@@ -103,17 +125,19 @@ def test_sampler_matches_index_loop(name, lam_t, n_samples):
     table = TABLES[name]
     mu = measure(len(table), int(lam_t * 100) + n_samples, False)
     seed = 2000 + len(table) + n_samples
-    got = simulate_compound_poisson(table, 2.0, mu, lam_t / 2.0, n_samples, seed)
-    freqs, ses = index_sampler(table, 2.0, mu, lam_t / 2.0, n_samples, seed)
-    assert got.frequencies.tobytes() == freqs.tobytes()
-    assert got.standard_errors.tobytes() == ses.tobytes()
+    assert_same_bytes(index_sampler, table, mu, lam_t, n_samples, seed)
 
 
-@pytest.mark.parametrize("rate_t", [0.0, 0.5, 30.0, 600.0, 2000.0, 1e5])
+@pytest.mark.parametrize("rate_t", [0.0, 0.5, 23.0, 24.0, 30.0, 600.0, 1601.0,
+                                    1603.0, 2000.0, 1e5])
 def test_poisson_counts_match_searchsorted(rate_t):
     rng, ref = (np.random.Generator(np.random.Philox(key=23)) for _ in range(2))
     counts = _poisson_counts(rng, rate_t, 5000)
-    assert counts.dtype == np.int64
+    # the window's first count and its size; at rate_t = 0 the same formulas
+    # give the window 0..39
+    lo = max(0, int(rate_t - 40.0 * np.sqrt(rate_t)))
+    size = int(rate_t + 40.0 * np.sqrt(rate_t)) + 40 - lo
+    assert counts.dtype == (np.min_scalar_type(size) if lo == 0 else np.int64)
     assert np.array_equal(counts, mask_poisson_counts(ref, rate_t, 5000))
 
 
